@@ -13,7 +13,7 @@ from .grammar import (AdjunctionTable, Diagnostic, ElementaryTree, Grammar,
                       detect_empty_yield_loops, detect_unreachable,
                       from_document, load_grammar, parse_grammar,
                       serialize_grammar, to_document, validate)
-from .polynomials import Monomial, SparsePolynomial, TermCapExceeded
+from .polynomials import SparsePolynomial, TermCapExceeded
 from .simulate import (Derivation, DerivationNode, EnumerationBudgetExceeded,
                        SimulationStats, anchor_multiset, derivation_depth,
                        derived_tree, enumerate_derivations,

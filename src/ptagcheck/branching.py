@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grammar as gr
 from .expectation import ExpectationMatrix, SiteIndex
 from .polynomials import SparsePolynomial, TermCapExceeded  # noqa: F401  (raised by level_gf)
 
@@ -53,12 +52,12 @@ def adjunction_gf(g, site_id, idx=None):
     if site_id not in idx.position:
         raise KeyError(f"unknown site {site_id!r}")
     poly = SparsePolynomial.zero(len(idx))
-    for entry in g.phi.entries_for(site_id):
-        if entry.target is None:
-            poly = poly + SparsePolynomial.constant(entry.prob, len(idx))
+    for target, prob in g.phi.entries_for(site_id):
+        if target is None:
+            poly = poly + SparsePolynomial.constant(prob, len(idx))
         else:
-            positions = [idx[n.site_id] for n in g.tree(entry.target).sites]
-            poly = poly + SparsePolynomial.monomial(entry.prob, positions, len(idx))
+            positions = [idx[n.site_id] for n in g.tree(target).sites]
+            poly = poly + SparsePolynomial.monomial(prob, positions, len(idx))
     return poly
 
 
@@ -123,13 +122,12 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     edge of the properness tolerance cannot push a probability above one.
     """
     idx = SiteIndex.from_grammar(g)
-    gfs = [adjunction_gf(g, site, idx) for site in idx.ids]
     q = np.zeros(len(idx))
     if not len(idx):
         return ExtinctionVector(q, idx, 0, 0.0, True)
     residual = float("inf")
     for iteration in range(1, max_iter + 1):
-        nxt = np.minimum([gf.evaluate(q) for gf in gfs], 1.0)
+        nxt = np.minimum(idx.offspring(q), 1.0)
         assert (nxt >= q).all()
         residual = float(np.abs(nxt - q).max())
         q = nxt
@@ -146,10 +144,9 @@ def death_by_level(g, n):
     """
     idx = SiteIndex.from_grammar(g)
     start = idx[start_site(g)]
-    gfs = [adjunction_gf(g, site, idx) for site in idx.ids]
     q = np.zeros(len(idx))
     for _ in range(n):
-        q = np.minimum([gf.evaluate(q) for gf in gfs], 1.0)
+        q = np.minimum(idx.offspring(q), 1.0)
     return float(q[start]) if n else 0.0
 
 
@@ -159,10 +156,5 @@ def start_termination(g, ev):
     Returned per tree id; combine externally if a distribution over start
     trees is known.
     """
-    out = {}
-    for tree in g.start_trees():
-        prob = 1.0
-        for node in tree.sites:
-            prob *= ev[node.site_id]
-        out[tree.tree_id] = prob
-    return out
+    by_tree = dict(zip(ev.site_index.tree_ids, ev.site_index.tree_prod(ev.q)))
+    return {tree.tree_id: float(by_tree[tree.tree_id]) for tree in g.start_trees()}

@@ -85,7 +85,7 @@ def _emit(doc, out):
     out.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _load(path, out, err):
+def _load(path, err):
     try:
         g = gr.load_grammar(path)
     except OSError as exc:
@@ -98,7 +98,7 @@ def _load(path, out, err):
 
 
 def _load_validated(path, out, err):
-    g, code = _load(path, out, err)
+    g, code = _load(path, err)
     if g is None:
         return None, code
     errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
@@ -138,7 +138,7 @@ def run(argv, out=None, err=None):
         return EX_USAGE
 
     if args.command == "validate":
-        g, code = _load(args.grammar, out, err)
+        g, code = _load(args.grammar, err)
         if g is None:
             return code
         diags = gr.validate(g)
@@ -193,10 +193,10 @@ def _dispatch(args, g, out, err):
             return EX_INVALID
         _, constant = branching.constant_split(poly)
         _emit({"text": poly.format(idx.ids), "constant": constant,
-               "terms": [{"coefficient": m.coefficient,
+               "terms": [{"coefficient": coefficient,
                           "exponents": {idx.ids[i]: p
-                                        for i, p in sorted(m.exponents.items())}}
-                         for m in poly.terms]}, out)
+                                        for i, p in sorted(exponents.items())}}
+                         for exponents, coefficient in poly.terms]}, out)
         return EX_OK
 
     if args.command == "extinction":

@@ -176,7 +176,3 @@ def spectral_radius_estimate(m, iterations=64, tol=1e-9):
             return nxt, True
         value = nxt
     return value, False
-
-
-def report_json_doc(report):
-    return report.as_dict()

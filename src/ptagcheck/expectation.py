@@ -1,10 +1,12 @@
-"""Expectation matrix construction.
+"""The numeric form of a grammar and the expectation matrix built from it.
 
 M[i][j] is the expected number of site-j instances created when site i is
 rewritten once.  It factors as M = P @ N where P holds the adjunction (and
 substitution) probabilities per site and tree, and N is the 0/1 site-in-tree
 incidence.  Rows and columns follow the canonical site order: tree
-declaration order, preorder within each tree.
+declaration order, preorder within each tree.  SiteIndex lays the phi table
+out once in that order; the matrices, the offspring functions of the
+extinction iteration and the Monte Carlo all read it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,44 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteIndex:
+    """The numeric form of a grammar, read by every numeric path.
+
+    Sites follow the canonical order, so tree t owns the contiguous slice
+    tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
+    parallel arrays site, tree and prob, in document order; nil is the nil
+    mass of each site and anchors the anchor count of each tree.
+    """
+
     ids: tuple
+    tree_ids: tuple
+    tree_start: np.ndarray
+    site: np.ndarray
+    tree: np.ndarray
+    prob: np.ndarray
+    nil: np.ndarray
+    anchors: np.ndarray
 
     @classmethod
     def from_grammar(cls, g):
-        return cls(tuple(g.site_ids))
+        tree_ids = tuple(t.tree_id for t in g.trees)
+        tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
+        nil = np.zeros(len(g.site_ids))
+        site, tree, prob = [], [], []
+        for i, s in enumerate(g.site_ids):
+            for target, p in g.phi.entries_for(s):
+                if target is None:
+                    nil[i] += p
+                else:
+                    site.append(i)
+                    tree.append(tree_pos[target])
+                    prob.append(p)
+        return cls(tuple(g.site_ids), tree_ids,
+                   np.cumsum([0] + [len(t.sites) for t in g.trees]),
+                   np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp),
+                   np.array(prob, dtype=float), nil,
+                   np.array([len(t.anchors) for t in g.trees], dtype=float))
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
@@ -31,6 +64,24 @@ class SiteIndex:
 
     def __getitem__(self, site_id):
         return self.position[site_id]
+
+    @property
+    def owner(self):
+        """Position of the tree that owns each site."""
+        return np.repeat(np.arange(len(self.tree_ids)), np.diff(self.tree_start))
+
+    def tree_prod(self, q):
+        """Product of q over each tree's sites; 1 for a tree without sites."""
+        out = np.ones(len(self.tree_ids))
+        has_sites = np.diff(self.tree_start) > 0
+        if has_sites.any():
+            out[has_sites] = np.multiply.reduceat(q, self.tree_start[:-1][has_sites])
+        return out
+
+    def offspring(self, q):
+        """Every site's offspring generating function g_i evaluated at q."""
+        spawned = self.prob * self.tree_prod(q)[self.tree]
+        return self.nil + np.bincount(self.site, spawned, minlength=len(self.ids))
 
 
 @dataclass
@@ -60,33 +111,24 @@ class ExpectationMatrix:
 def build_P(g, idx=None):
     if idx is None:
         idx = SiteIndex.from_grammar(g)
-    tree_ids = tuple(t.tree_id for t in g.trees)
-    tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
-    values = np.zeros((len(idx), len(tree_ids)))
-    for site in idx.ids:
-        for entry in g.phi.entries_for(site):
-            if entry.target is not None:
-                values[idx[site], tree_pos[entry.target]] += entry.prob
-    return PMatrix(values, idx, tree_ids)
+    values = np.zeros((len(idx), len(idx.tree_ids)))
+    np.add.at(values, (idx.site, idx.tree), idx.prob)
+    return PMatrix(values, idx, idx.tree_ids)
 
 
 def build_N(g, idx=None):
     if idx is None:
         idx = SiteIndex.from_grammar(g)
-    tree_ids = tuple(t.tree_id for t in g.trees)
-    values = np.zeros((len(tree_ids), len(idx)))
-    for i, tree in enumerate(g.trees):
-        for node in tree.sites:
-            values[i, idx[node.site_id]] = 1.0
-    return NMatrix(values, idx, tree_ids)
+    values = np.zeros((len(idx.tree_ids), len(idx)))
+    values[idx.owner, np.arange(len(idx))] = 1.0
+    return NMatrix(values, idx, idx.tree_ids)
 
 
 def build_M(g, idx=None):
+    """P scattered through the owner of each site; bitwise equal to P @ N."""
     if idx is None:
         idx = SiteIndex.from_grammar(g)
-    p = build_P(g, idx)
-    n = build_N(g, idx)
-    return ExpectationMatrix(p.values @ n.values, idx)
+    return ExpectationMatrix(build_P(g, idx).values[:, idx.owner], idx)
 
 
 # ---------------------------------------------------------------------------

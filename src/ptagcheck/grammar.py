@@ -115,28 +115,14 @@ class ElementaryTree:
         return self.feet[0] if len(self.feet) == 1 else None
 
 
-class PhiEntry(tuple):
-    """(target, prob) pair; target is a tree id or None for "no adjunction"."""
-
-    __slots__ = ()
-
-    def __new__(cls, target, prob):
-        return super().__new__(cls, (target, prob))
-
-    @property
-    def target(self):
-        return self[0]
-
-    @property
-    def prob(self):
-        return self[1]
-
-
 class AdjunctionTable:
-    """The parameter table: site id -> ordered (target, prob) entries."""
+    """The parameter table: site id -> ordered (target, prob) entries.
+
+    A target is a tree id, or None for "no adjunction".
+    """
 
     def __init__(self, entries):
-        self._entries = {site: tuple(PhiEntry(t, p) for t, p in ents)
+        self._entries = {site: tuple((t, p) for t, p in ents)
                          for site, ents in entries.items()}
 
     def sites(self):
@@ -146,17 +132,17 @@ class AdjunctionTable:
         return self._entries[site_id]
 
     def sum_for(self, site_id):
-        return sum(e.prob for e in self._entries[site_id])
+        return sum(p for _, p in self._entries[site_id])
 
     def prob(self, site_id, target):
-        for entry in self._entries[site_id]:
-            if entry.target == target:
-                return entry.prob
+        for t, p in self._entries[site_id]:
+            if t == target:
+                return p
         return 0.0
 
     def positive_targets(self, site_id):
-        return tuple(e.target for e in self._entries[site_id]
-                     if e.target is not None and e.prob > 0.0)
+        return tuple(t for t, p in self._entries[site_id]
+                     if t is not None and p > 0.0)
 
     def __contains__(self, site_id):
         return site_id in self._entries
@@ -406,8 +392,8 @@ def to_document(g):
         "start": g.start,
         "trees": [{"id": t.tree_id, "type": t.kind, "root": _node_doc(t.root)}
                   for t in g.trees],
-        "phi": [{"site": site, "tree": e.target, "prob": e.prob}
-                for site in g.site_ids for e in g.phi.entries_for(site)],
+        "phi": [{"site": site, "tree": t, "prob": p}
+                for site in g.site_ids for t, p in g.phi.entries_for(site)],
     }
 
 
@@ -502,7 +488,7 @@ def _site_diagnostics(g, tree, node):
     diags = []
     entries = g.phi.entries_for(site) if site in g.phi else ()
 
-    total = sum(e.prob for e in entries)
+    total = sum(p for _, p in entries)
     if abs(total - 1.0) > PROPERNESS_TOL:
         diags.append(Diagnostic(
             ERROR, IMPROPER_SITE,
@@ -510,36 +496,36 @@ def _site_diagnostics(g, tree, node):
             tree_id=tree.tree_id, site_id=site))
 
     seen_targets = set()
-    for entry in entries:
-        if not 0.0 <= entry.prob <= 1.0:
+    for target_id, prob in entries:
+        if not 0.0 <= prob <= 1.0:
             diags.append(Diagnostic(
                 ERROR, BAD_PROB,
-                f"probability {entry.prob!r} outside [0, 1] for target "
-                f"{entry.target!r}", tree_id=tree.tree_id, site_id=site))
-        if entry.target is None:
+                f"probability {prob!r} outside [0, 1] for target "
+                f"{target_id!r}", tree_id=tree.tree_id, site_id=site))
+        if target_id is None:
             if substitution:
                 diags.append(Diagnostic(
                     ERROR, BAD_PROB,
                     "substitution site cannot stay unfilled (nil target)",
                     tree_id=tree.tree_id, site_id=site))
             continue
-        if entry.target in seen_targets:
+        if target_id in seen_targets:
             diags.append(Diagnostic(
-                ERROR, BAD_PROB, f"target {entry.target!r} listed twice",
+                ERROR, BAD_PROB, f"target {target_id!r} listed twice",
                 tree_id=tree.tree_id, site_id=site))
-        seen_targets.add(entry.target)
-        target = g.tree(entry.target)
+        seen_targets.add(target_id)
+        target = g.tree(target_id)
         want_kind = INITIAL if substitution else AUXILIARY
         if target.kind != want_kind:
             diags.append(Diagnostic(
                 ERROR, LABEL_MISMATCH,
                 f"{'substitution' if substitution else 'adjunction'} target "
-                f"{entry.target!r} is {target.kind}, expected {want_kind}",
+                f"{target_id!r} is {target.kind}, expected {want_kind}",
                 tree_id=tree.tree_id, site_id=site))
         elif target.root.label != node.label:
             diags.append(Diagnostic(
                 ERROR, LABEL_MISMATCH,
-                f"target {entry.target!r} has root label {target.root.label!r} "
+                f"target {target_id!r} has root label {target.root.label!r} "
                 f"but the site is labeled {node.label!r}",
                 tree_id=tree.tree_id, site_id=site))
     return diags

@@ -14,23 +14,6 @@ class TermCapExceeded(RuntimeError):
     """Symbolic blowup: an intermediate polynomial outgrew the term cap."""
 
 
-class Monomial(tuple):
-    """(exponents, coefficient); exponents is a sparse {position: power} map."""
-
-    __slots__ = ()
-
-    def __new__(cls, exponents, coefficient):
-        return super().__new__(cls, (dict(exponents), coefficient))
-
-    @property
-    def exponents(self):
-        return self[0]
-
-    @property
-    def coefficient(self):
-        return self[1]
-
-
 class SparsePolynomial:
     """Immutable polynomial in a fixed number of variables."""
 
@@ -72,9 +55,10 @@ class SparsePolynomial:
 
     @property
     def terms(self):
-        """Monomials in canonical (descending graded lex) order."""
+        """(exponents, coefficient) pairs in canonical (descending graded lex)
+        order; exponents is a sparse {position: power} map."""
         ordered = sorted(self._coeffs, key=lambda e: (sum(e), e), reverse=True)
-        return [Monomial({i: p for i, p in enumerate(e) if p}, self._coeffs[e])
+        return [({i: p for i, p in enumerate(e) if p}, self._coeffs[e])
                 for e in ordered]
 
     @property
@@ -184,10 +168,9 @@ class SparsePolynomial:
         if not self._coeffs:
             return "0"
         parts = []
-        for mono in self.terms:
-            factors = [f"{mono.coefficient!r}"]
-            for position in sorted(mono.exponents):
-                power = mono.exponents[position]
+        for exponents, coefficient in self.terms:
+            factors = [f"{coefficient!r}"]
+            for position, power in sorted(exponents.items()):
                 name = f"s[{names[position]}]" if names else f"s{position + 1}"
                 factors.append(name if power == 1 else f"{name}^{power}")
             parts.append("*".join(factors))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grammar as gr
+from .expectation import SiteIndex, build_N
 
 RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
@@ -161,7 +162,7 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
             acc = 0.0
             chosen = entries[-1] if entries else None
             for entry in entries:
-                acc += entry.prob
+                acc += entry[1]
                 if u < acc:
                     chosen = entry
                     break
@@ -169,11 +170,12 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
                 # unfillable substitution site; cannot happen on validated input
                 complete = False
                 continue
-            probability *= chosen.prob
-            if chosen.target is None:
+            target, prob = chosen
+            probability *= prob
+            if target is None:
                 node.children[site_node.site_id] = None
                 continue
-            child = DerivationNode(chosen.target, site_node.site_id, node.level + 1)
+            child = DerivationNode(target, site_node.site_id, node.level + 1)
             nodes += 1
             node.children[site_node.site_id] = child
             if child.level < max_depth:
@@ -321,14 +323,14 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
         for site_node in tree.sites:
             site = site_node.site_id
             options = []
-            for entry in g.phi.entries_for(site):
-                if entry.prob <= 0.0:
+            for target, p in g.phi.entries_for(site):
+                if p <= 0.0:
                     continue
-                if entry.target is None:
-                    options.append((None, entry.prob))
+                if target is None:
+                    options.append((None, p))
                 elif level + 1 < max_depth:
-                    for sub, sub_prob in expand(entry.target, site, level + 1):
-                        options.append((sub, entry.prob * sub_prob))
+                    for sub, sub_prob in expand(target, site, level + 1):
+                        options.append((sub, p * sub_prob))
             extended = []
             for children, prob in combos:
                 for choice, choice_prob in options:
@@ -384,33 +386,25 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     trees, start_probs = _start_distribution(g, start_weights)
-    site_ids = g.site_ids
-    k = len(site_ids)
-    site_pos = {s: i for i, s in enumerate(site_ids)}
-    tree_ids = [t.tree_id for t in g.trees]
-    tree_pos = {tid: i for i, tid in enumerate(tree_ids)}
-
-    incidence = np.zeros((len(tree_ids), k), dtype=np.int64)
-    anchors = np.zeros(len(tree_ids))
-    for i, tree in enumerate(g.trees):
-        anchors[i] = len(tree.anchors)
-        for node in tree.sites:
-            incidence[i, site_pos[node.site_id]] = 1
+    index = SiteIndex.from_grammar(g)
+    k = len(index)
+    anchors = index.anchors
+    incidence = build_N(g, index).values.astype(np.int64)
 
     # per site: target tree indices plus a trailing nil bucket
     site_targets = []
     site_pvals = []
-    for site in site_ids:
-        entries = g.phi.entries_for(site)
-        targets = [tree_pos[e.target] for e in entries if e.target is not None]
-        probs = [e.prob for e in entries if e.target is not None]
+    bounds = np.searchsorted(index.site, np.arange(k + 1))
+    for j in range(k):
+        probs = index.prob[bounds[j]:bounds[j + 1]].tolist()
         nil = max(0.0, 1.0 - sum(probs))
         pvals = np.array(probs + [nil])
-        site_targets.append(np.array(targets, dtype=np.int64))
+        site_targets.append(index.tree[bounds[j]:bounds[j + 1]])
         site_pvals.append(pvals / pvals.sum())
 
     start_choice = rng.choice(len(trees), size=samples, p=start_probs)
-    start_tree_idx = np.array([tree_pos[t.tree_id] for t in trees])[start_choice]
+    start_pos = [index.tree_ids.index(t.tree_id) for t in trees]
+    start_tree_idx = np.array(start_pos)[start_choice]
     counts = incidence[start_tree_idx].copy()
     yields = anchors[start_tree_idx].copy()
 

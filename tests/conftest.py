@@ -124,3 +124,43 @@ def random_proper_grammar(seed, max_trees=10, max_sites=20):
     errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
     assert not errors, (seed, errors)
     return g
+
+
+def segment_edge_grammar():
+    """Shapes that trip per-tree site offsets.
+
+    t2 (between two trees with sites) and t4 (declared last) have no sites,
+    so adjoining them spawns nothing; B1 only ever adjoins t4, so its
+    offspring function is constant.  A1 lists its nil entry before its
+    targets and A2 carries a zero-probability entry.  A2 and A3 make the
+    A-sites supercritical: their termination probability is 3/7.
+    """
+    def aux(tree_id, label, children, site=None):
+        root = {"label": label, "children": children}
+        if site:
+            root["site"] = site
+        return {"id": tree_id, "type": "auxiliary", "root": root}
+
+    return parse({
+        "start": "S",
+        "trees": [
+            {"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+                {"label": "A", "site": "A1", "children": [{"anchor": "a"}]}]}},
+            aux("t2", "A", [{"anchor": "c"}, {"foot": "A"}]),
+            aux("t3", "A", [{"foot": "A"}, {"label": "A", "site": "A3", "children": [
+                {"label": "B", "site": "B1", "children": [{"anchor": "d"}]}]}],
+                site="A2"),
+            aux("t4", "B", [{"anchor": "e"}, {"foot": "B"}]),
+        ],
+        "phi": [
+            {"site": "A1", "tree": None, "prob": 0.3},
+            {"site": "A1", "tree": "t3", "prob": 0.5},
+            {"site": "A1", "tree": "t2", "prob": 0.2},
+            {"site": "A2", "tree": "t3", "prob": 0.7},
+            {"site": "A2", "tree": "t2", "prob": 0.0},
+            {"site": "A2", "tree": None, "prob": 0.3},
+            {"site": "A3", "tree": "t3", "prob": 0.7},
+            {"site": "A3", "tree": None, "prob": 0.3},
+            {"site": "B1", "tree": "t4", "prob": 1.0},
+        ],
+    })

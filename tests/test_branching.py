@@ -5,7 +5,8 @@ from ptagcheck import branching as br
 from ptagcheck.expectation import SiteIndex, build_M
 from ptagcheck.grammar import validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
-from conftest import minimal_document, parse, random_proper_grammar
+from conftest import (minimal_document, parse, random_proper_grammar,
+                      segment_edge_grammar)
 
 # G_2 of grammar4, expanded by hand from 0.8*g2*g3*g4 + 0.2 with
 # g2 = 0.2u + 0.8, g3 = 0.2*s5 + 0.8, g4 = 0.4u + 0.6 over u = s2*s3*s4
@@ -124,9 +125,28 @@ def test_death_constants_nondecreasing(grammar4, grammar2):
 
 
 def test_death_matches_symbolic_constant(grammar4):
-    for n in range(5):
-        _, c = br.constant_split(br.level_gf(grammar4, n))
-        assert br.death_by_level(grammar4, n) == pytest.approx(c, abs=1e-12)
+    cases = [(grammar4, 4), (segment_edge_grammar(), 3)]
+    cases += [(random_proper_grammar(seed), 3) for seed in range(20)]
+    for g, levels in cases:
+        for n in range(levels + 1):
+            _, c = br.constant_split(br.level_gf(g, n))
+            assert br.death_by_level(g, n) == pytest.approx(c, abs=1e-12)
+
+
+def oracle_cases():
+    """Random grammars plus the segment edge shapes, with their symbolic g."""
+    for g in [segment_edge_grammar()] + [random_proper_grammar(s) for s in range(20)]:
+        idx = SiteIndex.from_grammar(g)
+        yield g, idx, [br.adjunction_gf(g, s, idx) for s in idx.ids]
+
+
+def test_offspring_matches_symbolic_gf():
+    rng = np.random.default_rng(5)
+    for _, idx, gfs in oracle_cases():
+        k = len(idx)
+        for q in [np.zeros(k), np.ones(k)] + [rng.random(k) for _ in range(5)]:
+            symbolic = [gf.evaluate(q) for gf in gfs]
+            assert np.abs(idx.offspring(q) - symbolic).max() <= 1e-15
 
 
 def test_m_from_partials_grammar4(grammar4):
@@ -199,14 +219,23 @@ def test_extinction_capped_at_one_under_properness_slack():
 
 def test_extinction_monotone_iterates(grammar2):
     # re-run the iteration by hand and check monotonicity
-    idx = SiteIndex.from_grammar(grammar2)
-    gfs = [br.adjunction_gf(grammar2, s, idx) for s in idx.ids]
-    q = np.zeros(3)
-    for _ in range(60):
-        nxt = np.array([gf.evaluate(q) for gf in gfs])
-        assert (nxt >= q).all()
-        assert (nxt <= 1.0).all()
-        q = nxt
+    for g in (grammar2, segment_edge_grammar()):
+        idx = SiteIndex.from_grammar(g)
+        gfs = [br.adjunction_gf(g, s, idx) for s in idx.ids]
+        q = np.zeros(len(idx))
+        for _ in range(60):
+            nxt = np.array([gf.evaluate(q) for gf in gfs])
+            assert (nxt >= q).all()
+            assert (nxt <= 1.0).all()
+            q = nxt
+
+
+def test_extinction_is_fixed_point_of_symbolic_gf():
+    for g, _, gfs in oracle_cases():
+        ev = br.extinction(g)
+        assert ev.converged
+        symbolic = np.minimum([gf.evaluate(ev.q) for gf in gfs], 1.0)
+        assert np.abs(symbolic - ev.q).max() <= 1e-10
 
 
 def test_extinction_max_iter_returns_last():

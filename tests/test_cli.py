@@ -1,10 +1,11 @@
+import hashlib
 import io
 import json
 
 import pytest
 
 from ptagcheck import cli
-from conftest import GRAMMAR2, GRAMMAR4, minimal_document
+from conftest import GRAMMAR2, GRAMMAR4, REPO, minimal_document
 
 
 def run(argv):
@@ -212,3 +213,14 @@ def test_stdout_is_json_everywhere():
         _, out, _ = run(argv)
         json.loads(out)
         assert out.endswith("\n")
+
+
+def test_stdout_matches_recorded_digests(monkeypatch):
+    # bench/known.json holds the sha256 of each command's stdout on the
+    # shipped grammars; every command must reproduce it byte for byte
+    monkeypatch.chdir(REPO)
+    recorded = json.loads((REPO / "bench" / "known.json").read_text())["cli"]
+    assert len(recorded) == 18
+    for command, digest in recorded.items():
+        _, out, _ = run(command.split())
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

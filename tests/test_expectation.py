@@ -5,7 +5,8 @@ import pytest
 
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
-from conftest import GRAMMAR4, minimal_document, parse, random_proper_grammar
+from conftest import (GRAMMAR4, minimal_document, parse, random_proper_grammar,
+                      segment_edge_grammar)
 
 M4_EXPECTED = np.array([
     [0, 0.8, 0.8, 0.8, 0],
@@ -87,12 +88,14 @@ def test_M_grammar2(grammar2):
     assert np.abs(m.values - M2_EXPECTED).max() <= 1e-12
 
 
-def test_M_is_P_times_N(grammar4):
-    idx = ex.SiteIndex.from_grammar(grammar4)
-    p = ex.build_P(grammar4, idx)
-    n = ex.build_N(grammar4, idx)
-    m = ex.build_M(grammar4, idx)
-    assert (m.values == p.values @ n.values).all()
+def test_M_is_P_times_N(grammar4, grammar2):
+    grammars = [grammar4, grammar2, segment_edge_grammar()]
+    for g in grammars + [random_proper_grammar(seed) for seed in range(10)]:
+        idx = ex.SiteIndex.from_grammar(g)
+        p = ex.build_P(g, idx)
+        n = ex.build_N(g, idx)
+        m = ex.build_M(g, idx)
+        assert (m.values == p.values @ n.values).all()
 
 
 def direct_expectation(g):
@@ -100,16 +103,16 @@ def direct_expectation(g):
     sites = g.site_ids
     out = np.zeros((len(sites), len(sites)))
     for i, site in enumerate(sites):
-        for entry in g.phi.entries_for(site):
-            if entry.target is None:
+        for target, prob in g.phi.entries_for(site):
+            if target is None:
                 continue
-            for node in g.tree(entry.target).sites:
-                out[i, sites.index(node.site_id)] += entry.prob
+            for node in g.tree(target).sites:
+                out[i, sites.index(node.site_id)] += prob
     return out
 
 
 def test_M_matches_direct_summation(grammar4, grammar2):
-    for g in (grammar4, grammar2):
+    for g in (grammar4, grammar2, segment_edge_grammar()):
         assert np.abs(ex.build_M(g).values - direct_expectation(g)).max() <= 1e-12
 
 

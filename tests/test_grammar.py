@@ -47,7 +47,7 @@ def test_missing_phi_entry_defaults_to_nil():
     doc = minimal_document()
     doc["trees"][0]["root"]["site"] = "R"
     g = parse(doc)
-    assert g.phi.entries_for("R") == (gr.PhiEntry(None, 1.0),)
+    assert g.phi.entries_for("R") == ((None, 1.0),)
     assert gr.validate(g) == []
 
 
@@ -150,7 +150,7 @@ def test_round_trip_preserves_defaulted_entries():
     doc["trees"][0]["root"]["site"] = "R"
     g = parse(doc)
     again = gr.parse_grammar(gr.serialize_grammar(g))
-    assert again.phi.entries_for("R") == (gr.PhiEntry(None, 1.0),)
+    assert again.phi.entries_for("R") == ((None, 1.0),)
 
 
 # -- validation -------------------------------------------------------------

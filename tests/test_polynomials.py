@@ -50,11 +50,11 @@ def test_monomial_constructor():
 
 def test_canonical_term_order_descending_graded_lex():
     p = poly(2, {(0, 0): 1.0, (2, 0): 2.0, (1, 1): 3.0, (0, 1): 4.0})
-    orders = [tuple(sorted(m.exponents.items())) for m in p.terms]
+    orders = [tuple(sorted(exponents.items())) for exponents, _ in p.terms]
     assert orders == [((0, 2),), ((0, 1), (1, 1)), ((1, 1),), ()]
     # degree-2 terms: (2,0) > (1,1) lexicographically
-    assert p.terms[0].coefficient == 2.0
-    assert p.terms[1].coefficient == 3.0
+    assert p.terms[0][1] == 2.0
+    assert p.terms[1][1] == 3.0
 
 
 def test_evaluate_at_ones_is_coefficient_sum():

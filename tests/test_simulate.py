@@ -7,7 +7,7 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import minimal_document, parse
+from conftest import minimal_document, parse, segment_edge_grammar
 
 
 class ScriptedRNG:
@@ -291,10 +291,12 @@ def test_estimate_matches_sampler_statistics(grammar4):
 
 
 def test_estimate_grammar2_close_to_extinction(grammar2):
-    stats = sim.estimate_termination(grammar2, 200_000, 100, seed=2)
-    q = br.extinction(grammar2)["S1"]
-    sigma = math.sqrt(q * (1 - q) / stats.samples)
-    assert abs(stats.termination_rate - q) <= 3 * sigma
+    # the segment edge grammar's only start site is A1
+    for g, start in ((grammar2, "S1"), (segment_edge_grammar(), "A1")):
+        stats = sim.estimate_termination(g, 200_000, 100, seed=2)
+        q = br.extinction(g)[start]
+        sigma = math.sqrt(q * (1 - q) / stats.samples)
+        assert abs(stats.termination_rate - q) <= 3 * sigma
 
 
 def test_estimate_depth_histogram_matches_death_curve(grammar4):
