@@ -6,10 +6,10 @@ from .branching import (ExtinctionVector, NoStartSiteError, adjunction_gf,
 from .consistency import (ConsistencyReport, InvalidGrammarError, ScaledPower,
                           check_consistency, row_sum_test,
                           spectral_radius_estimate)
-from .expectation import (ExpectationMatrix, NMatrix, PMatrix, SiteIndex,
-                          build_M, build_N, build_P, matrix_json, matrix_tsv)
+from .expectation import (LabelledMatrix, SiteIndex, build_M, build_N,
+                          build_P, matrix_json_doc, matrix_tsv)
 from .grammar import (AdjunctionTable, Diagnostic, ElementaryTree, Grammar,
-                      GrammarError, GrammarParseError, Symbol, TreeNode,
+                      GrammarError, GrammarParseError, TreeNode,
                       detect_empty_yield_loops, detect_unreachable,
                       from_document, load_grammar, parse_grammar,
                       serialize_grammar, to_document, validate)

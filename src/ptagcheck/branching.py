@@ -9,9 +9,10 @@ the offspring law of type j is the adjunction generating function
 
 with the "no adjunction" mass contributing the constant phi(site_j -> nil).
 Level generating functions iterate G_n = G_{n-1}[g_1, ..., g_k] from
-G_0 = s_start; the constant term C_n of G_n is the probability the
-derivation has finished by level n, and the fixed point of q = g(q) from
-q = 0 is the per-site termination (extinction) probability.
+G_0, the product of the start tree's site variables; the constant term C_n
+of G_n is the probability the derivation has finished by level n, and the
+fixed point of q = g(q) from q = 0 is the per-site termination
+(extinction) probability.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import ExpectationMatrix, SiteIndex
+from .expectation import LabelledMatrix, SiteIndex
 from .polynomials import SparsePolynomial, TermCapExceeded  # noqa: F401  (raised by level_gf)
 
 DEFAULT_TERM_CAP = 100_000
@@ -45,10 +46,9 @@ class ExtinctionVector:
         return {site: float(self.q[i]) for i, site in enumerate(self.site_index.ids)}
 
 
-def adjunction_gf(g, site_id, idx=None):
+def adjunction_gf(g, site_id):
     """Offspring generating function of one site, over all k site variables."""
-    if idx is None:
-        idx = SiteIndex.from_grammar(g)
+    idx = g.index
     if site_id not in idx.position:
         raise KeyError(f"unknown site {site_id!r}")
     poly = SparsePolynomial.zero(len(idx))
@@ -61,29 +61,28 @@ def adjunction_gf(g, site_id, idx=None):
     return poly
 
 
-def start_site(g):
-    """First site (preorder) of the first declared initial tree rooted in S."""
+def start_tree(g):
+    """The first declared initial tree rooted in S; it must carry a site."""
     starts = g.start_trees()
     if not starts or not starts[0].sites:
         raise NoStartSiteError(
             "no start tree with a rewrite site; level functions are undefined")
-    return starts[0].sites[0].site_id
+    return starts[0]
 
 
 def level_gf(g, n, term_cap=DEFAULT_TERM_CAP):
     """n-th level generating function G_n, built by repeated substitution.
 
-    G_0 is the start-site variable; each further level substitutes every
-    site's offspring function simultaneously.  Grows exponentially with n;
-    the term cap aborts symbolic blowup.
+    G_0 is the product of the start tree's site variables; each further
+    level substitutes every site's offspring function simultaneously.
+    Grows exponentially with n; the term cap aborts symbolic blowup.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    idx = SiteIndex.from_grammar(g)
-    poly = SparsePolynomial.variable(idx[start_site(g)], len(idx))
-    if n == 0:
-        return poly
-    gfs = [adjunction_gf(g, site, idx) for site in idx.ids]
+    idx = g.index
+    poly = SparsePolynomial.monomial(
+        1.0, [idx[node.site_id] for node in start_tree(g).sites], len(idx))
+    gfs = [adjunction_gf(g, site) for site in idx.ids]
     for _ in range(n):
         poly = poly.substitute(gfs, term_cap=term_cap)
     return poly
@@ -101,15 +100,15 @@ def m_from_partials(g):
     Independent of the P @ N construction: m[i][j] = d g_i / d s_j at
     s = (1, ..., 1).
     """
-    idx = SiteIndex.from_grammar(g)
+    idx = g.index
     k = len(idx)
     ones = [1.0] * k
     values = np.zeros((k, k))
     for i, site in enumerate(idx.ids):
-        poly = adjunction_gf(g, site, idx)
+        poly = adjunction_gf(g, site)
         for j in range(k):
             values[i, j] = poly.partial(j).evaluate(ones)
-    return ExpectationMatrix(values, idx)
+    return LabelledMatrix(values, idx.ids)
 
 
 def extinction(g, tol=1e-12, max_iter=10**6):
@@ -120,15 +119,18 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     drops below tol; if max_iter is hit first the last iterate is returned
     with converged=False.  Values are capped at 1.0 so that site sums at the
     edge of the properness tolerance cannot push a probability above one.
+    A decreasing iterate means some phi entry is negative, and raises
+    ValueError.
     """
-    idx = SiteIndex.from_grammar(g)
+    idx = g.index
     q = np.zeros(len(idx))
     if not len(idx):
         return ExtinctionVector(q, idx, 0, 0.0, True)
     residual = float("inf")
     for iteration in range(1, max_iter + 1):
         nxt = np.minimum(idx.offspring(q), 1.0)
-        assert (nxt >= q).all()
+        if (nxt < q).any():
+            raise ValueError("extinction iterates decreased; phi has a negative entry")
         residual = float(np.abs(nxt - q).max())
         q = nxt
         if residual < tol:
@@ -137,17 +139,18 @@ def extinction(g, tol=1e-12, max_iter=10**6):
 
 
 def death_by_level(g, n):
-    """Probability the derivation from the start site has finished by level n.
+    """Probability the derivation from the start tree has finished by level n.
 
-    Numeric counterpart of constant_split(level_gf(g, n))[1]: the start-site
-    component of the n-fold iterate of the offspring functions at zero.
+    Numeric counterpart of constant_split(level_gf(g, n))[1]: the product,
+    over the start tree's sites, of the n-fold iterate of the offspring
+    functions at zero.
     """
-    idx = SiteIndex.from_grammar(g)
-    start = idx[start_site(g)]
+    idx = g.index
+    start = idx.tree_ids.index(start_tree(g).tree_id)
     q = np.zeros(len(idx))
     for _ in range(n):
         q = np.minimum(idx.offspring(q), 1.0)
-    return float(q[start]) if n else 0.0
+    return float(idx.tree_prod(q)[start])
 
 
 def start_termination(g, ev):

@@ -176,10 +176,10 @@ def _dispatch(args, g, out, err):
                 consistency.INDETERMINATE: EX_INDETERMINATE}[report.verdict]
 
     if args.command == "gf":
-        idx = expectation.SiteIndex.from_grammar(g)
+        idx = g.index
         try:
             if args.site is not None:
-                poly = branching.adjunction_gf(g, args.site, idx)
+                poly = branching.adjunction_gf(g, args.site)
             else:
                 poly = branching.level_gf(g, args.level, term_cap=args.term_cap)
         except KeyError as exc:

@@ -5,13 +5,13 @@ rewritten once.  It factors as M = P @ N where P holds the adjunction (and
 substitution) probabilities per site and tree, and N is the 0/1 site-in-tree
 incidence.  Rows and columns follow the canonical site order: tree
 declaration order, preorder within each tree.  SiteIndex lays the phi table
-out once in that order; the matrices, the offspring functions of the
-extinction iteration and the Monte Carlo all read it.
+out in that order.  Grammar.index builds it once per grammar; the matrices,
+the offspring functions of the extinction iteration and the Monte Carlo all
+read it there.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,50 +85,34 @@ class SiteIndex:
 
 
 @dataclass
-class PMatrix:
-    """Sites x trees probability matrix; row sums are 1 - phi(site -> nil)."""
+class LabelledMatrix:
+    """A matrix with its row labels; cols=None means square over the rows.
+
+    P is sites x trees, N trees x sites and M sites x sites.
+    """
 
     values: np.ndarray
-    site_index: SiteIndex
-    tree_ids: tuple
+    rows: tuple
+    cols: tuple | None = None
 
 
-@dataclass
-class NMatrix:
-    """Trees x sites incidence matrix; each site occurs in exactly one tree."""
-
-    values: np.ndarray
-    site_index: SiteIndex
-    tree_ids: tuple
-
-
-@dataclass
-class ExpectationMatrix:
-    values: np.ndarray
-    site_index: SiteIndex
-
-
-def build_P(g, idx=None):
-    if idx is None:
-        idx = SiteIndex.from_grammar(g)
+def build_P(g):
+    idx = g.index
     values = np.zeros((len(idx), len(idx.tree_ids)))
     np.add.at(values, (idx.site, idx.tree), idx.prob)
-    return PMatrix(values, idx, idx.tree_ids)
+    return LabelledMatrix(values, idx.ids, idx.tree_ids)
 
 
-def build_N(g, idx=None):
-    if idx is None:
-        idx = SiteIndex.from_grammar(g)
+def build_N(g):
+    idx = g.index
     values = np.zeros((len(idx.tree_ids), len(idx)))
     values[idx.owner, np.arange(len(idx))] = 1.0
-    return NMatrix(values, idx, idx.tree_ids)
+    return LabelledMatrix(values, idx.tree_ids, idx.ids)
 
 
-def build_M(g, idx=None):
+def build_M(g):
     """P scattered through the owner of each site; bitwise equal to P @ N."""
-    if idx is None:
-        idx = SiteIndex.from_grammar(g)
-    return ExpectationMatrix(build_P(g, idx).values[:, idx.owner], idx)
+    return LabelledMatrix(build_P(g).values[:, g.index.owner], g.index.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +130,8 @@ def matrix_json_doc(matrix):
     For the non-square P and N factors a "cols" key carries the column
     labels (tree ids for P, site ids for N).
     """
-    if isinstance(matrix, ExpectationMatrix):
-        doc = {"order": list(matrix.site_index.ids)}
-    elif isinstance(matrix, PMatrix):
-        doc = {"order": list(matrix.site_index.ids), "cols": list(matrix.tree_ids)}
-    elif isinstance(matrix, NMatrix):
-        doc = {"order": list(matrix.tree_ids), "cols": list(matrix.site_index.ids)}
-    else:
-        raise TypeError(f"not a matrix type: {matrix!r}")
+    doc = {"order": list(matrix.rows)}
+    if matrix.cols is not None:
+        doc["cols"] = list(matrix.cols)
     doc["rows"] = [list(map(float, row)) for row in matrix.values]
     return doc
-
-
-def matrix_json(matrix, indent=2):
-    return json.dumps(matrix_json_doc(matrix), indent=indent) + "\n"

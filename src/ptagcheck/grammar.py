@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from .expectation import SiteIndex
 
 # node kinds
 INTERIOR = "interior"
@@ -65,12 +68,6 @@ class GrammarParseError(GrammarError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    kind: str  # "nonterminal" | "terminal"
-
-
 @dataclass
 class TreeNode:
     """One node of an elementary (or derived) tree.
@@ -89,10 +86,6 @@ class TreeNode:
         yield self
         for child in self.children:
             yield from child.preorder()
-
-    @property
-    def is_leaf(self):
-        return not self.children
 
 
 @dataclass
@@ -167,12 +160,8 @@ class Grammar:
 
     def __post_init__(self):
         self._tree_by_id = {t.tree_id: t for t in self.trees}
-        self._site_node = {}
-        self._site_tree = {}
-        for tree in self.trees:
-            for node in tree.sites:
-                self._site_node[node.site_id] = node
-                self._site_tree[node.site_id] = tree
+        self._site_node = {node.site_id: node
+                           for tree in self.trees for node in tree.sites}
         # canonical site order: tree declaration order, preorder within a tree
         self.site_ids = tuple(self._site_node)
 
@@ -182,23 +171,10 @@ class Grammar:
     def site_node(self, site_id):
         return self._site_node[site_id]
 
-    def site_tree(self, site_id):
-        return self._site_tree[site_id]
-
-    def site_label(self, site_id):
-        return self._site_node[site_id].label
-
-    def site_kind(self, site_id):
-        """"adjunction" for interior sites, "substitution" for subst leaves."""
-        node = self._site_node[site_id]
-        return "substitution" if node.kind == SUBSTITUTION else "adjunction"
-
-    def symbol(self, name):
-        if name in self.nonterminals:
-            return Symbol(name, "nonterminal")
-        if name in self.terminals:
-            return Symbol(name, "terminal")
-        raise KeyError(name)
+    @cached_property
+    def index(self):
+        """The grammar's numeric form, built on first use and then shared."""
+        return SiteIndex.from_grammar(self)
 
     def start_trees(self):
         """Initial trees rooted in the start symbol, in declaration order."""

@@ -3,9 +3,10 @@
 A derivation unfolds level by level: the start tree sits at level 0, every
 site of a level-i tree independently draws a phi target, and each non-nil
 draw instantiates a tree at level i+1.  A derivation is complete once no
-tree would be placed at level max_depth, i.e. it has died by that level;
-otherwise it is censored (complete=False) with the undrawn frontier left
-unexpanded.
+tree with sites would be placed at level max_depth, i.e. it has died by
+that level (a tree without sites has nothing left to draw, so placing one
+there finishes it); otherwise it is censored (complete=False) with the
+undrawn frontier left unexpanded.
 
 These samplers and the exhaustive enumerator are independent of the
 generating-function machinery, so they double as oracles for the
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grammar as gr
-from .expectation import SiteIndex, build_N
 
 RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
@@ -178,10 +178,10 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
             child = DerivationNode(target, site_node.site_id, node.level + 1)
             nodes += 1
             node.children[site_node.site_id] = child
-            if child.level < max_depth:
+            if child.level < max_depth or not g.tree(target).sites:
                 queue.append(child)
             else:
-                complete = False  # frontier tree at the depth cap
+                complete = False  # frontier tree with sites at the depth cap
     return Derivation(root, complete, probability)
 
 
@@ -304,7 +304,9 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
 
     Probabilities are exact products of the phi choices made; derivations
     whose probability falls below prob_floor are dropped (the default floor
-    of zero keeps everything with positive probability).  The summed
+    of zero keeps everything with positive probability).  A tree without
+    sites placed at level max_depth is finished, so it is admitted.  The
+    sum runs over every start tree; with one start tree the summed
     probabilities equal the death-by-level constant C_(max_depth).  Fails
     with EnumerationBudgetExceeded when more than node_cap partial
     expansions are generated.
@@ -328,7 +330,7 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
                     continue
                 if target is None:
                     options.append((None, p))
-                elif level + 1 < max_depth:
+                elif level + 1 < max_depth or not g.tree(target).sites:
                     for sub, sub_prob in expand(target, site, level + 1):
                         options.append((sub, p * sub_prob))
             extended = []
@@ -373,8 +375,9 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     and site type, one vectorized multinomial resolves every pending
     instance, which is distributionally identical to sampling whole
     derivations one by one but stays fast for 10^6 samples.  A sample
-    terminates when a level produces no trees; it is censored when it is
-    still alive at max_depth or its pending-site count exceeds
+    terminates when a level produces no trees (trees without sites count,
+    so a level of only such trees is still a level); it is censored when
+    it is still alive at max_depth or its pending-site count exceeds
     frontier_cap.  Past the cap the chance of ever dying out is below
     q_max^frontier_cap, vanishingly small, so the censoring bias is far
     under sampling noise.
@@ -386,10 +389,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     trees, start_probs = _start_distribution(g, start_weights)
-    index = SiteIndex.from_grammar(g)
+    index = g.index
     k = len(index)
-    anchors = index.anchors
-    incidence = build_N(g, index).values.astype(np.int64)
 
     # per site: target tree indices plus a trailing nil bucket
     site_targets = []
@@ -405,8 +406,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     start_choice = rng.choice(len(trees), size=samples, p=start_probs)
     start_pos = [index.tree_ids.index(t.tree_id) for t in trees]
     start_tree_idx = np.array(start_pos)[start_choice]
-    counts = incidence[start_tree_idx].copy()
-    yields = anchors[start_tree_idx].copy()
+    counts = (start_tree_idx[:, None] == index.owner).astype(np.int64)
+    yields = index.anchors[start_tree_idx]
 
     alive = counts.any(axis=1)
     depth = np.zeros(samples, dtype=np.int64)
@@ -417,27 +418,24 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         idx = np.flatnonzero(alive)
         if not idx.size:
             break
-        new_counts = np.zeros((idx.size, k), dtype=np.int64)
-        born_trees = np.zeros(idx.size, dtype=np.int64)
-        born_anchors = np.zeros(idx.size)
+        # trees born per alive sample; add.at keeps both draws of a target
+        # that a site lists twice
+        born = np.zeros((idx.size, len(index.tree_ids)), dtype=np.int64)
         for j in range(k):
             pending = counts[idx, j]
             if not pending.any():
                 continue
             draws = rng.multinomial(pending, site_pvals[j])
-            tree_draws = draws[:, :-1]
-            if site_targets[j].size:
-                born_trees += tree_draws.sum(axis=1)
-                new_counts += tree_draws @ incidence[site_targets[j]]
-                born_anchors += tree_draws @ anchors[site_targets[j]]
-        died = born_trees == 0
+            np.add.at(born, (slice(None), site_targets[j]), draws[:, :-1])
+        died = ~born.any(axis=1)
         depth[idx[died]] = level - 1
         terminated[idx[died]] = True
         alive[idx[died]] = False
 
         survivors = idx[~died]
-        yields[survivors] += born_anchors[~died]
-        counts[survivors] = new_counts[~died]
+        born = born[~died]
+        yields[survivors] += born @ index.anchors
+        counts[survivors] = born[:, index.owner]
         if level == max_depth:
             censored[survivors] = True
             alive[survivors] = False

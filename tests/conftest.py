@@ -164,3 +164,66 @@ def segment_edge_grammar():
             {"site": "B1", "tree": "t4", "prob": 1.0},
         ],
     })
+
+
+def duplicate_target_grammar():
+    """Every site lists its one target twice; validate flags this as an error.
+
+    Both entries of a site must count.  A2 and A3 each adjoin t2 with total
+    probability 0.7, so their termination probability is 3/7 (the smaller
+    root of q = 0.3 + 0.7 q^2); dropping one entry would make it 1.
+    """
+    return parse({
+        "start": "S",
+        "trees": [
+            {"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+                {"label": "A", "site": "A1", "children": [{"anchor": "a"}]}]}},
+            {"id": "t2", "type": "auxiliary", "root": {
+                "label": "A", "site": "A2", "children": [
+                    {"anchor": "b"},
+                    {"label": "A", "site": "A3", "children": [{"foot": "A"}]}]}},
+        ],
+        "phi": [
+            {"site": "A1", "tree": "t2", "prob": 0.4},
+            {"site": "A1", "tree": None, "prob": 0.2},
+            {"site": "A1", "tree": "t2", "prob": 0.4},
+            {"site": "A2", "tree": "t2", "prob": 0.35},
+            {"site": "A2", "tree": "t2", "prob": 0.35},
+            {"site": "A2", "tree": None, "prob": 0.3},
+            {"site": "A3", "tree": "t2", "prob": 0.35},
+            {"site": "A3", "tree": "t2", "prob": 0.35},
+            {"site": "A3", "tree": None, "prob": 0.3},
+        ],
+    })
+
+
+def two_site_start_grammar():
+    """A clean grammar whose start tree has two sites, each nil with 0.5.
+
+    The derivation has finished by level 1 only when both start sites draw
+    nil, so C_1 = 0.25; a level function built from the first start site
+    alone would give 0.5.
+    """
+    def aux(tree_id, label, site, anchor):
+        return {"id": tree_id, "type": "auxiliary", "root": {
+            "label": label, "site": site,
+            "children": [{"anchor": anchor}, {"foot": label}]}}
+
+    return parse({
+        "start": "S",
+        "trees": [
+            {"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+                {"label": "A", "site": "A1", "children": [{"anchor": "a"}]},
+                {"label": "B", "site": "B1", "children": [{"anchor": "b"}]}]}},
+            aux("t2", "A", "A2", "c"),
+            aux("t3", "B", "B2", "d"),
+        ],
+        "phi": [
+            {"site": "A1", "tree": "t2", "prob": 0.5},
+            {"site": "A1", "tree": None, "prob": 0.5},
+            {"site": "B1", "tree": "t3", "prob": 0.5},
+            {"site": "B1", "tree": None, "prob": 0.5},
+            {"site": "A2", "tree": "t2", "prob": 0.4},
+            {"site": "A2", "tree": None, "prob": 0.6},
+        ],
+    })

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from ptagcheck import branching as br
-from ptagcheck.expectation import SiteIndex, build_M
-from ptagcheck.grammar import validate
+from ptagcheck import simulate as sim
+from ptagcheck.consistency import check_consistency
+from ptagcheck.expectation import SiteIndex, build_M, build_N, build_P
+from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
-from conftest import (minimal_document, parse, random_proper_grammar,
-                      segment_edge_grammar)
+from conftest import (GRAMMAR4, minimal_document, parse, random_proper_grammar,
+                      segment_edge_grammar, two_site_start_grammar)
 
 # G_2 of grammar4, expanded by hand from 0.8*g2*g3*g4 + 0.2 with
 # g2 = 0.2u + 0.8, g3 = 0.2*s5 + 0.8, g4 = 0.4u + 0.6 over u = s2*s3*s4
@@ -21,17 +23,15 @@ G2_EXPECTED = {
 
 
 def test_adjunction_gf_A1(grammar4):
-    idx = SiteIndex.from_grammar(grammar4)
     g1 = br.adjunction_gf(grammar4, "A1")
-    assert g1.format(idx.ids) == "0.8*s[A2]*s[B1]*s[A3] + 0.2"
+    assert g1.format(grammar4.site_ids) == "0.8*s[A2]*s[B1]*s[A3] + 0.2"
     assert g1.coefficient((0, 1, 1, 1, 0)) == 0.8
     assert g1.constant_term == 0.2
 
 
 def test_adjunction_gf_B1(grammar4):
-    idx = SiteIndex.from_grammar(grammar4)
     g3 = br.adjunction_gf(grammar4, "B1")
-    assert g3.format(idx.ids) == "0.2*s[B2] + 0.8"
+    assert g3.format(grammar4.site_ids) == "0.2*s[B2] + 0.8"
 
 
 def test_adjunction_gf_all_nil_site():
@@ -67,6 +67,9 @@ def test_adjunction_gf_normalization_random():
 def test_level_gf_zero_is_start_variable(grammar4):
     g0 = br.level_gf(grammar4, 0)
     assert g0 == SparsePolynomial.variable(0, 5)  # A1 is the first site
+    # a start tree with two sites starts from the product of both variables
+    g0 = br.level_gf(two_site_start_grammar(), 0)
+    assert g0 == SparsePolynomial.monomial(1.0, [0, 1], 4)
 
 
 def test_level_gf_one_is_start_adjunction_gf(grammar4):
@@ -97,7 +100,7 @@ def test_level_gf_without_start_site():
     with pytest.raises(br.NoStartSiteError):
         br.level_gf(g, 1)
     with pytest.raises(br.NoStartSiteError):
-        br.start_site(g)
+        br.start_tree(g)
 
 
 def test_constant_split_levels(grammar4):
@@ -125,7 +128,7 @@ def test_death_constants_nondecreasing(grammar4, grammar2):
 
 
 def test_death_matches_symbolic_constant(grammar4):
-    cases = [(grammar4, 4), (segment_edge_grammar(), 3)]
+    cases = [(grammar4, 4), (segment_edge_grammar(), 3), (two_site_start_grammar(), 4)]
     cases += [(random_proper_grammar(seed), 3) for seed in range(20)]
     for g, levels in cases:
         for n in range(levels + 1):
@@ -136,8 +139,7 @@ def test_death_matches_symbolic_constant(grammar4):
 def oracle_cases():
     """Random grammars plus the segment edge shapes, with their symbolic g."""
     for g in [segment_edge_grammar()] + [random_proper_grammar(s) for s in range(20)]:
-        idx = SiteIndex.from_grammar(g)
-        yield g, idx, [br.adjunction_gf(g, s, idx) for s in idx.ids]
+        yield g, g.index, [br.adjunction_gf(g, s) for s in g.site_ids]
 
 
 def test_offspring_matches_symbolic_gf():
@@ -220,14 +222,50 @@ def test_extinction_capped_at_one_under_properness_slack():
 def test_extinction_monotone_iterates(grammar2):
     # re-run the iteration by hand and check monotonicity
     for g in (grammar2, segment_edge_grammar()):
-        idx = SiteIndex.from_grammar(g)
-        gfs = [br.adjunction_gf(g, s, idx) for s in idx.ids]
-        q = np.zeros(len(idx))
+        gfs = [br.adjunction_gf(g, s) for s in g.site_ids]
+        q = np.zeros(len(gfs))
         for _ in range(60):
             nxt = np.array([gf.evaluate(q) for gf in gfs])
             assert (nxt >= q).all()
             assert (nxt <= 1.0).all()
             q = nxt
+
+
+def test_extinction_rejects_decreasing_iterates():
+    # unvalidated: X -> t2 at -0.2 makes the second iterate fall below the first
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    doc["trees"].append({"id": "t2", "type": "auxiliary",
+                         "root": {"label": "S", "site": "X", "children": [
+                             {"anchor": "b"}, {"foot": "S"}]}})
+    doc["phi"] = [{"site": "R", "tree": "t2", "prob": 0.5},
+                  {"site": "R", "tree": None, "prob": 0.5},
+                  {"site": "X", "tree": "t2", "prob": -0.2},
+                  {"site": "X", "tree": None, "prob": 0.9}]
+    with pytest.raises(ValueError, match="decreased"):
+        br.extinction(parse(doc))
+
+
+def test_numeric_form_built_once(monkeypatch):
+    built = []
+    from_grammar = SiteIndex.from_grammar.__func__
+
+    def counting(cls, g):
+        built.append(g)
+        return from_grammar(cls, g)
+
+    monkeypatch.setattr(SiteIndex, "from_grammar", classmethod(counting))
+    g = load_grammar(GRAMMAR4)
+    check_consistency(g)
+    ev = br.extinction(g)
+    br.start_termination(g, ev)
+    br.level_gf(g, 2)
+    br.death_by_level(g, 3)
+    br.m_from_partials(g)
+    build_P(g)
+    build_N(g)
+    sim.estimate_termination(g, 10, 5)
+    assert built == [g]
 
 
 def test_extinction_is_fixed_point_of_symbolic_gf():

@@ -32,11 +32,11 @@ def test_site_index_order(grammar4):
 
 def test_P_grammar4(grammar4):
     p = ex.build_P(grammar4)
-    assert p.tree_ids == ("t1", "t2", "t3")
+    assert p.cols == ("t1", "t2", "t3")
     assert p.values[0].tolist() == [0, 0.8, 0]   # row A1
     assert p.values[4].tolist() == [0, 0, 0.1]   # row B2
     # row sums are the total adjunction mass, 1 - phi(nil)
-    for i, site in enumerate(p.site_index.ids):
+    for i, site in enumerate(p.rows):
         nil = grammar4.phi.prob(site, None)
         assert p.values[i].sum() == pytest.approx(1.0 - nil, abs=1e-12)
 
@@ -91,10 +91,9 @@ def test_M_grammar2(grammar2):
 def test_M_is_P_times_N(grammar4, grammar2):
     grammars = [grammar4, grammar2, segment_edge_grammar()]
     for g in grammars + [random_proper_grammar(seed) for seed in range(10)]:
-        idx = ex.SiteIndex.from_grammar(g)
-        p = ex.build_P(g, idx)
-        n = ex.build_N(g, idx)
-        m = ex.build_M(g, idx)
+        p = ex.build_P(g)
+        n = ex.build_N(g)
+        m = ex.build_M(g)
         assert (m.values == p.values @ n.values).all()
 
 
@@ -130,8 +129,8 @@ def test_tree_permutation_conjugates_M(grammar4):
     shuffled = parse(doc)
     m1 = ex.build_M(grammar4)
     m2 = ex.build_M(shuffled)
-    assert m2.site_index.ids == ("B2", "A1", "A2", "B1", "A3")
-    perm = [m2.site_index[s] for s in m1.site_index.ids]
+    assert m2.rows == ("B2", "A1", "A2", "B1", "A3")
+    perm = [m2.rows.index(s) for s in m1.rows]
     conjugated = m2.values[np.ix_(perm, perm)]
     assert np.abs(conjugated - m1.values).max() <= 1e-12
     # row-sum multiset unchanged

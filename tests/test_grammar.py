@@ -14,8 +14,6 @@ def test_grammar4_structure(grammar4):
     assert grammar4.terminals == frozenset({"a1", "a2", "a3"})
     assert grammar4.phi.prob("A1", "t2") == 0.8
     assert grammar4.phi.prob("A1", None) == 0.2
-    assert grammar4.site_label("B1") == "B"
-    assert grammar4.site_kind("A1") == "adjunction"
 
 
 def test_grammar2_structure(grammar2):
@@ -49,13 +47,6 @@ def test_missing_phi_entry_defaults_to_nil():
     g = parse(doc)
     assert g.phi.entries_for("R") == ((None, 1.0),)
     assert gr.validate(g) == []
-
-
-def test_symbol_lookup(grammar4):
-    assert grammar4.symbol("S") == gr.Symbol("S", "nonterminal")
-    assert grammar4.symbol("a1") == gr.Symbol("a1", "terminal")
-    with pytest.raises(KeyError):
-        grammar4.symbol("nope")
 
 
 # -- parse errors -----------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import minimal_document, parse, segment_edge_grammar
+from conftest import (duplicate_target_grammar, minimal_document, parse,
+                      segment_edge_grammar, two_site_start_grammar)
 
 
 class ScriptedRNG:
@@ -129,6 +130,16 @@ def test_derived_tree_grammar2_single_adjunction(grammar2):
     assert t.children[0].site_id == "S3"
 
 
+def test_sample_tree_without_sites_at_depth_cap_is_complete():
+    # start tree forced, then A1 -> t2 (uniform 0.9 lies past nil 0.3 and t3 0.5)
+    g = segment_edge_grammar()
+    d = sim.sample_derivation(g, seed=ScriptedRNG([0.0, 0.9]), max_depth=1)
+    assert d.complete
+    leaf = d.root.children["A1"]
+    assert leaf.tree_id == "t2" and leaf.level == 1 and leaf.children == {}
+    assert d.probability == 0.2
+
+
 def test_derived_tree_rejects_incomplete(grammar4):
     rng = ScriptedRNG([0.0, 0.5])
     d = sim.sample_derivation(grammar4, seed=rng, max_depth=1)
@@ -207,10 +218,16 @@ def test_enumerate_depth_one_grammar4(grammar4):
 
 
 def test_enumerate_matches_death_constants(grammar4):
-    for depth in (1, 2, 3):
-        total = sum(d.probability for d in sim.enumerate_derivations(grammar4, depth))
-        _, constant = br.constant_split(br.level_gf(grammar4, depth))
+    # segment_edge_grammar adjoins trees without sites, which finish at the
+    # depth cap; two_site_start_grammar has two sites in its start tree
+    cases = [(grammar4, depth) for depth in (1, 2, 3)]
+    cases += [(g, depth) for g in (segment_edge_grammar(), two_site_start_grammar())
+              for depth in (1, 2, 3, 4)]
+    for g, depth in cases:
+        total = sum(d.probability for d in sim.enumerate_derivations(g, depth))
+        _, constant = br.constant_split(br.level_gf(g, depth))
         assert total == pytest.approx(constant, abs=1e-9)
+        assert total == pytest.approx(br.death_by_level(g, depth), abs=1e-12)
 
 
 def test_enumerate_grammar2_shallow(grammar2):
@@ -297,6 +314,15 @@ def test_estimate_grammar2_close_to_extinction(grammar2):
         q = br.extinction(g)[start]
         sigma = math.sqrt(q * (1 - q) / stats.samples)
         assert abs(stats.termination_rate - q) <= 3 * sigma
+
+
+def test_estimate_counts_both_entries_of_a_duplicate_target():
+    g = duplicate_target_grammar()
+    stats = sim.estimate_termination(g, 100_000, 100, seed=4)
+    q = br.extinction(g)["A1"]
+    assert q == pytest.approx(0.2 + 0.8 * (3 / 7) ** 2, abs=1e-9)
+    sigma = math.sqrt(q * (1 - q) / stats.samples)
+    assert abs(stats.termination_rate - q) <= 4 * sigma
 
 
 def test_estimate_depth_histogram_matches_death_curve(grammar4):
