@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import math
 
@@ -7,8 +9,9 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (duplicate_target_grammar, minimal_document, parse,
-                      segment_edge_grammar, two_site_start_grammar)
+from conftest import (GRAMMAR2, GRAMMAR4, duplicate_target_grammar, minimal_document,
+                      parse, random_proper_grammar, segment_edge_grammar,
+                      two_site_start_grammar)
 
 
 class ScriptedRNG:
@@ -251,6 +254,11 @@ def test_enumerate_prob_floor(grammar4):
 def test_enumerate_budget(grammar4):
     with pytest.raises(sim.EnumerationBudgetExceeded):
         sim.enumerate_derivations(grammar4, 6, node_cap=100)
+    # depth 4 makes 543 partial expansions, 206 of them above the floor
+    for kwargs, needed in (({}, 543), ({"prob_floor": 1e-4}, 206)):
+        sim.enumerate_derivations(grammar4, 4, node_cap=needed, **kwargs)
+        with pytest.raises(sim.EnumerationBudgetExceeded):
+            sim.enumerate_derivations(grammar4, 4, node_cap=needed - 1, **kwargs)
 
 
 def test_enumerate_zero_prob_choices_excluded(grammar2):
@@ -267,6 +275,102 @@ def test_enumerate_levels_and_parents(grammar4):
                 if child is not None:
                     assert child.at == site
                     assert child.level == n.level + 1
+
+
+def enumeration_digest(ds):
+    """sha256 of the derivations' as_dict() forms, order and probability bits.
+
+    Each distinct (tree, at, children) content is numbered the first time
+    it is met and written once, its children naming nodes by number; each
+    derivation then adds its root's number and probability.hex().  This
+    pins what the JSON of as_dict() would, but writes a shared subtree once:
+    that JSON is 257 MB on grammar4 at depth 5.
+    """
+    numbers, by_id, lines = {}, {}, []
+
+    def number(node):
+        n = by_id.get(id(node))
+        if n is None:
+            children = node.children
+            if children is not None:
+                children = tuple((site, c if c is None else number(c))
+                                 for site, c in children.items())
+            content = (node.tree_id, node.at, children)
+            n = numbers.get(content)
+            if n is None:
+                n = numbers[content] = len(numbers)
+                lines.append(repr(content))
+            by_id[id(node)] = n
+        return n
+
+    for d in ds:
+        lines.append(f"{number(d.root)} {d.probability.hex()}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def pinned_grammar(name):
+    if name.startswith("random"):
+        return random_proper_grammar(int(name.removeprefix("random")))
+    return {"grammar4": lambda: gr.load_grammar(GRAMMAR4),
+            "grammar2": lambda: gr.load_grammar(GRAMMAR2),
+            "segment_edge": segment_edge_grammar,
+            "two_site_start": two_site_start_grammar}[name]()
+
+
+# (grammar, depth) -> (derivations, enumeration_digest): the enumerator's
+# exact output, which any rewrite of it must reproduce bit for bit
+ENUMERATION_DIGESTS = {
+    ("grammar4", 1): (1, "18650d3d7d82ba6b39f17ba786554cb2e841cf7b355b578dce1583d6ae88d71a"),
+    ("grammar4", 2): (2, "7d9b2fbe7dbf7428b291b441f71f9a287ddf6f2cd8fb633da27a6f9a50adb235"),
+    ("grammar4", 3): (9, "3bf061aee9e437fca25f4f632aa659fb6da6ba2c9a7162c5b3f3cb4adf542236"),
+    ("grammar4", 4): (244, "744ff70f021749f8a9f5542b2c2cf129dd47f6eadaa46ac8878821b05befdcb1"),
+    ("grammar4", 5): (238145, "681fe5eb8a1b84a81d881da26667e945f86e5b10a8147dfa887f1fed8f4d53c7"),
+    ("grammar2", 1): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("grammar2", 2): (1, "4849157fa56510fd3704b6d4805f1c350282b7a72de0738c9c2d8e196a750fef"),
+    ("grammar2", 3): (4, "8688fd171652974a86fa03d815918e4985bc6d51688f9052f1c371cdb2c62f43"),
+    ("segment_edge", 3): (6, "00b94d4b6083c64e9196094249247be57dd5000b8ccff47cf6b453b50d77ff9c"),
+    ("two_site_start", 3): (6, "1b796b68674744f07ea87f81e088196bae99a40d7bda0d42733877d0ee628146"),
+    ("random0", 3): (7, "94329f2e6cf0cbf852e9c3aa70d2001ca704d3c8f8a58f6647792e9a8d588500"),
+    ("random1", 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("random2", 3): (2, "dc3caa3d6e9122259c165e7bd975e138dfc76f3859367a32025276be045b4825"),
+    ("random3", 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("random4", 3): (2, "7854bb98f794e020daf7696524c5dce508302b765e6f72936b465dcdaf093fcc"),
+    ("random5", 3): (2, "728bcf3b3e8c4047dddeff4b782fd3154a8d9ebba1eeb2b6a1762aac032fd50e"),
+    ("random6", 3): (12, "d09ffa60a5ef3776849ee10ecda11bcad2188096f84ae720b710344baa3aed50"),
+    ("random7", 3): (2, "afa7ba250ef81f561c15e5fd12dfab6b76c36e296ad5997dd968688c9c7a73dc"),
+    ("random8", 3): (3, "e430335da06e059db7b07118846d449c4fb1377088c1c3c6ea60ad9a861ee8f9"),
+    ("random9", 3): (1, "f27dbdb5f7fe05a11b0cb03f1b5e5ee446cc1023b83a5a8ffdafe53f2ef543ac"),
+}
+
+
+@pytest.mark.parametrize("name,depth", list(ENUMERATION_DIGESTS))
+def test_enumerate_output_pinned(name, depth):
+    ds = sim.enumerate_derivations(pinned_grammar(name), depth)
+    assert (len(ds), enumeration_digest(ds)) == ENUMERATION_DIGESTS[name, depth]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumerate_restores_collector_state(grammar4, enabled):
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        sim.enumerate_derivations(grammar4, 3)
+        assert gc.isenabled() is enabled
+        with pytest.raises(sim.EnumerationBudgetExceeded):
+            sim.enumerate_derivations(grammar4, 4, node_cap=100)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_builders_leave_no_cyclic_garbage(grammar4, grammar2):
+    # the collector is paused while these build, which is safe only
+    # because they create no reference cycles
+    gc.collect()
+    sim.enumerate_derivations(grammar4, 4)
+    assert gc.collect() == 0
+    sim.sample_derivation(grammar2, seed=5, max_nodes=2_000)
+    assert gc.collect() == 0
 
 
 # -- termination estimation ---------------------------------------------------
@@ -332,6 +436,18 @@ def test_estimate_depth_histogram_matches_death_curve(grammar4):
     expected = br.death_by_level(grammar4, 2)
     sigma = math.sqrt(expected * (1 - expected) / samples)
     assert abs(stats_depth2.termination_rate - expected) < 4 * sigma
+
+
+def test_estimate_siteless_trees_at_depth_cap_terminate():
+    # level max_depth may hold only trees without sites; such samples have
+    # finished, so the rate estimates C_d as the enumerator counts it
+    g = segment_edge_grammar()
+    samples = 100_000
+    for depth in (1, 2):
+        stats = sim.estimate_termination(g, samples, depth, seed=0)
+        expected = br.death_by_level(g, depth)
+        sigma = math.sqrt(expected * (1 - expected) / samples)
+        assert abs(stats.termination_rate - expected) < 4 * sigma
 
 
 def test_level_independence_of_sibling_sites(grammar2):
