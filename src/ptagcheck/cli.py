@@ -235,8 +235,7 @@ def _dispatch(args, g, out, err):
         except simulate.EnumerationBudgetExceeded as exc:
             err.write(f"{exc}\n")
             return EX_INVALID
-        _emit([dict(d.as_dict(), probability=d.probability)
-               for d in derivations], out)
+        _emit(simulate.derivation_docs(derivations), out)
         return EX_OK
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -83,18 +83,35 @@ class Derivation:
     probability: float
 
     def as_dict(self):
-        return _derivation_doc(self.root)
+        return _derivation_doc(self.root, None)
 
 
-def _derivation_doc(node):
-    doc = {"tree": node.tree_id, "at": node.at}
-    if node.children is None:
-        doc["children"] = None
-    else:
-        doc["children"] = {
-            site: "nil" if child is None else _derivation_doc(child)
-            for site, child in node.children.items()}
-    return doc
+@_collector_paused
+def derivation_docs(derivations):
+    """[as_dict() plus "probability"] of each derivation, for emission.
+
+    Enumerated derivations share subtrees, so the doc of each children
+    dict is built once and shared too; json.dumps writes a shared object
+    out in full wherever it occurs, so the JSON equals that of the
+    as_dict() forms.  The docs form no reference cycles.
+    """
+    shared = {}
+    return [dict(_derivation_doc(d.root, shared), probability=d.probability)
+            for d in derivations]
+
+
+def _derivation_doc(node, shared):
+    """Doc of node; shared, unless None, maps id(children dict) to its doc."""
+    children = node.children
+    if children is not None:
+        doc = shared.get(id(children)) if shared is not None else None
+        if doc is None:
+            doc = {site: "nil" if child is None else _derivation_doc(child, shared)
+                   for site, child in children.items()}
+            if shared is not None:
+                shared[id(children)] = doc
+        children = doc
+    return {"tree": node.tree_id, "at": node.at, "children": children}
 
 
 @dataclass
@@ -423,16 +440,24 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
                          frontier_cap=DEFAULT_FRONTIER_CAP):
     """Monte Carlo estimate of the termination (extinction) probability.
 
-    Simulates the site-count process of all samples in lockstep: per level
-    and site type, one vectorized multinomial resolves every pending
-    instance, which is distributionally identical to sampling whole
-    derivations one by one but stays fast for 10^6 samples.  A sample
-    terminates when a level produces no trees, or when level max_depth
-    holds only trees without sites (the enumerator's convention, so the
+    Simulates the tree-count process of all samples in lockstep: per level
+    and site, one vectorized multinomial resolves every pending instance,
+    which is distributionally identical to sampling whole derivations one
+    by one but stays fast for 10^6 samples.  A sample terminates when a
+    level produces no trees, or when its last level holds only trees
+    without sites (also at max_depth: the enumerator's convention, so the
     rate estimates C_(max_depth)); it is censored when trees with sites
     reach max_depth or its pending-site count exceeds frontier_cap.  Past
     the cap the chance of ever dying out is below q_max^frontier_cap,
     vanishingly small, so the censoring bias is far under sampling noise.
+
+    Only live samples keep state: how many trees of each kind each one
+    bore at the last level, as a trees x live samples array whose row for
+    a tree is the pending count of each of that tree's sites.  A sample
+    leaves as soon as it terminates or is censored.  The random draws are
+    those of keeping every sample in every multinomial: a row with n = 0
+    draws no random numbers, so dropping a finished sample changes no
+    other row's draws.
 
     mean_depth and mean_yield_length are over terminated samples (NaN when
     none terminate).  Identical inputs give identical stats.
@@ -443,6 +468,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     trees, start_probs = _start_distribution(g, start_weights)
     index = g.index
     k = len(index)
+    site_count = np.diff(index.tree_start)
 
     # per site: target tree indices plus a trailing nil bucket
     site_targets = []
@@ -452,53 +478,54 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         probs = index.prob[bounds[j]:bounds[j + 1]].tolist()
         nil = max(0.0, 1.0 - sum(probs))
         pvals = np.array(probs + [nil])
-        site_targets.append(index.tree[bounds[j]:bounds[j + 1]])
+        site_targets.append(index.tree[bounds[j]:bounds[j + 1]].tolist())
         site_pvals.append(pvals / pvals.sum())
+    # (tree, its sites) for the trees with sites, in site order
+    expanding = [(t, range(index.tree_start[t], index.tree_start[t + 1]))
+                 for t in np.flatnonzero(site_count)]
 
     start_choice = rng.choice(len(trees), size=samples, p=start_probs)
     start_pos = [index.tree_ids.index(t.tree_id) for t in trees]
     start_tree_idx = np.array(start_pos)[start_choice]
-    counts = (start_tree_idx[:, None] == index.owner).astype(np.int64)
-    yields = index.anchors[start_tree_idx]
-
-    alive = counts.any(axis=1)
     depth = np.zeros(samples, dtype=np.int64)
+    yields = index.anchors[start_tree_idx]
     censored = np.zeros(samples, dtype=bool)
-    terminated = ~alive
+    terminated = site_count[start_tree_idx] == 0
 
+    live = np.flatnonzero(~terminated)
+    born = (np.arange(len(index.tree_ids))[:, None] == start_tree_idx[live]).astype(np.int64)
+    live_yields = yields[live]
     for level in range(1, max_depth + 1):
-        idx = np.flatnonzero(alive)
-        if not idx.size:
+        if not live.size:
             break
-        # trees born per alive sample; add.at keeps both draws of a target
-        # that a site lists twice
-        born = np.zeros((idx.size, len(index.tree_ids)), dtype=np.int64)
-        for j in range(k):
-            pending = counts[idx, j]
-            if not pending.any():
+        # a target a site lists twice gets both of its columns added
+        next_born = np.zeros_like(born)
+        for t, sites in expanding:
+            row = born[t]  # the pending count of each of t's sites
+            if not row.any():
                 continue
-            draws = rng.multinomial(pending, site_pvals[j])
-            np.add.at(born, (slice(None), site_targets[j]), draws[:, :-1])
-        died = ~born.any(axis=1)
-        depth[idx[died]] = level - 1
-        terminated[idx[died]] = True
-        alive[idx[died]] = False
-
-        survivors = idx[~died]
-        born = born[~died]
-        yields[survivors] += born @ index.anchors
-        counts[survivors] = born[:, index.owner]
-        if level == max_depth:
-            # trees without sites at the depth cap finish their sample
-            finished = ~counts[survivors].any(axis=1)
-            depth[survivors[finished]] = max_depth
-            terminated[survivors[finished]] = True
-            censored[survivors[~finished]] = True
-            alive[survivors] = False
-        else:
-            exploded = survivors[counts[survivors].sum(axis=1) > frontier_cap]
-            censored[exploded] = True
-            alive[exploded] = False
+            for j in sites:
+                draws = rng.multinomial(row, site_pvals[j])
+                for column, target in enumerate(site_targets[j]):
+                    next_born[target] += draws[:, column]
+        born = next_born
+        live_yields += index.anchors @ born
+        pending = site_count @ born
+        has_births = born.any(axis=0)
+        # pending sites past the cap censor, at max_depth every one does;
+        # a sample without births has died whatever the cap
+        cap = frontier_cap if level < max_depth else 0
+        over = has_births & (pending > cap)
+        done = ~over & (pending == 0)
+        # no births: died at level - 1; births without sites: done at level
+        left = live[done]
+        depth[left] = level - 1 + has_births[done]
+        yields[left] = live_yields[done]
+        terminated[left] = True
+        censored[live[over]] = True
+        # compress keeps born C-contiguous, so each row stays a plain view
+        keep = ~(done | over)
+        live, born, live_yields = live[keep], born.compress(keep, axis=1), live_yields[keep]
 
     n_term = int(terminated.sum())
     n_cens = int(censored.sum())

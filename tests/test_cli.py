@@ -5,7 +5,9 @@ import json
 import pytest
 
 from ptagcheck import cli
-from conftest import GRAMMAR2, GRAMMAR4, REPO, minimal_document
+from ptagcheck import grammar as gr
+from ptagcheck import simulate
+from conftest import GRAMMAR2, GRAMMAR4, REPO, minimal_document, segment_edge_grammar
 
 
 def run(argv):
@@ -194,6 +196,20 @@ def test_enumerate_output():
     assert total == pytest.approx(0.5072, abs=1e-12)
     assert docs[0]["tree"] == "t1"
     assert docs[0]["at"] is None
+
+
+def test_enumerate_output_is_the_as_dict_forms(tmp_path):
+    # the emitted docs share subtrees; the JSON must not show it
+    segment_edge = tmp_path / "segment_edge.json"
+    segment_edge.write_text(json.dumps(gr.to_document(segment_edge_grammar())))
+    cases = [(GRAMMAR4, depth) for depth in (1, 2, 3, 4)]
+    cases += [(GRAMMAR2, depth) for depth in (1, 2, 3)] + [(segment_edge, 3)]
+    for path, depth in cases:
+        code, out, _ = run(["enumerate", str(path), "--max-depth", str(depth)])
+        ds = simulate.enumerate_derivations(gr.load_grammar(path), depth)
+        expected = json.dumps([dict(d.as_dict(), probability=d.probability)
+                               for d in ds], indent=2) + "\n"
+        assert (code, out) == (0, expected), (path.name, depth)
 
 
 def test_enumerate_node_cap_exit():

@@ -9,9 +9,9 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (GRAMMAR2, GRAMMAR4, duplicate_target_grammar, minimal_document,
-                      parse, random_proper_grammar, segment_edge_grammar,
-                      two_site_start_grammar)
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, duplicate_target_grammar,
+                      minimal_document, parse, random_proper_grammar,
+                      segment_edge_grammar, two_site_start_grammar)
 
 
 class ScriptedRNG:
@@ -244,6 +244,24 @@ def test_enumerate_grammar2_shallow(grammar2):
                "children": {"S2": "nil", "S3": "nil"}}}}
 
 
+def test_as_dict_docs_share_nothing(grammar4):
+    # enumerated derivations share subtrees, their as_dict() docs do not
+    docs = [d.as_dict() for d in sim.enumerate_derivations(grammar4, 4)]
+    ids = []
+
+    def walk(doc):
+        ids.append(id(doc))
+        if doc["children"] is not None:
+            ids.append(id(doc["children"]))
+            for child in doc["children"].values():
+                if child != "nil":
+                    walk(child)
+
+    for doc in docs:
+        walk(doc)
+    assert len(set(ids)) == len(ids)
+
+
 def test_enumerate_prob_floor(grammar4):
     everything = sim.enumerate_derivations(grammar4, 3)
     kept = sim.enumerate_derivations(grammar4, 3, prob_floor=0.01)
@@ -313,8 +331,10 @@ def pinned_grammar(name):
         return random_proper_grammar(int(name.removeprefix("random")))
     return {"grammar4": lambda: gr.load_grammar(GRAMMAR4),
             "grammar2": lambda: gr.load_grammar(GRAMMAR2),
+            "syn130": lambda: gr.load_grammar(REPO / "bench" / "data" / "syn130.json"),
             "segment_edge": segment_edge_grammar,
-            "two_site_start": two_site_start_grammar}[name]()
+            "two_site_start": two_site_start_grammar,
+            "duplicate_target": duplicate_target_grammar}[name]()
 
 
 # (grammar, depth) -> (derivations, enumeration_digest): the enumerator's
@@ -469,3 +489,106 @@ def test_stats_json_round_trip(grammar2):
     doc = json.loads(json.dumps(stats.as_dict()))
     assert doc["samples"] == 100
     assert doc["seed"] == 0
+
+
+# (grammar, samples, max_depth, seed, keyword arguments) -> sha256 of
+# repr(stats): the estimator's exact output, which any rewrite of it must
+# reproduce bit for bit
+ESTIMATE_CASES = [
+    (name, *setting, {})
+    for name in ("grammar2", "grammar4", "segment_edge", "two_site_start",
+                 "duplicate_target", *(f"random{seed}" for seed in range(10)))
+    for setting in ((3000, 40, 0), (500, 200, 9), (1000, 1, 3))
+] + [
+    (name, 3000, 40, 0, {"frontier_cap": cap})
+    for name in ("grammar2", "grammar4") for cap in (1, 50)
+] + [
+    ("random0", 3000, 40, 0, {"start_weights": {"t1": 1.0, "t2": 3.0}}),
+    ("syn130", 2000, 200, 1, {}),
+    # grammar2 almost never terminates: the cases above leave every sample
+    # censored, this one terminates 37
+    ("grammar2", 200_000, 40, 2, {}),
+]
+
+ESTIMATE_DIGESTS = [
+    "2b71a50f067840bb05fd27a41d535ff7c3a59126c8073bbf5eafbf4a8922671e",
+    "fab3df6cac6579a3b74d3adb1083bcf6de8014160389a09adae8973bab3eefbd",
+    "825189e3b05ac719eee724ae04c73290d519b0812700022a499917cec7ef0f45",
+    "8dc259b99cc44597a6d5b4492cefde346ccd42de48f0ae598c4687c368372084",
+    "4a4778b543bfd74e2b17d3bcc047d5b499c3192fb4945f74176d3223d664c521",
+    "0f5d8eb548914660fc8c72292b410607cfb26b7c97ce0f0aa181c12a6ad11b4c",
+    "6d0b68df083efd002b579223d66be38b2a6f15b2e12a6851311e0f5277485da0",
+    "b33dff6ef85500112382a3fe1e38d204aef0c3b2415a382d6b2940e41185195e",
+    "b122b7712a5a5ce9d0436da8971887995edde8e0bbe13d0ea09413a76bce00b4",
+    "dca13c15360b4d6ed142c11358b42418f05ed0eaac22a8aad167a4ce6eab6e36",
+    "8c3aeba0b55cd007975369d8126f05be54989e2fbe5e762716fa55edb8d47c09",
+    "77cf9b4daea0e603e3db5af7dd6bbbfd4b046c6bc915e4759996ce25aa7bcc07",
+    "6050631d3776feb6678bf403601518c7d0efb15ba0889122dce3512ea2faf037",
+    "d9e51a3849a55331b7bb10721aab1fd1fdff8783e157b3b2a5146d95371e0fb0",
+    "3ecee3af66b49e1be39b87c9da8be5d40f84ca9fbc4a551d1a75b42117d994b4",
+    "337d28c572e009138b9220fb4664852690db0de640f807de26a272887aa256e9",
+    "4a1c9a76eb31d0a8889f3656f3e3db1d9686bbafc54cc9a64596612bf168175e",
+    "9ba8c4ef8d7c8edfa64c521549def525aa72d8a8113246ce4e9fce7df90a870f",
+    "2b71a50f067840bb05fd27a41d535ff7c3a59126c8073bbf5eafbf4a8922671e",
+    "fab3df6cac6579a3b74d3adb1083bcf6de8014160389a09adae8973bab3eefbd",
+    "825189e3b05ac719eee724ae04c73290d519b0812700022a499917cec7ef0f45",
+    "1b685a64454a79f154fd0bb3f03c7480553bcf06c1f6e098293074d0ed67d7c3",
+    "d75be820912917cf6d18a3ea4aff48ad96e2b94eb6f2fa2ac201d8a5b3c8d6c5",
+    "af691f7808b67daaa89b2363f99ce48c5eb0f7f1ebc8137284d8a7f396ea494f",
+    "2b71a50f067840bb05fd27a41d535ff7c3a59126c8073bbf5eafbf4a8922671e",
+    "fab3df6cac6579a3b74d3adb1083bcf6de8014160389a09adae8973bab3eefbd",
+    "825189e3b05ac719eee724ae04c73290d519b0812700022a499917cec7ef0f45",
+    "bce19b7f2e4c02d2e38ebf7d532f796550f7303ad2e9e1f8131688006812a25a",
+    "65ca2a9c08a5c04e27da7580c99dc51aec60d48d4500448877d6933c230dfadd",
+    "2b933e3edb6eafdbdfcf18b873143a17591cd2cdcd60b7d5e2217d989912cdf2",
+    "e19765ae0e954e041b8f1fd69e79c43692381a69e3729e77796012027f37259c",
+    "25330ef270280d1cb0b695788bb9edbea9bcd2ea1b3d050d5c152d1c4bd4a314",
+    "2d96d1c3883e25b34538fd5710a8833ea59524b1602049557d7ebd0d071f87e5",
+    "6dd234ce8ec9d6d01566afaa8b6f6c971faf2de3b1dd757b59deea97ba2b9b55",
+    "a630a0ca223535d50f623e97ccde018519db3b5ed701a7c0b6b5c4d658507007",
+    "9c231158a84555f299175d2a0d87576c4847341890522fce3a106d919361294a",
+    "a3537235956038c14e1c56ae1a6fc6064079cf642466eb3fe8351fda0efd7fa9",
+    "96a189d83f7b3148013be8eebab89b199a522735c09b00c6babd72c632d3f476",
+    "aae23491dc0520332a68b18057af1df62d85bc061d9d96125a5f61e4b45ec66c",
+    "d9788ced03c729dd4ef191c941eb8d9598b1bb1b59a7702ec8e180bd512fe31b",
+    "4bc91233f9457113b0a1c1e9078fd6c1af248bc04804b91676a8183a0c36c244",
+    "d184ddcc9cbe1fa758b6e21b03435fdbe7f47f6f3b58f56955978f6324ae8db7",
+    "2c132ba5184482e5268dea3122b3c0179af0e064a87dd8f39639b2d50e9fb31d",
+    "97366e5e38093a122295a3cb2d53127b6c3290e9a4ba6269901a0216b76c25cd",
+    "02d76d1e87b669f72a37be2dadcbc6c317f6fe38b5e6e2d44fa3d4e5bd46476c",
+    "2b71a50f067840bb05fd27a41d535ff7c3a59126c8073bbf5eafbf4a8922671e",
+    "2b71a50f067840bb05fd27a41d535ff7c3a59126c8073bbf5eafbf4a8922671e",
+    "447ff0dcd41391c8ebcc47ac9f7a9485f5c2ba258ff3c51eff32ffebf2a786fb",
+    "8dc259b99cc44597a6d5b4492cefde346ccd42de48f0ae598c4687c368372084",
+    "890e2fab169974dc963962814d1c5363e5a1a7f92c28463d32eea8944d4eed47",
+    "212c58dfeca0eff36c1b7b48b093f1489e210f2f033b53055c5e14e1f558d08d",
+    "ab652049efeef1d7112586d6cf63676316ce8bafddc540b867cb48ab20947935",
+]
+
+
+def test_estimate_digests_cover_every_case():
+    assert len(ESTIMATE_DIGESTS) == len(ESTIMATE_CASES)
+
+
+@pytest.mark.parametrize("case,digest", list(zip(ESTIMATE_CASES, ESTIMATE_DIGESTS)),
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}-{i}"
+                              for i, c in enumerate(ESTIMATE_CASES)])
+def test_estimate_output_pinned(case, digest):
+    name, samples, max_depth, seed, kwargs = case
+    stats = sim.estimate_termination(pinned_grammar(name), samples, max_depth,
+                                     seed=seed, **kwargs)
+    assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+
+
+def test_multinomial_draws_nothing_for_empty_rows():
+    # estimate_termination drops samples with nothing pending and relies on
+    # a row with n = 0 drawing no random numbers: the other rows, and every
+    # later draw, must come out as if the empty rows were never passed
+    p = [0.2, 0.5, 0.3]
+    for seed in range(20):
+        with_empty = np.random.default_rng(seed)
+        without = np.random.default_rng(seed)
+        draws = with_empty.multinomial([0, 5, 0, 7], p)
+        assert (draws[[0, 2]] == 0).all()
+        assert (draws[[1, 3]] == without.multinomial([5, 7], p)).all()
+        assert with_empty.random() == without.random()
