@@ -120,8 +120,10 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     with converged=False.  Values are capped at 1.0 so that site sums at the
     edge of the properness tolerance cannot push a probability above one.
     A decreasing iterate means some phi entry is negative, and raises
-    ValueError.
+    ValueError, as does max_iter < 1.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     idx = g.index
     q = np.zeros(len(idx))
     if not len(idx):
@@ -145,6 +147,8 @@ def death_by_level(g, n):
     over the start tree's sites, of the n-fold iterate of the offspring
     functions at zero.
     """
+    if n < 0:
+        raise ValueError("level must be >= 0")
     idx = g.index
     start = idx.tree_ids.index(start_tree(g).tree_id)
     q = np.zeros(len(idx))

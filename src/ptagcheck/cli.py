@@ -11,6 +11,7 @@ Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -82,7 +83,13 @@ def _build_parser():
 
 
 def _emit(doc, out):
-    out.write(json.dumps(doc, indent=2) + "\n")
+    # json.dumps with an indent holds the whole text at once, and json.dump
+    # makes one write per encoder chunk (slow on a write-through stdout),
+    # so the chunks go out in batches
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := list(itertools.islice(chunks, 8192)):
+        out.write("".join(batch))
+    out.write("\n")
 
 
 def _load(path, err):
@@ -122,8 +129,10 @@ def _load_weights(path, err):
         err.write(f"malformed start weights: {exc}\n")
         return None, EX_DATAERR
     if (not isinstance(weights, dict)
-            or not all(isinstance(v, (int, float)) for v in weights.values())):
-        err.write("start weights must be a JSON object of numbers\n")
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and 0 <= v <= sys.float_info.max  # false for NaN
+                       for v in weights.values())):
+        err.write("start weights must be a JSON object of finite nonnegative numbers\n")
         return None, EX_DATAERR
     return weights, EX_OK
 

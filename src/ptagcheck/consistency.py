@@ -127,6 +127,8 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     max_squarings squarings the verdict is Indeterminate with the Gelfand
     value of the last power as the spectral radius estimate.
     """
+    if max_squarings < 0:
+        raise ValueError("max_squarings must be >= 0")
     errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
     if errors:
         raise InvalidGrammarError(errors)

@@ -151,6 +151,8 @@ def _start_distribution(g, start_weights):
         probs = np.full(len(trees), 1.0 / len(trees))
     else:
         weights = np.array([float(start_weights.get(t.tree_id, 0.0)) for t in trees])
+        if not (np.isfinite(weights) & (weights >= 0.0)).all():
+            raise ValueError("start weights must be finite and nonnegative")
         if weights.sum() <= 0.0:
             raise ValueError("start weights assign no mass to any start tree")
         probs = weights / weights.sum()
@@ -235,83 +237,45 @@ def derivation_depth(d):
 # ---------------------------------------------------------------------------
 # derived trees
 
-class _WorkNode:
-    """Mutable node used during adjunction surgery."""
-
-    __slots__ = ("kind", "label", "site_id", "children")
-
-    def __init__(self, kind, label, site_id, children):
-        self.kind = kind
-        self.label = label
-        self.site_id = site_id
-        self.children = children
-
-    def become(self, other):
-        self.kind = other.kind
-        self.label = other.label
-        self.site_id = other.site_id
-        self.children = other.children
-
-
 def derived_tree(d, g):
     """Derived (parse) tree of a complete derivation.
 
     Adjoining a tree at a node excises the subtree under that node, places
     the adjoined tree at the node's position and reattaches the excised
     subtree at its foot; substitution replaces the substitution leaf with
-    the initial tree's root.
+    the initial tree's root.  The tree is built by one recursive graft from
+    the start tree down, each node once, with Gorn addresses of its own.
     """
     if not d.complete:
         raise ValueError("cannot derive a tree from an incomplete derivation")
-    root, _foot = _build_work(d.root, g)
-    return _freeze(root, "")
+    return _freeze(_graft(g.tree(d.root.tree_id).root, d.root.children, None, g), "")
 
 
-def _copy_work(node, site_map):
-    work = _WorkNode(node.kind, node.label, node.site_id,
-                     [_copy_work(c, site_map) for c in node.children])
-    if node.site_id is not None:
-        site_map[node.site_id] = work
-    return work
+def _graft(node, chosen, foot, g):
+    """(kind, label, site_id, children) of node with its subtree derived.
+
+    chosen maps the site ids of node's elementary tree to the derivation
+    node placed there (None for nil); foot, unless None, is what the tree's
+    foot leaf becomes.  A node that takes an adjunction is itself the foot
+    of the adjoined tree; a substituted tree has no foot to fill.
+    """
+    if node.kind == gr.FOOT and foot is not None:
+        return foot
+    built = (node.kind, node.label, node.site_id,
+             [_graft(child, chosen, foot, g) for child in node.children])
+    child = chosen.get(node.site_id) if chosen else None
+    if child is None:
+        return built
+    below = None if node.kind == gr.SUBSTITUTION else built
+    return _graft(g.tree(child.tree_id).root, child.children, below, g)
 
 
-def _build_work(dnode, g):
-    tree = g.tree(dnode.tree_id)
-    site_map = {}
-    root = _copy_work(tree.root, site_map)
-    foot = _find_foot(root)
-    for site_id, child in (dnode.children or {}).items():
-        if child is None:
-            continue
-        child_root, child_foot = _build_work(child, g)
-        site_node = site_map[site_id]
-        if site_node.kind == gr.SUBSTITUTION:
-            site_node.become(child_root)
-        elif child_root is child_foot:
-            continue  # single-node auxiliary tree: adjunction is the identity
-        else:
-            excised = _WorkNode(site_node.kind, site_node.label,
-                                site_node.site_id, site_node.children)
-            site_node.become(child_root)
-            child_foot.become(excised)
-    return root, foot
-
-
-def _find_foot(work):
-    if work.kind == gr.FOOT:
-        return work
-    for child in work.children:
-        found = _find_foot(child)
-        if found is not None:
-            return found
-    return None
-
-
-def _freeze(work, address):
+def _freeze(built, address):
+    kind, label, site_id, children = built
     children = tuple(
         _freeze(child, f"{address}.{i + 1}" if address else str(i + 1))
-        for i, child in enumerate(work.children))
-    return gr.TreeNode(work.kind, work.label, children, work.site_id, address)
+        for i, child in enumerate(children))
+    return gr.TreeNode(kind, label, children, site_id, address)
 
 
 def yield_string(t):
@@ -464,6 +428,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
     rng = np.random.default_rng(seed)
     trees, start_probs = _start_distribution(g, start_weights)
     index = g.index

@@ -127,6 +127,11 @@ def test_death_constants_nondecreasing(grammar4, grammar2):
         assert values[0] == 0.0
 
 
+def test_death_rejects_negative_level(grammar4):
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        br.death_by_level(grammar4, -1)
+
+
 def test_death_matches_symbolic_constant(grammar4):
     cases = [(grammar4, 4), (segment_edge_grammar(), 3), (two_site_start_grammar(), 4)]
     cases += [(random_proper_grammar(seed), 3) for seed in range(20)]
@@ -280,6 +285,11 @@ def test_extinction_max_iter_returns_last():
     ev = br.extinction(parse_supercritical(), tol=0.0, max_iter=25)
     assert not ev.converged
     assert ev.iterations == 25
+
+
+def test_extinction_rejects_max_iter_below_one(grammar4):
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        br.extinction(grammar4, max_iter=0)
 
 
 def parse_supercritical():

@@ -7,7 +7,8 @@ import pytest
 from ptagcheck import cli
 from ptagcheck import grammar as gr
 from ptagcheck import simulate
-from conftest import GRAMMAR2, GRAMMAR4, REPO, minimal_document, segment_edge_grammar
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, minimal_document, random_proper_grammar,
+                      segment_edge_grammar)
 
 
 def run(argv):
@@ -169,6 +170,45 @@ def test_extinction_with_start_weights(tmp_path):
                         "--start-weights", str(weights)])
     doc = json.loads(out)
     assert doc["combined"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["extinction", "simulate"])
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "-1", "-0.5", "true"])
+def test_bad_start_weights_exit65(tmp_path, command, weight):
+    # random_proper_grammar(0) has the start trees t1 and t2
+    path = tmp_path / "random0.json"
+    path.write_text(json.dumps(gr.to_document(random_proper_grammar(0))))
+    weights = tmp_path / "w.json"
+    weights.write_text(f'{{"t1": 1.0, "t2": {weight}}}')
+    extra = ["--samples", "100"] if command == "simulate" else []
+    code, out, err = run([command, str(path), *extra, "--start-weights", str(weights)])
+    assert (code, out) == (65, "")
+    assert "finite nonnegative numbers" in err
+
+
+@pytest.mark.parametrize("argv", [["extinction", str(GRAMMAR4), "--max-iter", "0"],
+                                  ["check", str(GRAMMAR4), "--max-squarings", "-1"],
+                                  ["simulate", str(GRAMMAR4), "--max-depth", "0"]])
+def test_budget_out_of_range_exit64(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (64, "")
+    assert "usage error" in err
+
+
+def test_emit_streams_its_output():
+    # the text goes out in pieces, never the whole document at once
+    class Recorder(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    sizes = []
+    doc = [{"tree": f"t{i}", "probability": i / 7, "children": {"A1": "nil"}}
+           for i in range(20_000)]
+    out = Recorder()
+    cli._emit(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    assert max(sizes) < len(out.getvalue()) / 10
 
 
 def test_simulate_output():

@@ -86,6 +86,11 @@ def test_check_rejects_invalid_grammar():
     assert any(d.code == gr.IMPROPER_SITE for d in info.value.diagnostics)
 
 
+def test_check_rejects_negative_max_squarings(grammar4):
+    with pytest.raises(ValueError, match="max_squarings must be >= 0"):
+        cons.check_consistency(grammar4, max_squarings=-1)
+
+
 def test_boundary_rho_one_is_indeterminate():
     # one site feeding exactly one copy of itself: rho = 1
     doc = minimal_document()

@@ -102,6 +102,16 @@ def test_sample_probability_is_product_of_draws(grammar4):
     assert d.probability == pytest.approx(product, rel=1e-12)
 
 
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf, -math.inf])
+def test_start_weights_must_be_finite_and_nonnegative(weight):
+    g = random_proper_grammar(0)
+    weights = {"t1": 1.0, "t2": weight}
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sim.sample_derivation(g, seed=0, start_weights=weights)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sim.estimate_termination(g, 100, 10, start_weights=weights)
+
+
 def test_start_weights_override():
     doc = minimal_document()
     doc["trees"].append({"id": "t2", "type": "initial",
@@ -166,6 +176,148 @@ def test_derived_tree_reproduces_reference_string(grammar4):
     d = sim.Derivation(root, True, 1.0)
     t = sim.derived_tree(d, grammar4)
     assert sim.yield_string(t) == ["a2", "a2", "a2", "a2", "a3", "a3", "a1"]
+
+
+def tree_node(kind, label, address, *children, site=None):
+    return gr.TreeNode(kind, label, children, site, address)
+
+
+def graft_grammar():
+    """One tree of each awkward shape for derived-tree construction.
+
+    t2 adjoins at A1 and takes adjunctions at its own root site A2 (t3) and
+    at B1 below it (t5); its foot lies under B1, so the excised A1 subtree
+    must follow B1 into t5.  t3 carries a substitution site N1 (t4), and
+    t4 takes the single-node auxiliary tree t6 at C1.
+    """
+    def aux(tree_id, root):
+        return {"id": tree_id, "type": "auxiliary", "root": root}
+
+    def interior(label, *children, site=None):
+        node = {"label": label, "children": list(children)}
+        if site:
+            node["site"] = site
+        return node
+
+    return parse({
+        "start": "S",
+        "trees": [
+            {"id": "t1", "type": "initial",
+             "root": interior("S", interior("A", {"anchor": "a"}, site="A1"))},
+            aux("t2", interior("A", interior("B", {"anchor": "b"}, {"foot": "A"}, site="B1"),
+                               site="A2")),
+            aux("t3", interior("A", {"anchor": "c"}, {"subst": "NP", "site": "N1"},
+                               {"foot": "A"})),
+            {"id": "t4", "type": "initial",
+             "root": interior("NP", interior("C", {"anchor": "n"}, site="C1"))},
+            aux("t5", interior("B", {"foot": "B"}, {"anchor": "d"})),
+            aux("t6", {"foot": "C"}),
+        ],
+        "phi": [
+            {"site": "A1", "tree": "t2", "prob": 0.5},
+            {"site": "A1", "tree": None, "prob": 0.5},
+            {"site": "A2", "tree": "t3", "prob": 0.5},
+            {"site": "A2", "tree": None, "prob": 0.5},
+            {"site": "B1", "tree": "t5", "prob": 0.5},
+            {"site": "B1", "tree": None, "prob": 0.5},
+            {"site": "N1", "tree": "t4", "prob": 1.0},
+            {"site": "C1", "tree": "t6", "prob": 0.5},
+            {"site": "C1", "tree": None, "prob": 0.5},
+        ],
+    })
+
+
+def test_derived_tree_written_out():
+    g = graft_grammar()
+    assert not [d for d in gr.validate(g) if d.severity == gr.ERROR]
+    t4 = node("t4", "N1", 3, {"C1": node("t6", "C1", 4, {})})
+    t3 = node("t3", "A2", 2, {"N1": t4})
+    t2 = node("t2", "A1", 1, {"A2": t3, "B1": node("t5", "B1", 2, {})})
+    d = sim.Derivation(node("t1", None, 0, {"A1": t2}), True, 1.0)
+
+    tn = tree_node
+    interior, anchor = gr.INTERIOR, gr.ANCHOR
+    expected = tn(interior, "S", "", tn(
+        interior, "A", "1",  # t3's root
+        tn(anchor, "c", "1.1"),
+        tn(interior, "NP", "1.2",  # t4 substituted at N1
+           tn(interior, "C", "1.2.1", tn(anchor, "n", "1.2.1.1"), site="C1")),
+        tn(interior, "A", "1.3",  # t2's root A2 at t3's foot
+           tn(interior, "B", "1.3.1",  # t5's root
+              tn(interior, "B", "1.3.1.1",  # B1 at t5's foot
+                 tn(anchor, "b", "1.3.1.1.1"),
+                 tn(interior, "A", "1.3.1.1.2",  # the excised A1 at t2's foot
+                    tn(anchor, "a", "1.3.1.1.2.1"), site="A1"),
+                 site="B1"),
+              tn(anchor, "d", "1.3.1.2")),
+           site="A2")))
+    t = sim.derived_tree(d, g)
+    assert t == expected
+    assert sim.yield_string(t) == ["c", "n", "b", "a", "d"]
+
+
+def test_derived_tree_keeps_the_feet_of_initial_trees():
+    # validate rejects a foot in an initial tree; derived_tree leaves it a
+    # leaf, in the start tree and in a substituted one alike
+    g = parse({"start": "S", "phi": [{"site": "N1", "tree": "t2", "prob": 1.0}], "trees": [
+        {"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+            {"subst": "NP", "site": "N1"}, {"foot": "S"}]}},
+        {"id": "t2", "type": "initial", "root": {"label": "NP", "children": [
+            {"anchor": "n"}, {"foot": "NP"}]}}]})
+    d = sim.Derivation(node("t1", None, 0, {"N1": node("t2", "N1", 1, {})}), True, 1.0)
+    assert sim.derived_tree(d, g) == tree_node(
+        gr.INTERIOR, "S", "",
+        tree_node(gr.INTERIOR, "NP", "1", tree_node(gr.ANCHOR, "n", "1.1"),
+                  tree_node(gr.FOOT, "NP", "1.2")),
+        tree_node(gr.FOOT, "S", "2"))
+
+
+# (grammar, seeds, max_depth, max_nodes, complete derivations, sha256 of the
+# reprs of their derived trees, one per line), recorded from the surgery the
+# recursive graft replaced.  grammar2 almost never dies out; these seeds do.
+DERIVED_TREE_DIGESTS = [
+    ("grammar4", range(300), 40, 500, 300,
+     "e3f7c2d9cf99dcf865f898b51035f9c19892b0f2a40a8e388c97906127c167d8"),
+    ("grammar2", (3284, 9332, 15751, 16352, 18521), 12, 40, 5,
+     "ccacd031f8948b0307fa66aba82ae50c22fe816d58f39cc371cd392f90bebacc"),
+    ("segment_edge", range(300), 40, 500, 176,
+     "7a5421739bb7910efb1ec4184609c7f1cf4f64457a6bdf24a587f6c55e9ea914"),
+    ("two_site_start", range(300), 40, 500, 300,
+     "3922ed7acce06a36281a4ef0c67d7ef14795e02db6a40573bb9648859e353d8a"),
+    ("random0", range(300), 40, 500, 300,
+     "f968b42b9b0bc9bcab64e109abd39d9ba74fa27b20c9a92b318015c5527307e5"),
+    ("random1", range(300), 40, 500, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("random2", range(300), 40, 500, 300,
+     "e47a642eb726fd1768905a2dd7531cb75485971c53b2759059056c889e8f0ab5"),
+    ("random3", range(300), 40, 500, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("random4", range(300), 40, 500, 300,
+     "ae0ebb95ed5a18fcf39f1cd0471b3da4b475a7d7b7304497aff8dd208932d5c2"),
+    ("random5", range(300), 40, 500, 300,
+     "658a19c45fb25d9cb556fbf180f642e1d66b718dd503082a03f3345c81d0a350"),
+    ("random6", range(300), 40, 500, 300,
+     "76d7cec5d0eb2f5a1db4c72633ed9968a2d8f699a62b12dec427c383f31283b3"),
+    ("random7", range(300), 40, 500, 300,
+     "a8c3d47350c8b6c74ac523f64f1edb9cf1c61916e586492d82413a0f50b50904"),
+    ("random8", range(300), 40, 500, 300,
+     "8b2277674f73d7e612b311bc78fa17a62925f1c6dd9251f0b351fcc642a862a2"),
+    ("random9", range(300), 40, 500, 300,
+     "5fe7e82eb6e0ad0d713be660f34fbac37fed8f6f7c13e25c414dabb5c4acd71f"),
+]
+
+
+@pytest.mark.parametrize("name,seeds,max_depth,max_nodes,count,digest",
+                         DERIVED_TREE_DIGESTS, ids=[c[0] for c in DERIVED_TREE_DIGESTS])
+def test_derived_trees_pinned(name, seeds, max_depth, max_nodes, count, digest):
+    g = pinned_grammar(name)
+    trees = []
+    for seed in seeds:
+        d = sim.sample_derivation(g, seed=seed, max_depth=max_depth, max_nodes=max_nodes)
+        if d.complete:
+            trees.append(repr(sim.derived_tree(d, g)))
+    assert len(trees) == count
+    assert hashlib.sha256("\n".join(trees).encode()).hexdigest() == digest
 
 
 def test_anchor_multiset_reachable_by_enumeration(grammar4):
@@ -402,6 +554,12 @@ def test_estimate_all_nil_exact():
     assert stats.mean_depth == 0.0
     assert stats.mean_yield_length == 1.0
     assert stats.generator == "PCG64"
+
+
+def test_estimate_rejects_max_depth_below_one(grammar4):
+    # a sample that may not draw would be neither terminated nor censored
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        sim.estimate_termination(grammar4, 100, 0)
 
 
 def test_estimate_counts_add_up(grammar2):
