@@ -11,7 +11,6 @@ Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -83,12 +82,7 @@ def _build_parser():
 
 
 def _emit(doc, out):
-    # json.dumps with an indent holds the whole text at once, and json.dump
-    # makes one write per encoder chunk (slow on a write-through stdout),
-    # so the chunks go out in batches
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    while batch := list(itertools.islice(chunks, 8192)):
-        out.write("".join(batch))
+    json.dump(doc, out, indent=2)
     out.write("\n")
 
 
@@ -131,8 +125,10 @@ def _load_weights(path, err):
     if (not isinstance(weights, dict)
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        and 0 <= v <= sys.float_info.max  # false for NaN
-                       for v in weights.values())):
-        err.write("start weights must be a JSON object of finite nonnegative numbers\n")
+                       for v in weights.values())
+            or sum(map(float, weights.values())) > sys.float_info.max):
+        err.write("start weights must be a JSON object of finite nonnegative numbers"
+                  " with a finite sum\n")
         return None, EX_DATAERR
     return weights, EX_OK
 

@@ -151,11 +151,12 @@ def _start_distribution(g, start_weights):
         probs = np.full(len(trees), 1.0 / len(trees))
     else:
         weights = np.array([float(start_weights.get(t.tree_id, 0.0)) for t in trees])
-        if not (np.isfinite(weights) & (weights >= 0.0)).all():
-            raise ValueError("start weights must be finite and nonnegative")
-        if weights.sum() <= 0.0:
+        total = sum(weights.tolist())  # a float sum overflows to inf, with no warning
+        if not (weights >= 0.0).all() or not math.isfinite(total):
+            raise ValueError("start weights must be finite and nonnegative with a finite sum")
+        if total <= 0.0:
             raise ValueError("start weights assign no mass to any start tree")
-        probs = weights / weights.sum()
+        probs = weights / total
     return trees, probs
 
 
@@ -245,6 +246,8 @@ def derived_tree(d, g):
     subtree at its foot; substitution replaces the substitution leaf with
     the initial tree's root.  The tree is built by one recursive graft from
     the start tree down, each node once, with Gorn addresses of its own.
+    The grammar must pass ``validate`` (every auxiliary tree has exactly one
+    foot); on a grammar with ``BAD_FOOT`` errors the result is undefined.
     """
     if not d.complete:
         raise ValueError("cannot derive a tree from an incomplete derivation")

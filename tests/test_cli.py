@@ -173,13 +173,15 @@ def test_extinction_with_start_weights(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["extinction", "simulate"])
-@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "-1", "-0.5", "true"])
-def test_bad_start_weights_exit65(tmp_path, command, weight):
+@pytest.mark.parametrize("t1, t2", [("1.0", w) for w in ("NaN", "Infinity", "-Infinity",
+                                                         "-1", "-0.5", "true")]
+                         + [("1e308", "1e308")])  # each finite, the sum is not
+def test_bad_start_weights_exit65(tmp_path, command, t1, t2):
     # random_proper_grammar(0) has the start trees t1 and t2
     path = tmp_path / "random0.json"
     path.write_text(json.dumps(gr.to_document(random_proper_grammar(0))))
     weights = tmp_path / "w.json"
-    weights.write_text(f'{{"t1": 1.0, "t2": {weight}}}')
+    weights.write_text(f'{{"t1": {t1}, "t2": {t2}}}')
     extra = ["--samples", "100"] if command == "simulate" else []
     code, out, err = run([command, str(path), *extra, "--start-weights", str(weights)])
     assert (code, out) == (65, "")

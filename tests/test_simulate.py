@@ -102,10 +102,11 @@ def test_sample_probability_is_product_of_draws(grammar4):
     assert d.probability == pytest.approx(product, rel=1e-12)
 
 
-@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf, -math.inf])
-def test_start_weights_must_be_finite_and_nonnegative(weight):
+@pytest.mark.parametrize("t1, t2", [(1.0, w) for w in (-1.0, math.nan, math.inf, -math.inf)]
+                         + [(1e308, 1e308)])  # each finite, the sum is not
+def test_start_weights_must_be_finite_and_nonnegative(t1, t2):
     g = random_proper_grammar(0)
-    weights = {"t1": 1.0, "t2": weight}
+    weights = {"t1": t1, "t2": t2}
     with pytest.raises(ValueError, match="finite and nonnegative"):
         sim.sample_derivation(g, seed=0, start_weights=weights)
     with pytest.raises(ValueError, match="finite and nonnegative"):
