@@ -1,13 +1,13 @@
 """Consistency toolkit for probabilistic tree adjoining grammars."""
 
-from .branching import (ExtinctionVector, NoStartSiteError, adjunction_gf,
-                        constant_split, death_by_level, extinction, level_gf,
-                        m_from_partials, start_termination)
+from .branching import (ExtinctionVector, adjunction_gf, constant_split,
+                        death_by_level, extinction, level_gf, m_from_partials,
+                        start_termination)
 from .consistency import (ConsistencyReport, InvalidGrammarError, ScaledPower,
                           check_consistency, row_sum_test,
                           spectral_radius_estimate)
 from .expectation import (LabelledMatrix, SiteIndex, build_M, build_N,
-                          build_P, matrix_json_doc, matrix_tsv)
+                          build_P, matrix_json_doc, matrix_tsv, start_law)
 from .grammar import (AdjunctionTable, Diagnostic, ElementaryTree, Grammar,
                       GrammarError, GrammarParseError, TreeNode,
                       detect_empty_yield_loops, detect_unreachable,

@@ -9,10 +9,10 @@ the offspring law of type j is the adjunction generating function
 
 with the "no adjunction" mass contributing the constant phi(site_j -> nil).
 Level generating functions iterate G_n = G_{n-1}[g_1, ..., g_k] from
-G_0, the product of the start tree's site variables; the constant term C_n
-of G_n is the probability the derivation has finished by level n, and the
-fixed point of q = g(q) from q = 0 is the per-site termination
-(extinction) probability.
+G_0 = sum over start trees t of w_t * product of t's site variables, with
+w the start law; the constant term C_n of G_n is the probability the
+derivation has finished by level n, and the fixed point of q = g(q) from
+q = 0 is the per-site termination (extinction) probability.
 """
 
 from __future__ import annotations
@@ -21,14 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import LabelledMatrix, SiteIndex
+from .expectation import LabelledMatrix, SiteIndex, start_law
 from .polynomials import SparsePolynomial, TermCapExceeded  # noqa: F401  (raised by level_gf)
 
 DEFAULT_TERM_CAP = 100_000
-
-
-class NoStartSiteError(ValueError):
-    """The designated start tree carries no site, so no level functions exist."""
 
 
 @dataclass
@@ -61,27 +57,22 @@ def adjunction_gf(g, site_id):
     return poly
 
 
-def start_tree(g):
-    """The first declared initial tree rooted in S; it must carry a site."""
-    starts = g.start_trees()
-    if not starts or not starts[0].sites:
-        raise NoStartSiteError(
-            "no start tree with a rewrite site; level functions are undefined")
-    return starts[0]
-
-
 def level_gf(g, n, term_cap=DEFAULT_TERM_CAP):
     """n-th level generating function G_n, built by repeated substitution.
 
-    G_0 is the product of the start tree's site variables; each further
-    level substitutes every site's offspring function simultaneously.
-    Grows exponentially with n; the term cap aborts symbolic blowup.
+    G_0 is the start law's mixture of the start trees' site-variable
+    products (a tree without sites adds its weight as a constant); each
+    further level substitutes every site's offspring function
+    simultaneously.  Grows exponentially with n; the term cap aborts
+    symbolic blowup.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     idx = g.index
-    poly = SparsePolynomial.monomial(
-        1.0, [idx[node.site_id] for node in start_tree(g).sites], len(idx))
+    poly = SparsePolynomial.zero(len(idx))
+    for t, w in zip(*start_law(g)):
+        poly = poly + SparsePolynomial.monomial(
+            w, range(idx.tree_start[t], idx.tree_start[t + 1]), len(idx))
     gfs = [adjunction_gf(g, site) for site in idx.ids]
     for _ in range(n):
         poly = poly.substitute(gfs, term_cap=term_cap)
@@ -120,10 +111,12 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     with converged=False.  Values are capped at 1.0 so that site sums at the
     edge of the properness tolerance cannot push a probability above one.
     A decreasing iterate means some phi entry is negative, and raises
-    ValueError, as does max_iter < 1.
+    ValueError, as do max_iter < 1 and a negative or NaN tol.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not tol >= 0.0:
+        raise ValueError("tol must be >= 0")
     idx = g.index
     q = np.zeros(len(idx))
     if not len(idx):
@@ -141,27 +134,28 @@ def extinction(g, tol=1e-12, max_iter=10**6):
 
 
 def death_by_level(g, n):
-    """Probability the derivation from the start tree has finished by level n.
+    """Probability a derivation has finished by level n.
 
-    Numeric counterpart of constant_split(level_gf(g, n))[1]: the product,
-    over the start tree's sites, of the n-fold iterate of the offspring
-    functions at zero.
+    Numeric counterpart of constant_split(level_gf(g, n))[1]: the start
+    law's mixture, over the start trees, of the product over each tree's
+    sites of the n-fold iterate of the offspring functions at zero.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     idx = g.index
-    start = idx.tree_ids.index(start_tree(g).tree_id)
+    positions, probs = start_law(g)
     q = np.zeros(len(idx))
     for _ in range(n):
         q = np.minimum(idx.offspring(q), 1.0)
-    return float(idx.tree_prod(q)[start])
+    return float(probs @ idx.tree_prod(q)[positions])
 
 
 def start_termination(g, ev):
     """Termination probability per start tree: the product of its sites' q.
 
-    Returned per tree id; combine externally if a distribution over start
-    trees is known.
+    Returned per tree id; the start law's mixture of these values is the
+    grammar's termination probability.
     """
-    by_tree = dict(zip(ev.site_index.tree_ids, ev.site_index.tree_prod(ev.q)))
-    return {tree.tree_id: float(by_tree[tree.tree_id]) for tree in g.start_trees()}
+    idx = ev.site_index
+    by_tree = idx.tree_prod(ev.q)
+    return {idx.tree_ids[t]: float(by_tree[t]) for t in start_law(g)[0]}

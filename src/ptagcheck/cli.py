@@ -110,7 +110,7 @@ def _load_validated(path, out, err):
     return g, EX_OK
 
 
-def _load_weights(path, err):
+def _load_weights(path, g, err):
     if path is None:
         return None, EX_OK
     try:
@@ -122,13 +122,15 @@ def _load_weights(path, err):
     except json.JSONDecodeError as exc:
         err.write(f"malformed start weights: {exc}\n")
         return None, EX_DATAERR
-    if (not isinstance(weights, dict)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and 0 <= v <= sys.float_info.max  # false for NaN
-                       for v in weights.values())
-            or sum(map(float, weights.values())) > sys.float_info.max):
-        err.write("start weights must be a JSON object of finite nonnegative numbers"
-                  " with a finite sum\n")
+    try:
+        if not isinstance(weights, dict) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in weights.values()):
+            raise ValueError("not a JSON object of numbers")
+        expectation.start_law(g, weights)
+    except ValueError as exc:
+        err.write(f"start weights must be a JSON object of finite nonnegative numbers"
+                  f" with mass on a start tree: {exc}\n")
         return None, EX_DATAERR
     return weights, EX_OK
 
@@ -190,9 +192,6 @@ def _dispatch(args, g, out, err):
         except KeyError as exc:
             err.write(f"unknown site: {exc}\n")
             return EX_USAGE
-        except branching.NoStartSiteError as exc:
-            err.write(f"{exc}\n")
-            return EX_USAGE
         except branching.TermCapExceeded as exc:
             err.write(f"TERM_CAP_EXCEEDED: {exc}\n")
             return EX_INVALID
@@ -205,25 +204,22 @@ def _dispatch(args, g, out, err):
         return EX_OK
 
     if args.command == "extinction":
-        weights, code = _load_weights(args.start_weights, err)
+        weights, code = _load_weights(args.start_weights, g, err)
         if code != EX_OK:
             return code
         ev = branching.extinction(g, tol=args.tol, max_iter=args.max_iter)
         starts = branching.start_termination(g, ev)
         combined = None
         if weights is not None:
-            total = sum(weights.get(t, 0.0) for t in starts)
-            if total <= 0:
-                err.write("start weights assign no mass to any start tree\n")
-                return EX_USAGE
-            combined = sum(weights.get(t, 0.0) * p for t, p in starts.items()) / total
+            positions, probs = expectation.start_law(g, weights)
+            combined = float(probs @ ev.site_index.tree_prod(ev.q)[positions])
         _emit({"q": ev.as_dict(), "iterations": ev.iterations,
                "residual": ev.residual, "converged": ev.converged,
                "start_trees": starts, "combined": combined}, out)
         return EX_OK
 
     if args.command == "simulate":
-        weights, code = _load_weights(args.start_weights, err)
+        weights, code = _load_weights(args.start_weights, g, err)
         if code != EX_OK:
             return code
         stats = simulate.estimate_termination(

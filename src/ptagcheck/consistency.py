@@ -125,10 +125,13 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     Rejects grammars with error-severity diagnostics.  Tests M^(2^k) for
     k = 0, 1, ... and returns at the first decisive power; after
     max_squarings squarings the verdict is Indeterminate with the Gelfand
-    value of the last power as the spectral radius estimate.
+    value of the last power as the spectral radius estimate.  A negative
+    max_squarings and a negative or NaN tol raise ValueError.
     """
     if max_squarings < 0:
         raise ValueError("max_squarings must be >= 0")
+    if not tol >= 0.0:
+        raise ValueError("tol must be >= 0")
     errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
     if errors:
         raise InvalidGrammarError(errors)

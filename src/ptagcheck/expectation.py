@@ -7,11 +7,13 @@ incidence.  Rows and columns follow the canonical site order: tree
 declaration order, preorder within each tree.  SiteIndex lays the phi table
 out in that order.  Grammar.index builds it once per grammar; the matrices,
 the offspring functions of the extinction iteration and the Monte Carlo all
-read it there.
+read it there.  start_law, beside it, gives the chance that each start tree
+begins a derivation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,32 @@ class SiteIndex:
         """Every site's offspring generating function g_i evaluated at q."""
         spawned = self.prob * self.tree_prod(q)[self.tree]
         return self.nil + np.bincount(self.site, spawned, minlength=len(self.ids))
+
+
+def start_law(g, start_weights=None):
+    """(positions, probs): the start trees and the chance each one starts.
+
+    positions index g.index.tree_ids, in declaration order; probs sum to
+    one.  The law is uniform over the start trees unless start_weights, a
+    {tree id: weight} map, is given; trees it leaves out weigh 0 and ids
+    that are no start tree are ignored.  Every method weighs its start
+    trees by this law.
+    """
+    starts = {t.tree_id for t in g.start_trees()}
+    if not starts:
+        raise ValueError(f"no initial tree rooted in {g.start!r}")
+    tree_ids = g.index.tree_ids
+    positions = np.array([j for j, tid in enumerate(tree_ids) if tid in starts],
+                         dtype=np.intp)
+    if start_weights is None:
+        return positions, np.full(len(positions), 1.0 / len(positions))
+    weights = np.array([float(start_weights.get(tree_ids[j], 0.0)) for j in positions])
+    total = sum(weights.tolist())  # a float sum overflows to inf, with no warning
+    if not (weights >= 0.0).all() or not math.isfinite(total):
+        raise ValueError("start weights must be finite and nonnegative with a finite sum")
+    if total <= 0.0:
+        raise ValueError("start weights assign no mass to any start tree")
+    return positions, weights / total
 
 
 @dataclass

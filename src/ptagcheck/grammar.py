@@ -118,9 +118,6 @@ class AdjunctionTable:
         self._entries = {site: tuple((t, p) for t, p in ents)
                          for site, ents in entries.items()}
 
-    def sites(self):
-        return tuple(self._entries)
-
     def entries_for(self, site_id):
         return self._entries[site_id]
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grammar as gr
+from .expectation import start_law
 
 RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
@@ -143,31 +144,17 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def _start_distribution(g, start_weights):
-    trees = g.start_trees()
-    if not trees:
-        raise ValueError(f"no initial tree rooted in {g.start!r}")
-    if start_weights is None:
-        probs = np.full(len(trees), 1.0 / len(trees))
-    else:
-        weights = np.array([float(start_weights.get(t.tree_id, 0.0)) for t in trees])
-        total = sum(weights.tolist())  # a float sum overflows to inf, with no warning
-        if not (weights >= 0.0).all() or not math.isfinite(total):
-            raise ValueError("start weights must be finite and nonnegative with a finite sum")
-        if total <= 0.0:
-            raise ValueError("start weights assign no mass to any start tree")
-        probs = weights / total
-    return trees, probs
-
-
-def _draw_index(rng, probs):
+def _draw_index(rng, entries):
+    """Index of the (item, prob) entry drawn by inverse CDF from one uniform:
+    the last one if the running sum never passes it, -1 if there is none."""
     u = rng.random()
     acc = 0.0
-    for i, p in enumerate(probs):
+    i = -1
+    for i, (_, p) in enumerate(entries):
         acc += p
         if u < acc:
             return i
-    return len(probs) - 1
+    return i
 
 
 @_collector_paused
@@ -176,21 +163,21 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     """Sample one derivation, breadth first, resolving whole levels in order.
 
     ``seed`` may be anything numpy's default_rng accepts, or a Generator
-    (handy for scripted draws in tests).  The reported probability is the
-    product of the phi draws made; the uniform start-tree choice is not a
-    grammar parameter and is excluded.  Supercritical grammars grow
-    exponentially, so on top of the depth cap a node budget censors runaway
-    samples (complete=False, like a depth-capped one).  The tree holds no
-    reference cycles, so it is built with the cyclic collector paused.
+    (handy for scripted draws in tests).  The start tree is drawn from the
+    start law (uniform unless start_weights are given), and the reported
+    probability is its weight times the product of the phi draws made.
+    Supercritical grammars grow exponentially, so on top of the depth cap a
+    node budget censors runaway samples (complete=False, like a
+    depth-capped one).  The tree holds no reference cycles, so it is built
+    with the cyclic collector paused.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     rng = _as_rng(seed)
-    trees, start_probs = _start_distribution(g, start_weights)
-    start = trees[_draw_index(rng, start_probs)]
-
-    root = DerivationNode(start.tree_id, None, 0)
-    probability = 1.0
+    positions, start_probs = start_law(g, start_weights)
+    starts = list(zip(positions.tolist(), start_probs.tolist()))
+    t, probability = starts[_draw_index(rng, starts)]
+    root = DerivationNode(g.index.tree_ids[t], None, 0)
     complete = True
     nodes = 1
     queue = deque([root])
@@ -199,30 +186,22 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
         if nodes >= max_nodes:
             complete = False
             break
-        node.children = {}
-        tree = g.tree(node.tree_id)
-        for site_node in tree.sites:
-            entries = g.phi.entries_for(site_node.site_id)
-            u = rng.random()
-            acc = 0.0
-            chosen = entries[-1] if entries else None
-            for entry in entries:
-                acc += entry[1]
-                if u < acc:
-                    chosen = entry
-                    break
-            if chosen is None:
+        children = node.children = {}
+        for site_node in g.tree(node.tree_id).sites:
+            site = site_node.site_id
+            entries = g.phi.entries_for(site)
+            chosen = _draw_index(rng, entries)
+            if chosen < 0:
                 # unfillable substitution site; cannot happen on validated input
                 complete = False
                 continue
-            target, prob = chosen
+            target, prob = entries[chosen]
             probability *= prob
             if target is None:
-                node.children[site_node.site_id] = None
+                children[site] = None
                 continue
-            child = DerivationNode(target, site_node.site_id, node.level + 1)
+            child = children[site] = DerivationNode(target, site, node.level + 1)
             nodes += 1
-            node.children[site_node.site_id] = child
             if child.level < max_depth or not g.tree(target).sites:
                 queue.append(child)
             else:
@@ -316,9 +295,11 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     left to right in site order.  A partial expansion is dropped as soon as
     its running product falls below prob_floor (the default floor of zero
     keeps everything with positive probability).  A tree without sites
-    placed at level max_depth is finished, so it is admitted.  The sum runs
-    over every start tree; with one start tree the summed probabilities
-    equal the death-by-level constant C_(max_depth).
+    placed at level max_depth is finished, so it is admitted.  Each
+    derivation's probability is then multiplied by its start tree's weight
+    under the (uniform) start law, so the summed probabilities equal the
+    death-by-level constant C_(max_depth); the floor applies to that
+    weighted probability.  prob_floor must not be NaN.
 
     node_cap bounds the partial expansions: one per kept pair of (choices
     so far, next option) as the sites of a tree are resolved one by one,
@@ -333,11 +314,14 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if math.isnan(prob_floor):
+        raise ValueError("prob_floor must not be NaN")
     enumeration = _Enumeration(g, max_depth, prob_floor, node_cap)
+    positions, start_probs = start_law(g)
     results = []
-    for start in g.start_trees():
-        for node, prob in enumeration.expand(start.tree_id, None, 0):
-            if prob >= prob_floor:
+    for t, w in zip(positions.tolist(), start_probs.tolist()):
+        for node, prob in enumeration.expand(g.index.tree_ids[t], None, 0):
+            if (prob := prob * w) >= prob_floor:
                 results.append(Derivation(node, True, prob))
     return results
 
@@ -434,7 +418,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     rng = np.random.default_rng(seed)
-    trees, start_probs = _start_distribution(g, start_weights)
+    positions, start_probs = start_law(g, start_weights)
     index = g.index
     k = len(index)
     site_count = np.diff(index.tree_start)
@@ -453,9 +437,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     expanding = [(t, range(index.tree_start[t], index.tree_start[t + 1]))
                  for t in np.flatnonzero(site_count)]
 
-    start_choice = rng.choice(len(trees), size=samples, p=start_probs)
-    start_pos = [index.tree_ids.index(t.tree_id) for t in trees]
-    start_tree_idx = np.array(start_pos)[start_choice]
+    start_tree_idx = positions[rng.choice(len(positions), size=samples, p=start_probs)]
     depth = np.zeros(samples, dtype=np.int64)
     yields = index.anchors[start_tree_idx]
     censored = np.zeros(samples, dtype=bool)

@@ -39,6 +39,14 @@ def parse(doc):
     return gr.parse_grammar(json.dumps(doc))
 
 
+def two_siteless_start_grammar():
+    """minimal_document() plus a second start tree; neither has a site."""
+    doc = minimal_document()
+    doc["trees"].append({"id": "t2", "type": "initial",
+                         "root": {"label": "S", "children": [{"anchor": "b"}]}})
+    return parse(doc)
+
+
 def random_proper_grammar(seed, max_trees=10, max_sites=20):
     """A random structurally sound, proper grammar (warnings allowed).
 

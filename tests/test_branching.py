@@ -8,7 +8,8 @@ from ptagcheck.expectation import SiteIndex, build_M, build_N, build_P
 from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
 from conftest import (GRAMMAR4, minimal_document, parse, random_proper_grammar,
-                      segment_edge_grammar, two_site_start_grammar)
+                      segment_edge_grammar, two_site_start_grammar,
+                      two_siteless_start_grammar)
 
 # G_2 of grammar4, expanded by hand from 0.8*g2*g3*g4 + 0.2 with
 # g2 = 0.2u + 0.8, g3 = 0.2*s5 + 0.8, g4 = 0.4u + 0.6 over u = s2*s3*s4
@@ -95,12 +96,28 @@ def test_level_gf_term_cap(grammar4):
         br.level_gf(grammar4, 8, term_cap=50)
 
 
+def three_ways(g, d):
+    """C_d by enumeration, by death_by_level and as the constant of G_d."""
+    return (sum(x.probability for x in sim.enumerate_derivations(g, d)),
+            br.death_by_level(g, d), br.constant_split(br.level_gf(g, d))[1])
+
+
 def test_level_gf_without_start_site():
-    g = parse(minimal_document())
-    with pytest.raises(br.NoStartSiteError):
-        br.level_gf(g, 1)
-    with pytest.raises(br.NoStartSiteError):
-        br.start_tree(g)
+    # each start tree without sites adds its weight 0.5 as a constant
+    g = two_siteless_start_grammar()
+    assert br.level_gf(g, 0) == SparsePolynomial.constant(1.0, 0)
+    for d in (1, 2, 3):
+        assert three_ways(g, d) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+
+
+def test_every_method_weighs_start_trees_by_the_start_law():
+    # seeds 0, 5, 6 and eight more have two or three start trees
+    for seed in range(50):
+        g = random_proper_grammar(seed)
+        for d in (1, 2, 3):
+            total, death, constant = three_ways(g, d)
+            assert total == pytest.approx(death, abs=1e-12), (seed, d)
+            assert constant == pytest.approx(death, abs=1e-12), (seed, d)
 
 
 def test_constant_split_levels(grammar4):

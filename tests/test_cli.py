@@ -8,7 +8,7 @@ from ptagcheck import cli
 from ptagcheck import grammar as gr
 from ptagcheck import simulate
 from conftest import (GRAMMAR2, GRAMMAR4, REPO, minimal_document, random_proper_grammar,
-                      segment_edge_grammar)
+                      segment_edge_grammar, two_siteless_start_grammar)
 
 
 def run(argv):
@@ -188,9 +188,49 @@ def test_bad_start_weights_exit65(tmp_path, command, t1, t2):
     assert "finite nonnegative numbers" in err
 
 
+def grammar_file(tmp_path, g):
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps(gr.to_document(g)))
+    return str(path)
+
+
+@pytest.mark.parametrize("start_weights", ['{"t1": 0, "t2": 0.0}', '{"t3": 1.0}', "{}"])
+@pytest.mark.parametrize("command", ["extinction", "simulate"])
+def test_start_weights_without_mass_exit65(tmp_path, command, start_weights):
+    path = grammar_file(tmp_path, random_proper_grammar(0))
+    weights = tmp_path / "w.json"
+    weights.write_text(start_weights)
+    code, out, err = run([command, path, "--start-weights", str(weights)])
+    assert (code, out) == (65, "")
+    assert "no mass" in err
+
+
+def test_extinction_combines_start_trees_by_weight(tmp_path):
+    path = grammar_file(tmp_path, random_proper_grammar(0))
+    weights = tmp_path / "w.json"
+    weights.write_text('{"t1": 1, "t2": 3}')
+    code, out, _ = run(["extinction", path, "--start-weights", str(weights)])
+    doc = json.loads(out)
+    starts = doc["start_trees"]
+    assert doc["combined"] == pytest.approx(0.25 * starts["t1"] + 0.75 * starts["t2"],
+                                            abs=1e-15)
+
+
+def test_gf_level_with_siteless_start_trees(tmp_path):
+    code, out, _ = run(["gf", grammar_file(tmp_path, two_siteless_start_grammar()),
+                        "--level", "2"])
+    assert code == 0
+    assert json.loads(out)["constant"] == 1.0
+
+
 @pytest.mark.parametrize("argv", [["extinction", str(GRAMMAR4), "--max-iter", "0"],
                                   ["check", str(GRAMMAR4), "--max-squarings", "-1"],
-                                  ["simulate", str(GRAMMAR4), "--max-depth", "0"]])
+                                  ["simulate", str(GRAMMAR4), "--max-depth", "0"],
+                                  ["check", str(GRAMMAR4), "--tol", "-1"],
+                                  ["extinction", str(GRAMMAR4), "--tol", "-1"],
+                                  ["enumerate", str(GRAMMAR4), "--prob-floor", "nan"],
+                                  ["check", str(GRAMMAR4), "--tol", "nan"],
+                                  ["extinction", str(GRAMMAR4), "--tol", "nan"]])
 def test_budget_out_of_range_exit64(argv):
     code, out, err = run(argv)
     assert (code, out) == (64, "")

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from ptagcheck import branching as br
+from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
 from conftest import (GRAMMAR2, GRAMMAR4, REPO, duplicate_target_grammar,
                       minimal_document, parse, random_proper_grammar,
-                      segment_edge_grammar, two_site_start_grammar)
+                      segment_edge_grammar, two_site_start_grammar,
+                      two_siteless_start_grammar)
 
 
 class ScriptedRNG:
@@ -114,13 +116,47 @@ def test_start_weights_must_be_finite_and_nonnegative(t1, t2):
 
 
 def test_start_weights_override():
-    doc = minimal_document()
-    doc["trees"].append({"id": "t2", "type": "initial",
-                         "root": {"label": "S", "children": [{"anchor": "b"}]}})
-    g = parse(doc)
+    g = two_siteless_start_grammar()
     for seed in range(5):
         d = sim.sample_derivation(g, seed=seed, start_weights={"t2": 1.0})
         assert d.root.tree_id == "t2"
+        assert d.probability == 1.0
+
+
+def test_sample_probability_carries_start_weight():
+    g = two_siteless_start_grammar()
+    for u, tree_id, prob in [(0.1, "t1", 0.5), (0.9, "t2", 0.5)]:
+        d = sim.sample_derivation(g, seed=ScriptedRNG([u]))
+        assert (d.root.tree_id, d.probability) == (tree_id, prob)
+    weights = {"t1": 1.0, "t2": 3.0}
+    for u, tree_id, prob in [(0.2, "t1", 0.25), (0.3, "t2", 0.75)]:
+        d = sim.sample_derivation(g, seed=ScriptedRNG([u]), start_weights=weights)
+        assert (d.root.tree_id, d.probability) == (tree_id, prob)
+
+
+def test_sample_unfillable_site_censors_after_one_draw():
+    # one uniform for the start tree, one per site: the substitution site N
+    # has no phi entry, so its draw is made and wasted
+    doc = minimal_document()
+    doc["trees"][0]["root"] = {"label": "S", "site": "R", "children": [
+        {"subst": "NP", "site": "N"}, {"anchor": "a"}]}
+    doc["phi"] = [{"site": "R", "tree": None, "prob": 1.0}]
+    rng = ScriptedRNG([0.0, 0.5, 0.7, 0.9])
+    d = sim.sample_derivation(parse(doc), seed=rng)
+    assert not d.complete
+    assert d.root.children == {"R": None}
+    assert rng.draws == [0.9]
+
+
+def test_start_law():
+    g = random_proper_grammar(0)
+    positions, probs = ex.start_law(g)
+    assert [g.index.tree_ids[t] for t in positions] == ["t1", "t2"]
+    assert probs.tolist() == [0.5, 0.5]
+    _, probs = ex.start_law(g, {"t2": 3, "t1": 1.0, "not-a-start-tree": 5.0})
+    assert probs.tolist() == [0.25, 0.75]
+    with pytest.raises(ValueError, match="no mass"):
+        ex.start_law(g, {"t1": 0.0})
 
 
 # -- derived trees -----------------------------------------------------------
@@ -491,7 +527,9 @@ def pinned_grammar(name):
 
 
 # (grammar, depth) -> (derivations, enumeration_digest): the enumerator's
-# exact output, which any rewrite of it must reproduce bit for bit
+# exact output, which any rewrite of it must reproduce bit for bit.  random0,
+# random5 and random6 have two start trees each, so their probabilities
+# carry the start law's weight 0.5.
 ENUMERATION_DIGESTS = {
     ("grammar4", 1): (1, "18650d3d7d82ba6b39f17ba786554cb2e841cf7b355b578dce1583d6ae88d71a"),
     ("grammar4", 2): (2, "7d9b2fbe7dbf7428b291b441f71f9a287ddf6f2cd8fb633da27a6f9a50adb235"),
@@ -503,13 +541,13 @@ ENUMERATION_DIGESTS = {
     ("grammar2", 3): (4, "8688fd171652974a86fa03d815918e4985bc6d51688f9052f1c371cdb2c62f43"),
     ("segment_edge", 3): (6, "00b94d4b6083c64e9196094249247be57dd5000b8ccff47cf6b453b50d77ff9c"),
     ("two_site_start", 3): (6, "1b796b68674744f07ea87f81e088196bae99a40d7bda0d42733877d0ee628146"),
-    ("random0", 3): (7, "94329f2e6cf0cbf852e9c3aa70d2001ca704d3c8f8a58f6647792e9a8d588500"),
+    ("random0", 3): (7, "5e306bfeae43467adeafc763cba137b3b9ee1c9d66b6c720621e4146d1455a99"),
     ("random1", 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("random2", 3): (2, "dc3caa3d6e9122259c165e7bd975e138dfc76f3859367a32025276be045b4825"),
     ("random3", 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("random4", 3): (2, "7854bb98f794e020daf7696524c5dce508302b765e6f72936b465dcdaf093fcc"),
-    ("random5", 3): (2, "728bcf3b3e8c4047dddeff4b782fd3154a8d9ebba1eeb2b6a1762aac032fd50e"),
-    ("random6", 3): (12, "d09ffa60a5ef3776849ee10ecda11bcad2188096f84ae720b710344baa3aed50"),
+    ("random5", 3): (2, "64a10c2aa2d8f53312d00fd6669a8a22004c57e31540ba18e45e858d40ae4526"),
+    ("random6", 3): (12, "c2e95c6f5939e616b75edb272440a49e444701291e020bc40f4290ce6f461ac3"),
     ("random7", 3): (2, "afa7ba250ef81f561c15e5fd12dfab6b76c36e296ad5997dd968688c9c7a73dc"),
     ("random8", 3): (3, "e430335da06e059db7b07118846d449c4fb1377088c1c3c6ea60ad9a861ee8f9"),
     ("random9", 3): (1, "f27dbdb5f7fe05a11b0cb03f1b5e5ee446cc1023b83a5a8ffdafe53f2ef543ac"),
