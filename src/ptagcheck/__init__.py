@@ -8,11 +8,10 @@ from .consistency import (ConsistencyReport, InvalidGrammarError, ScaledPower,
                           spectral_radius_estimate)
 from .expectation import (LabelledMatrix, SiteIndex, build_M, build_N,
                           build_P, matrix_json_doc, matrix_tsv, start_law)
-from .grammar import (AdjunctionTable, Diagnostic, ElementaryTree, Grammar,
-                      GrammarError, GrammarParseError, TreeNode,
-                      detect_empty_yield_loops, detect_unreachable,
-                      from_document, load_grammar, parse_grammar,
-                      serialize_grammar, to_document, validate)
+from .grammar import (Diagnostic, ElementaryTree, Grammar, GrammarError,
+                      GrammarParseError, TreeNode, detect_empty_yield_loops,
+                      detect_unreachable, from_document, load_grammar,
+                      parse_grammar, serialize_grammar, to_document, validate)
 from .polynomials import SparsePolynomial, TermCapExceeded
 from .simulate import (Derivation, DerivationNode, EnumerationBudgetExceeded,
                        SimulationStats, anchor_multiset, derivation_depth,

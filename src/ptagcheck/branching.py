@@ -48,7 +48,7 @@ def adjunction_gf(g, site_id):
     if site_id not in idx.position:
         raise KeyError(f"unknown site {site_id!r}")
     poly = SparsePolynomial.zero(len(idx))
-    for target, prob in g.phi.entries_for(site_id):
+    for target, prob in g.phi[site_id]:
         if target is None:
             poly = poly + SparsePolynomial.constant(prob, len(idx))
         else:
@@ -68,6 +68,8 @@ def level_gf(g, n, term_cap=DEFAULT_TERM_CAP):
     """
     if n < 0:
         raise ValueError("level must be >= 0")
+    if term_cap is not None and term_cap < 0:
+        raise ValueError("term_cap must be >= 0")
     idx = g.index
     poly = SparsePolynomial.zero(len(idx))
     for t, w in zip(*start_law(g)):

@@ -195,8 +195,7 @@ def _dispatch(args, g, out, err):
         except branching.TermCapExceeded as exc:
             err.write(f"TERM_CAP_EXCEEDED: {exc}\n")
             return EX_INVALID
-        _, constant = branching.constant_split(poly)
-        _emit({"text": poly.format(idx.ids), "constant": constant,
+        _emit({"text": poly.format(idx.ids), "constant": poly.constant_term,
                "terms": [{"coefficient": coefficient,
                           "exponents": {idx.ids[i]: p
                                         for i, p in sorted(exponents.items())}}

@@ -26,7 +26,8 @@ class SiteIndex:
     Sites follow the canonical order, so tree t owns the contiguous slice
     tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
     parallel arrays site, tree and prob, in document order; nil is the nil
-    mass of each site and anchors the anchor count of each tree.
+    mass of each site, anchors the anchor count of each tree and starts the
+    read-only positions of the start trees, in declaration order.
     """
 
     ids: tuple
@@ -37,6 +38,7 @@ class SiteIndex:
     prob: np.ndarray
     nil: np.ndarray
     anchors: np.ndarray
+    starts: np.ndarray
 
     @classmethod
     def from_grammar(cls, g):
@@ -45,18 +47,22 @@ class SiteIndex:
         nil = np.zeros(len(g.site_ids))
         site, tree, prob = [], [], []
         for i, s in enumerate(g.site_ids):
-            for target, p in g.phi.entries_for(s):
+            for target, p in g.phi[s]:
                 if target is None:
                     nil[i] += p
                 else:
                     site.append(i)
                     tree.append(tree_pos[target])
                     prob.append(p)
+        start_ids = {t.tree_id for t in g.start_trees()}
+        starts = np.array([j for j, tid in enumerate(tree_ids) if tid in start_ids],
+                          dtype=np.intp)
+        starts.flags.writeable = False
         return cls(tuple(g.site_ids), tree_ids,
                    np.cumsum([0] + [len(t.sites) for t in g.trees]),
                    np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp),
                    np.array(prob, dtype=float), nil,
-                   np.array([len(t.anchors) for t in g.trees], dtype=float))
+                   np.array([len(t.anchors) for t in g.trees], dtype=float), starts)
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
@@ -89,20 +95,18 @@ class SiteIndex:
 def start_law(g, start_weights=None):
     """(positions, probs): the start trees and the chance each one starts.
 
-    positions index g.index.tree_ids, in declaration order; probs sum to
-    one.  The law is uniform over the start trees unless start_weights, a
-    {tree id: weight} map, is given; trees it leaves out weigh 0 and ids
-    that are no start tree are ignored.  Every method weighs its start
-    trees by this law.
+    positions is the read-only g.index.starts, which indexes
+    g.index.tree_ids in declaration order; probs sum to one.  The law is
+    uniform over the start trees unless start_weights, a {tree id: weight}
+    map, is given; trees it leaves out weigh 0 and ids that are no start
+    tree are ignored.  Every method weighs its start trees by this law.
     """
-    starts = {t.tree_id for t in g.start_trees()}
-    if not starts:
+    positions = g.index.starts
+    if not len(positions):
         raise ValueError(f"no initial tree rooted in {g.start!r}")
-    tree_ids = g.index.tree_ids
-    positions = np.array([j for j, tid in enumerate(tree_ids) if tid in starts],
-                         dtype=np.intp)
     if start_weights is None:
         return positions, np.full(len(positions), 1.0 / len(positions))
+    tree_ids = g.index.tree_ids
     weights = np.array([float(start_weights.get(tree_ids[j], 0.0)) for j in positions])
     total = sum(weights.tolist())  # a float sum overflows to inf, with no warning
     if not (weights >= 0.0).all() or not math.isfinite(total):

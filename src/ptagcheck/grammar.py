@@ -108,52 +108,23 @@ class ElementaryTree:
         return self.feet[0] if len(self.feet) == 1 else None
 
 
-class AdjunctionTable:
-    """The parameter table: site id -> ordered (target, prob) entries.
-
-    A target is a tree id, or None for "no adjunction".
-    """
-
-    def __init__(self, entries):
-        self._entries = {site: tuple((t, p) for t, p in ents)
-                         for site, ents in entries.items()}
-
-    def entries_for(self, site_id):
-        return self._entries[site_id]
-
-    def sum_for(self, site_id):
-        return sum(p for _, p in self._entries[site_id])
-
-    def prob(self, site_id, target):
-        for t, p in self._entries[site_id]:
-            if t == target:
-                return p
-        return 0.0
-
-    def positive_targets(self, site_id):
-        return tuple(t for t, p in self._entries[site_id]
-                     if t is not None and p > 0.0)
-
-    def __contains__(self, site_id):
-        return site_id in self._entries
-
-    def __eq__(self, other):
-        return isinstance(other, AdjunctionTable) and self._entries == other._entries
-
-
 @dataclass
 class Grammar:
     """An immutable probabilistic TAG.  Do not mutate after construction.
 
-    The distinguished wrapper tree accepting any start-rooted initial tree is
-    implicit: it contributes no site, no matrix row and no probability.
+    ``phi`` maps each site id, in canonical site order, to a tuple of
+    (target, prob) entries in document order; a target is a tree id, or
+    None for "no adjunction".  An adjunction site the document leaves out
+    gets ((None, 1.0),), a substitution site ().  The distinguished wrapper
+    tree accepting any start-rooted initial tree is implicit: it
+    contributes no site, no matrix row and no probability.
     """
 
     start: str
     nonterminals: frozenset
     terminals: frozenset
     trees: tuple[ElementaryTree, ...]
-    phi: AdjunctionTable
+    phi: dict
 
     def __post_init__(self):
         self._tree_by_id = {t.tree_id: t for t in self.trees}
@@ -343,17 +314,11 @@ def _parse_phi(phi_doc, trees, site_ids):
             raise GrammarParseError("\"prob\" must be a number", where)
         entries.setdefault(site, []).append((target, float(prob)))
 
-    # canonical site order + default {nil: 1.0} for adjunction sites
-    ordered = {}
-    for tree in trees:
-        for node in tree.sites:
-            if node.site_id in entries:
-                ordered[node.site_id] = entries[node.site_id]
-            elif node.kind == SUBSTITUTION:
-                ordered[node.site_id] = []  # must be filled; flagged by validate
-            else:
-                ordered[node.site_id] = [(None, 1.0)]
-    return AdjunctionTable(ordered)
+    # canonical site order + default {nil: 1.0} for adjunction sites; an
+    # unfilled substitution site gets no entry, which validate flags
+    return {node.site_id: tuple(entries.get(
+                node.site_id, () if node.kind == SUBSTITUTION else [(None, 1.0)]))
+            for tree in trees for node in tree.sites}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +331,7 @@ def to_document(g):
         "trees": [{"id": t.tree_id, "type": t.kind, "root": _node_doc(t.root)}
                   for t in g.trees],
         "phi": [{"site": site, "tree": t, "prob": p}
-                for site in g.site_ids for t, p in g.phi.entries_for(site)],
+                for site in g.site_ids for t, p in g.phi[site]],
     }
 
 
@@ -459,7 +424,7 @@ def _site_diagnostics(g, tree, node):
     site = node.site_id
     substitution = node.kind == SUBSTITUTION
     diags = []
-    entries = g.phi.entries_for(site) if site in g.phi else ()
+    entries = g.phi.get(site, ())
 
     total = sum(p for _, p in entries)
     if abs(total - 1.0) > PROPERNESS_TOL:
@@ -517,10 +482,7 @@ def detect_unreachable(g):
         if tree_id in reachable:
             continue
         reachable.add(tree_id)
-        for node in g.tree(tree_id).sites:
-            for target in g.phi.positive_targets(node.site_id):
-                if target not in reachable:
-                    frontier.append(target)
+        frontier += [t for t in _rewrites(g, tree_id) if t not in reachable]
     return [t.tree_id for t in g.trees if t.tree_id not in reachable]
 
 
@@ -533,12 +495,7 @@ def detect_empty_yield_loops(g):
     """
     anchorless = [t.tree_id for t in g.trees if not t.anchors]
     order = {tid: i for i, tid in enumerate(anchorless)}
-    edges = {tid: [] for tid in anchorless}
-    for tid in anchorless:
-        for node in g.tree(tid).sites:
-            for target in g.phi.positive_targets(node.site_id):
-                if target in order:
-                    edges[tid].append(target)
+    edges = {tid: [t for t in _rewrites(g, tid) if t in order] for tid in anchorless}
 
     diags = []
     for component in _strongly_connected(anchorless, edges):
@@ -553,6 +510,13 @@ def detect_empty_yield_loops(g):
         diags.append(Diagnostic(WARNING, NOT_LEXICALIZED,
                                 f"tree {tid!r} has no anchor", tree_id=tid))
     return diags
+
+
+def _rewrites(g, tree_id):
+    """Targets of the positive-probability phi entries at tree_id's sites,
+    in site order; zero-probability entries stay in phi but rewrite nothing."""
+    return [t for node in g.tree(tree_id).sites
+            for t, p in g.phi[node.site_id] if t is not None and p > 0.0]
 
 
 def _strongly_connected(nodes, edges):

@@ -58,15 +58,17 @@ def _collector_paused(func):
 
 @dataclass(slots=True)
 class DerivationNode:
-    """One instantiated elementary tree.
+    """One instantiated elementary tree at a level of a derivation.
 
     ``children`` maps each site id of the tree to a DerivationNode or to
     None for a "no adjunction" choice; it is None as a whole while the node
-    is an unexpanded frontier entry of a censored derivation.
+    is an unexpanded frontier entry of a censored derivation.  A node does
+    not record where it was placed: that is its key in its parent's
+    children, so the enumerator shares one node among all the places its
+    expansion occurs.
     """
 
     tree_id: str
-    at: str | None
     level: int
     children: dict | None = None
 
@@ -84,7 +86,7 @@ class Derivation:
     probability: float
 
     def as_dict(self):
-        return _derivation_doc(self.root, None)
+        return _derivation_doc(self.root, None, None)
 
 
 @_collector_paused
@@ -97,22 +99,23 @@ def derivation_docs(derivations):
     as_dict() forms.  The docs form no reference cycles.
     """
     shared = {}
-    return [dict(_derivation_doc(d.root, shared), probability=d.probability)
+    return [dict(_derivation_doc(d.root, None, shared), probability=d.probability)
             for d in derivations]
 
 
-def _derivation_doc(node, shared):
-    """Doc of node; shared, unless None, maps id(children dict) to its doc."""
+def _derivation_doc(node, at, shared):
+    """Doc of node placed at site at (None for the root); shared, unless
+    None, maps id(children dict) to its doc."""
     children = node.children
     if children is not None:
         doc = shared.get(id(children)) if shared is not None else None
         if doc is None:
-            doc = {site: "nil" if child is None else _derivation_doc(child, shared)
+            doc = {site: "nil" if child is None else _derivation_doc(child, site, shared)
                    for site, child in children.items()}
             if shared is not None:
                 shared[id(children)] = doc
         children = doc
-    return {"tree": node.tree_id, "at": node.at, "children": children}
+    return {"tree": node.tree_id, "at": at, "children": children}
 
 
 @dataclass
@@ -173,11 +176,13 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
     rng = _as_rng(seed)
     positions, start_probs = start_law(g, start_weights)
     starts = list(zip(positions.tolist(), start_probs.tolist()))
     t, probability = starts[_draw_index(rng, starts)]
-    root = DerivationNode(g.index.tree_ids[t], None, 0)
+    root = DerivationNode(g.index.tree_ids[t], 0)
     complete = True
     nodes = 1
     queue = deque([root])
@@ -189,7 +194,7 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
         children = node.children = {}
         for site_node in g.tree(node.tree_id).sites:
             site = site_node.site_id
-            entries = g.phi.entries_for(site)
+            entries = g.phi[site]
             chosen = _draw_index(rng, entries)
             if chosen < 0:
                 # unfillable substitution site; cannot happen on validated input
@@ -200,7 +205,7 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
             if target is None:
                 children[site] = None
                 continue
-            child = children[site] = DerivationNode(target, site, node.level + 1)
+            child = children[site] = DerivationNode(target, node.level + 1)
             nodes += 1
             if child.level < max_depth or not g.tree(target).sites:
                 queue.append(child)
@@ -316,11 +321,13 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
         raise ValueError("max_depth must be >= 1")
     if math.isnan(prob_floor):
         raise ValueError("prob_floor must not be NaN")
+    if node_cap < 0:
+        raise ValueError("node_cap must be >= 0")
     enumeration = _Enumeration(g, max_depth, prob_floor, node_cap)
     positions, start_probs = start_law(g)
     results = []
     for t, w in zip(positions.tolist(), start_probs.tolist()):
-        for node, prob in enumeration.expand(g.index.tree_ids[t], None, 0):
+        for node, prob in enumeration.expand(g.index.tree_ids[t], 0):
             if (prob := prob * w) >= prob_floor:
                 results.append(Derivation(node, True, prob))
     return results
@@ -329,8 +336,8 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
 class _Enumeration:
     """State of one enumerate_derivations call.
 
-    ``memo`` maps (tree_id, level) to the expansions found there, whose
-    nodes later callers reparent; ``spent`` counts partial expansions.
+    ``memo`` maps (tree_id, level) to the expansions found there, which
+    every later caller shares; ``spent`` counts partial expansions.
     Nothing it holds refers back to it, so it forms no reference cycle.
     """
 
@@ -344,23 +351,23 @@ class _Enumeration:
         self.memo = {}
         self.spent = 0
 
-    def expand(self, tree_id, at, level):
+    def expand(self, tree_id, level):
         """[(node, probability)] for every expansion of tree_id at level."""
         key = (tree_id, level)
         if key in self.memo:
-            return [(_reparent(node, at), prob) for node, prob in self.memo[key]]
+            return self.memo[key]
         g, prob_floor = self.g, self.prob_floor
         sites = [site_node.site_id for site_node in g.tree(tree_id).sites]
         combos = [((), 1.0)]
         for site in sites:
             options = []
-            for target, p in g.phi.entries_for(site):
+            for target, p in g.phi[site]:
                 if p <= 0.0:
                     continue
                 if target is None:
                     options.append((None, p))
                 elif level + 1 < self.max_depth or not g.tree(target).sites:
-                    for sub, sub_prob in self.expand(target, site, level + 1):
+                    for sub, sub_prob in self.expand(target, level + 1):
                         options.append((sub, p * sub_prob))
             extended = []
             allowed = self.node_cap - self.spent
@@ -372,16 +379,10 @@ class _Enumeration:
                         f"more than {self.node_cap} partial derivations")
             self.spent += len(extended)
             combos = extended
-        out = [(DerivationNode(tree_id, at, level, dict(zip(sites, choices))), prob)
+        out = [(DerivationNode(tree_id, level, dict(zip(sites, choices))), prob)
                for choices, prob in combos]
         self.memo[key] = out
         return out
-
-
-def _reparent(node, at):
-    if node.at == at:
-        return node
-    return DerivationNode(node.tree_id, at, node.level, node.children)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +418,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         raise ValueError("samples must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if frontier_cap < 0:
+        raise ValueError("frontier_cap must be >= 0")
     rng = np.random.default_rng(seed)
     positions, start_probs = start_law(g, start_weights)
     index = g.index

@@ -230,7 +230,9 @@ def test_gf_level_with_siteless_start_trees(tmp_path):
                                   ["extinction", str(GRAMMAR4), "--tol", "-1"],
                                   ["enumerate", str(GRAMMAR4), "--prob-floor", "nan"],
                                   ["check", str(GRAMMAR4), "--tol", "nan"],
-                                  ["extinction", str(GRAMMAR4), "--tol", "nan"]])
+                                  ["extinction", str(GRAMMAR4), "--tol", "nan"],
+                                  ["enumerate", str(GRAMMAR4), "--node-cap", "-1"],
+                                  ["gf", str(GRAMMAR4), "--level", "2", "--term-cap", "-1"]])
 def test_budget_out_of_range_exit64(argv):
     code, out, err = run(argv)
     assert (code, out) == (64, "")

@@ -37,7 +37,7 @@ def test_P_grammar4(grammar4):
     assert p.values[4].tolist() == [0, 0, 0.1]   # row B2
     # row sums are the total adjunction mass, 1 - phi(nil)
     for i, site in enumerate(p.rows):
-        nil = grammar4.phi.prob(site, None)
+        nil = dict(grammar4.phi[site])[None]
         assert p.values[i].sum() == pytest.approx(1.0 - nil, abs=1e-12)
 
 
@@ -102,7 +102,7 @@ def direct_expectation(g):
     sites = g.site_ids
     out = np.zeros((len(sites), len(sites)))
     for i, site in enumerate(sites):
-        for target, prob in g.phi.entries_for(site):
+        for target, prob in g.phi[site]:
             if target is None:
                 continue
             for node in g.tree(target).sites:

@@ -12,14 +12,12 @@ def test_grammar4_structure(grammar4):
     assert grammar4.start == "S"
     assert grammar4.nonterminals == frozenset({"S", "B"})
     assert grammar4.terminals == frozenset({"a1", "a2", "a3"})
-    assert grammar4.phi.prob("A1", "t2") == 0.8
-    assert grammar4.phi.prob("A1", None) == 0.2
+    assert grammar4.phi["A1"] == (("t2", 0.8), (None, 0.2))
 
 
 def test_grammar2_structure(grammar2):
     assert grammar2.site_ids == ("S1", "S2", "S3")
-    assert grammar2.phi.prob("S1", "t2") == 1.0
-    assert grammar2.phi.prob("S1", None) == 0.0
+    assert grammar2.phi["S1"] == (("t2", 1.0),)  # no nil entry
     t2 = grammar2.tree("t2")
     assert t2.kind == gr.AUXILIARY
     assert t2.foot is not None and t2.foot.label == "S"
@@ -45,7 +43,7 @@ def test_missing_phi_entry_defaults_to_nil():
     doc = minimal_document()
     doc["trees"][0]["root"]["site"] = "R"
     g = parse(doc)
-    assert g.phi.entries_for("R") == ((None, 1.0),)
+    assert g.phi["R"] == ((None, 1.0),)
     assert gr.validate(g) == []
 
 
@@ -133,7 +131,7 @@ def test_round_trip_identity(grammar4, grammar2):
         assert gr.to_document(again) == gr.to_document(g)
         assert again.site_ids == g.site_ids
         for site in g.site_ids:
-            assert again.phi.entries_for(site) == g.phi.entries_for(site)
+            assert again.phi[site] == g.phi[site]
 
 
 def test_round_trip_preserves_defaulted_entries():
@@ -141,7 +139,7 @@ def test_round_trip_preserves_defaulted_entries():
     doc["trees"][0]["root"]["site"] = "R"
     g = parse(doc)
     again = gr.parse_grammar(gr.serialize_grammar(g))
-    assert again.phi.entries_for("R") == ((None, 1.0),)
+    assert again.phi["R"] == ((None, 1.0),)
 
 
 # -- validation -------------------------------------------------------------
@@ -339,7 +337,7 @@ def test_zero_probability_edges_do_not_reach():
     g = parse(doc)
     assert gr.detect_unreachable(g) == ["t4"]
     # the zero entry is retained in the model
-    assert g.phi.prob("A1", "t4") == 0.0
+    assert ("t4", 0.0) in g.phi["A1"]
 
 
 def test_detect_unreachable_is_pure(grammar4):
@@ -397,4 +395,4 @@ def test_corpus_has_no_loops(grammar4, grammar2):
 def test_properness_sums(grammar4, grammar2):
     for g in (grammar4, grammar2):
         for site in g.site_ids:
-            assert abs(g.phi.sum_for(site) - 1.0) <= 1e-9
+            assert abs(sum(p for _, p in g.phi[site]) - 1.0) <= 1e-9

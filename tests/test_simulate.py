@@ -53,7 +53,8 @@ def test_sample_grammar2_scripted_draws(grammar2):
     root = d.root
     assert root.tree_id == "t1"
     child = root.children["S1"]
-    assert child.tree_id == "t2" and child.at == "S1" and child.level == 1
+    assert child.tree_id == "t2" and child.level == 1
+    assert d.as_dict()["children"]["S1"]["at"] == "S1"
     assert child.children == {"S2": None, "S3": None}
     assert d.probability == pytest.approx(1.0 * 0.01 * 0.02, rel=1e-12)
 
@@ -100,7 +101,7 @@ def test_sample_probability_is_product_of_draws(grammar4):
         for site_node in grammar4.tree(node.tree_id).sites:
             chosen = node.children[site_node.site_id]
             target = chosen.tree_id if chosen is not None else None
-            product *= grammar4.phi.prob(site_node.site_id, target)
+            product *= dict(grammar4.phi[site_node.site_id])[target]
     assert d.probability == pytest.approx(product, rel=1e-12)
 
 
@@ -159,6 +160,20 @@ def test_start_law():
         ex.start_law(g, {"t1": 0.0})
 
 
+def test_start_law_reads_positions_recorded_in_the_index(monkeypatch):
+    g = random_proper_grammar(0)
+    g.index  # built once, with the start positions
+
+    def rescan():
+        raise AssertionError("start trees scanned again")
+
+    monkeypatch.setattr(g, "start_trees", rescan)
+    positions, probs = ex.start_law(g, {"t2": 1.0})
+    assert [g.index.tree_ids[t] for t in positions] == ["t1", "t2"]
+    assert probs.tolist() == [0.0, 1.0]
+    assert positions is g.index.starts and not positions.flags.writeable
+
+
 # -- derived trees -----------------------------------------------------------
 
 def test_derived_tree_identity_surgery():
@@ -197,19 +212,19 @@ def test_derived_tree_rejects_incomplete(grammar4):
         sim.derived_tree(d, grammar4)
 
 
-def node(tree_id, at, level, children):
-    return sim.DerivationNode(tree_id, at, level, children)
+def node(tree_id, level, children):
+    return sim.DerivationNode(tree_id, level, children)
 
 
 def test_derived_tree_reproduces_reference_string(grammar4):
     # four stacked t2 adjunctions with two t3 adjunctions on the innermost one
-    t3y = node("t3", "B2", 3, {"B2": None})
-    t3x = node("t3", "B1", 2, {"B2": t3y})
-    t2d = node("t2", "A2", 4, {"A2": None, "B1": None, "A3": None})
-    t2c = node("t2", "A2", 3, {"A2": t2d, "B1": None, "A3": None})
-    t2b = node("t2", "A2", 2, {"A2": t2c, "B1": None, "A3": None})
-    t2a = node("t2", "A1", 1, {"A2": t2b, "B1": t3x, "A3": None})
-    root = node("t1", None, 0, {"A1": t2a})
+    t3y = node("t3", 3, {"B2": None})
+    t3x = node("t3", 2, {"B2": t3y})
+    t2d = node("t2", 4, {"A2": None, "B1": None, "A3": None})
+    t2c = node("t2", 3, {"A2": t2d, "B1": None, "A3": None})
+    t2b = node("t2", 2, {"A2": t2c, "B1": None, "A3": None})
+    t2a = node("t2", 1, {"A2": t2b, "B1": t3x, "A3": None})
+    root = node("t1", 0, {"A1": t2a})
     d = sim.Derivation(root, True, 1.0)
     t = sim.derived_tree(d, grammar4)
     assert sim.yield_string(t) == ["a2", "a2", "a2", "a2", "a3", "a3", "a1"]
@@ -267,10 +282,10 @@ def graft_grammar():
 def test_derived_tree_written_out():
     g = graft_grammar()
     assert not [d for d in gr.validate(g) if d.severity == gr.ERROR]
-    t4 = node("t4", "N1", 3, {"C1": node("t6", "C1", 4, {})})
-    t3 = node("t3", "A2", 2, {"N1": t4})
-    t2 = node("t2", "A1", 1, {"A2": t3, "B1": node("t5", "B1", 2, {})})
-    d = sim.Derivation(node("t1", None, 0, {"A1": t2}), True, 1.0)
+    t4 = node("t4", 3, {"C1": node("t6", 4, {})})
+    t3 = node("t3", 2, {"N1": t4})
+    t2 = node("t2", 1, {"A2": t3, "B1": node("t5", 2, {})})
+    d = sim.Derivation(node("t1", 0, {"A1": t2}), True, 1.0)
 
     tn = tree_node
     interior, anchor = gr.INTERIOR, gr.ANCHOR
@@ -301,7 +316,7 @@ def test_derived_tree_keeps_the_feet_of_initial_trees():
             {"subst": "NP", "site": "N1"}, {"foot": "S"}]}},
         {"id": "t2", "type": "initial", "root": {"label": "NP", "children": [
             {"anchor": "n"}, {"foot": "NP"}]}}]})
-    d = sim.Derivation(node("t1", None, 0, {"N1": node("t2", "N1", 1, {})}), True, 1.0)
+    d = sim.Derivation(node("t1", 0, {"N1": node("t2", 1, {})}), True, 1.0)
     assert sim.derived_tree(d, g) == tree_node(
         gr.INTERIOR, "S", "",
         tree_node(gr.INTERIOR, "NP", "1", tree_node(gr.ANCHOR, "n", "1.1"),
@@ -476,11 +491,17 @@ def test_enumerate_zero_prob_choices_excluded(grammar2):
 
 
 def test_enumerate_levels_and_parents(grammar4):
+    def check_at(doc, at):
+        assert doc["at"] == at
+        for site, child in doc["children"].items():
+            if child != "nil":
+                check_at(child, site)
+
     for d in sim.enumerate_derivations(grammar4, 3):
+        check_at(d.as_dict(), None)
         for n in d.root.nodes():
-            for site, child in n.children.items():
+            for child in n.children.values():
                 if child is not None:
-                    assert child.at == site
                     assert child.level == n.level + 1
 
 
@@ -495,23 +516,23 @@ def enumeration_digest(ds):
     """
     numbers, by_id, lines = {}, {}, []
 
-    def number(node):
-        n = by_id.get(id(node))
+    def number(node, at):
+        n = by_id.get((id(node), at))
         if n is None:
             children = node.children
             if children is not None:
-                children = tuple((site, c if c is None else number(c))
+                children = tuple((site, c if c is None else number(c, site))
                                  for site, c in children.items())
-            content = (node.tree_id, node.at, children)
+            content = (node.tree_id, at, children)
             n = numbers.get(content)
             if n is None:
                 n = numbers[content] = len(numbers)
                 lines.append(repr(content))
-            by_id[id(node)] = n
+            by_id[(id(node), at)] = n
         return n
 
     for d in ds:
-        lines.append(f"{number(d.root)} {d.probability.hex()}")
+        lines.append(f"{number(d.root, None)} {d.probability.hex()}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -599,6 +620,18 @@ def test_estimate_rejects_max_depth_below_one(grammar4):
     # a sample that may not draw would be neither terminated nor censored
     with pytest.raises(ValueError, match="max_depth must be >= 1"):
         sim.estimate_termination(grammar4, 100, 0)
+
+
+def test_negative_budgets_are_rejected(grammar4):
+    # rejected up front, not reported as a budget that ran out
+    with pytest.raises(ValueError, match="frontier_cap must be >= 0"):
+        sim.estimate_termination(grammar4, 100, 5, frontier_cap=-1)
+    with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+        sim.sample_derivation(grammar4, seed=0, max_nodes=0)
+    with pytest.raises(ValueError, match="node_cap must be >= 0"):
+        sim.enumerate_derivations(grammar4, 2, node_cap=-1)
+    with pytest.raises(ValueError, match="term_cap must be >= 0"):
+        br.level_gf(grammar4, 2, term_cap=-1)
 
 
 def test_estimate_counts_add_up(grammar2):
