@@ -126,9 +126,11 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     residual = float("inf")
     for iteration in range(1, max_iter + 1):
         nxt = np.minimum(idx.offspring(q), 1.0)
-        if (nxt < q).any():
+        step = nxt - q
+        # fmin skips NaN, so a NaN iterate cannot hide a decrease elsewhere
+        if np.fmin.reduce(step) < 0.0:
             raise ValueError("extinction iterates decreased; phi has a negative entry")
-        residual = float(np.abs(nxt - q).max())
+        residual = float(step.max())
         q = nxt
         if residual < tol:
             return ExtinctionVector(q, idx, iteration, residual, True)

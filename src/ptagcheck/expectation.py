@@ -27,7 +27,10 @@ class SiteIndex:
     tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
     parallel arrays site, tree and prob, in document order; nil is the nil
     mass of each site, anchors the anchor count of each tree and starts the
-    read-only positions of the start trees, in declaration order.
+    read-only positions of the start trees, in declaration order.  The
+    layout is recorded once, read-only: owner, the tree of each site;
+    with_sites, the positions of the trees that have sites; and segments,
+    where those trees' slices start.
     """
 
     ids: tuple
@@ -66,6 +69,13 @@ class SiteIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
+        sizes = np.diff(self.tree_start)
+        with_sites = np.flatnonzero(sizes)
+        for name, layout in (("owner", np.repeat(np.arange(len(self.tree_ids)), sizes)),
+                             ("with_sites", with_sites),
+                             ("segments", self.tree_start[with_sites])):
+            layout.flags.writeable = False
+            object.__setattr__(self, name, layout)
 
     def __len__(self):
         return len(self.ids)
@@ -73,17 +83,10 @@ class SiteIndex:
     def __getitem__(self, site_id):
         return self.position[site_id]
 
-    @property
-    def owner(self):
-        """Position of the tree that owns each site."""
-        return np.repeat(np.arange(len(self.tree_ids)), np.diff(self.tree_start))
-
     def tree_prod(self, q):
         """Product of q over each tree's sites; 1 for a tree without sites."""
         out = np.ones(len(self.tree_ids))
-        has_sites = np.diff(self.tree_start) > 0
-        if has_sites.any():
-            out[has_sites] = np.multiply.reduceat(q, self.tree_start[:-1][has_sites])
+        out[self.with_sites] = np.multiply.reduceat(q, self.segments)
         return out
 
     def offspring(self, q):

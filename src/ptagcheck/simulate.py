@@ -438,7 +438,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         site_pvals.append(pvals / pvals.sum())
     # (tree, its sites) for the trees with sites, in site order
     expanding = [(t, range(index.tree_start[t], index.tree_start[t + 1]))
-                 for t in np.flatnonzero(site_count)]
+                 for t in index.with_sites]
 
     start_tree_idx = positions[rng.choice(len(positions), size=samples, p=start_probs)]
     depth = np.zeros(samples, dtype=np.int64)

@@ -235,3 +235,16 @@ def two_site_start_grammar():
             {"site": "A2", "tree": None, "prob": 0.6},
         ],
     })
+
+
+def pinned_grammar(name):
+    """A grammar whose outputs the tests pin, by name; randomN is seed N."""
+    if name.startswith("random"):
+        return random_proper_grammar(int(name.removeprefix("random")))
+    return {"grammar4": lambda: gr.load_grammar(GRAMMAR4),
+            "grammar2": lambda: gr.load_grammar(GRAMMAR2),
+            "syn130": lambda: gr.load_grammar(REPO / "bench" / "data" / "syn130.json"),
+            "segment_edge": segment_edge_grammar,
+            "two_site_start": two_site_start_grammar,
+            "two_siteless_start": two_siteless_start_grammar,
+            "duplicate_target": duplicate_target_grammar}[name]()

@@ -10,10 +10,9 @@ from ptagcheck import branching as br
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (GRAMMAR2, GRAMMAR4, REPO, duplicate_target_grammar,
-                      minimal_document, parse, random_proper_grammar,
-                      segment_edge_grammar, two_site_start_grammar,
-                      two_siteless_start_grammar)
+from conftest import (duplicate_target_grammar, minimal_document, parse,
+                      pinned_grammar, random_proper_grammar, segment_edge_grammar,
+                      two_site_start_grammar, two_siteless_start_grammar)
 
 
 class ScriptedRNG:
@@ -534,17 +533,6 @@ def enumeration_digest(ds):
     for d in ds:
         lines.append(f"{number(d.root, None)} {d.probability.hex()}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def pinned_grammar(name):
-    if name.startswith("random"):
-        return random_proper_grammar(int(name.removeprefix("random")))
-    return {"grammar4": lambda: gr.load_grammar(GRAMMAR4),
-            "grammar2": lambda: gr.load_grammar(GRAMMAR2),
-            "syn130": lambda: gr.load_grammar(REPO / "bench" / "data" / "syn130.json"),
-            "segment_edge": segment_edge_grammar,
-            "two_site_start": two_site_start_grammar,
-            "duplicate_target": duplicate_target_grammar}[name]()
 
 
 # (grammar, depth) -> (derivations, enumeration_digest): the enumerator's
