@@ -102,7 +102,7 @@ def _load_validated(path, out, err):
     g, code = _load(path, err)
     if g is None:
         return None, code
-    errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
+    errors = [d for d in g.diagnostics if d.severity == gr.ERROR]
     if errors:
         _emit([d.as_dict() for d in errors], out)
         err.write(f"grammar has {len(errors)} validation error(s)\n")

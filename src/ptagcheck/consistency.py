@@ -132,7 +132,7 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
         raise ValueError("max_squarings must be >= 0")
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
-    errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
+    errors = [d for d in g.diagnostics if d.severity == gr.ERROR]
     if errors:
         raise InvalidGrammarError(errors)
 

@@ -110,7 +110,10 @@ def start_law(g, start_weights=None):
     if start_weights is None:
         return positions, np.full(len(positions), 1.0 / len(positions))
     tree_ids = g.index.tree_ids
-    weights = np.array([float(start_weights.get(tree_ids[j], 0.0)) for j in positions])
+    try:
+        weights = np.array([float(start_weights.get(tree_ids[j], 0.0)) for j in positions])
+    except OverflowError:
+        raise ValueError("a start weight is beyond float range") from None
     total = sum(weights.tolist())  # a float sum overflows to inf, with no warning
     if not (weights >= 0.0).all() or not math.isfinite(total):
         raise ValueError("start weights must be finite and nonnegative with a finite sum")

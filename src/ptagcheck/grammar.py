@@ -46,12 +46,12 @@ NOT_LEXICALIZED = "NOT_LEXICALIZED"
 UNREACHABLE_TREE = "UNREACHABLE_TREE"
 EMPTY_YIELD_LOOP = "EMPTY_YIELD_LOOP"
 NO_START_TREE = "NO_START_TREE"
-DUPLICATE_ID = "DUPLICATE_ID"
 BAD_PROB = "BAD_PROB"
 
 PROPERNESS_TOL = 1e-9
 
-_NODE_FORM_KEYS = ("label", "anchor", "foot", "subst", "epsilon")
+_NODE_FORMS = {"label": {"label", "children", "site"}, "anchor": {"anchor"},
+               "foot": {"foot"}, "subst": {"subst", "site"}, "epsilon": {"epsilon"}}
 
 
 class GrammarError(Exception):
@@ -112,12 +112,13 @@ class ElementaryTree:
 class Grammar:
     """An immutable probabilistic TAG.  Do not mutate after construction.
 
-    ``phi`` maps each site id, in canonical site order, to a tuple of
-    (target, prob) entries in document order; a target is a tree id, or
-    None for "no adjunction".  An adjunction site the document leaves out
-    gets ((None, 1.0),), a substitution site ().  The distinguished wrapper
-    tree accepting any start-rooted initial tree is implicit: it
-    contributes no site, no matrix row and no probability.
+    Tree ids and site ids are unique; construction raises GrammarError
+    naming the first repeated one.  ``phi`` maps each site id, in canonical
+    site order, to a tuple of (target, prob) entries in document order; a
+    target is a tree id, or None for "no adjunction".  An adjunction site
+    the document leaves out gets ((None, 1.0),), a substitution site ().
+    The distinguished wrapper tree accepting any start-rooted initial tree
+    is implicit: it contributes no site, no matrix row and no probability.
     """
 
     start: str
@@ -128,21 +129,28 @@ class Grammar:
 
     def __post_init__(self):
         self._tree_by_id = {t.tree_id: t for t in self.trees}
-        self._site_node = {node.site_id: node
-                           for tree in self.trees for node in tree.sites}
         # canonical site order: tree declaration order, preorder within a tree
-        self.site_ids = tuple(self._site_node)
+        self.site_ids = tuple(node.site_id for tree in self.trees for node in tree.sites)
+        for kind, ids in (("tree", [t.tree_id for t in self.trees]),
+                          ("site", self.site_ids)):
+            seen = set()
+            for i in ids:
+                if i in seen:
+                    raise GrammarError(f"duplicate {kind} id {i!r}")
+                seen.add(i)
 
     def tree(self, tree_id):
         return self._tree_by_id[tree_id]
-
-    def site_node(self, site_id):
-        return self._site_node[site_id]
 
     @cached_property
     def index(self):
         """The grammar's numeric form, built on first use and then shared."""
         return SiteIndex.from_grammar(self)
+
+    @cached_property
+    def diagnostics(self):
+        """validate's findings as a tuple, computed on first use."""
+        return _diagnose(self)
 
     def start_trees(self):
         """Initial trees rooted in the start symbol, in declaration order."""
@@ -169,15 +177,20 @@ class Diagnostic:
 
 def parse_grammar(data):
     """Parse a grammar document (bytes or str of JSON) into a Grammar."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
+        return from_document(doc)
     except json.JSONDecodeError as exc:
         raise GrammarParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return from_document(doc)
+    except UnicodeDecodeError as exc:
+        raise GrammarParseError(
+            f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise GrammarParseError("document is nested too deeply") from None
 
 
 def load_grammar(path):
@@ -227,7 +240,7 @@ def from_document(doc):
             "symbols used both as terminals and nonterminals: "
             + ", ".join(sorted(overlap)))
 
-    phi = _parse_phi(doc.get("phi", []), trees, seen_site_ids)
+    phi = _parse_phi(doc.get("phi", []), trees, seen_tree_ids, seen_site_ids)
     return Grammar(start=start, nonterminals=frozenset(nonterminals),
                    terminals=frozenset(terminals), trees=tuple(trees), phi=phi)
 
@@ -235,14 +248,12 @@ def from_document(doc):
 def _parse_node(obj, address, where, nonterminals, terminals, seen_site_ids):
     if not isinstance(obj, dict):
         raise GrammarParseError("node must be an object", where)
-    forms = [k for k in _NODE_FORM_KEYS if k in obj]
+    forms = [k for k in _NODE_FORMS if k in obj]
     if len(forms) != 1:
         raise GrammarParseError(
-            f"node must use exactly one of {_NODE_FORM_KEYS}, got {sorted(obj)}", where)
+            f"node must use exactly one of {tuple(_NODE_FORMS)}, got {sorted(obj)}", where)
     form = forms[0]
-    allowed = {form} | ({"children", "site"} if form == "label" else
-                        {"site"} if form == "subst" else set())
-    extra = set(obj) - allowed
+    extra = set(obj) - _NODE_FORMS[form]
     if extra:
         raise GrammarParseError(f"unknown node keys {sorted(extra)}", where)
 
@@ -293,10 +304,9 @@ def _require_symbol(value, where):
     return value
 
 
-def _parse_phi(phi_doc, trees, site_ids):
+def _parse_phi(phi_doc, trees, tree_ids, site_ids):
     if not isinstance(phi_doc, list):
         raise GrammarParseError("\"phi\" must be an array")
-    tree_ids = {t.tree_id for t in trees}
     entries = {}
     for i, edoc in enumerate(phi_doc):
         where = f"phi[{i}]"
@@ -304,15 +314,19 @@ def _parse_phi(phi_doc, trees, site_ids):
             raise GrammarParseError(
                 "phi entry must be {\"site\": ..., \"tree\": ..., \"prob\": ...}", where)
         site = edoc["site"]
-        if site not in site_ids:
+        if not isinstance(site, str) or site not in site_ids:
             raise GrammarParseError(f"unknown site {site!r}", where)
         target = edoc["tree"]
-        if target is not None and target not in tree_ids:
+        if target is not None and (not isinstance(target, str) or target not in tree_ids):
             raise GrammarParseError(f"unknown target tree {target!r}", where)
         prob = edoc["prob"]
         if isinstance(prob, bool) or not isinstance(prob, (int, float)):
             raise GrammarParseError("\"prob\" must be a number", where)
-        entries.setdefault(site, []).append((target, float(prob)))
+        try:
+            prob = float(prob)
+        except OverflowError:
+            raise GrammarParseError("\"prob\" is beyond float range", where) from None
+        entries.setdefault(site, []).append((target, prob))
 
     # canonical site order + default {nil: 1.0} for adjunction sites; an
     # unfilled substitution site gets no entry, which validate flags
@@ -364,22 +378,20 @@ def validate(g):
     Structural findings come first (tree declaration order, preorder within a
     tree), then unreachable trees, then empty-yield loops with their
     lexicalization warnings.  Empty result means a clean, proper grammar.
+    They are computed once per grammar, as ``g.diagnostics``; each call
+    returns a fresh list of them.
     """
+    return list(g.diagnostics)
+
+
+def _diagnose(g):
     diags = []
 
     if not g.start_trees():
         diags.append(Diagnostic(ERROR, NO_START_TREE,
                                 f"no initial tree rooted in start symbol {g.start!r}"))
 
-    seen_trees = set()
-    seen_sites = set()
     for tree in g.trees:
-        if tree.tree_id in seen_trees:
-            diags.append(Diagnostic(ERROR, DUPLICATE_ID,
-                                    f"duplicate tree id {tree.tree_id!r}",
-                                    tree_id=tree.tree_id))
-        seen_trees.add(tree.tree_id)
-
         if tree.kind == AUXILIARY:
             if len(tree.feet) != 1:
                 diags.append(Diagnostic(
@@ -403,13 +415,6 @@ def validate(g):
                                     tree_id=tree.tree_id))
 
         for node in tree.sites:
-            site = node.site_id
-            if site in seen_sites:
-                diags.append(Diagnostic(ERROR, DUPLICATE_ID,
-                                        f"duplicate site id {site!r}",
-                                        tree_id=tree.tree_id, site_id=site))
-                continue
-            seen_sites.add(site)
             diags.extend(_site_diagnostics(g, tree, node))
 
     for tree_id in detect_unreachable(g):
@@ -417,14 +422,14 @@ def validate(g):
                                 f"tree {tree_id!r} is never used from the start trees",
                                 tree_id=tree_id))
     diags.extend(detect_empty_yield_loops(g))
-    return diags
+    return tuple(diags)
 
 
 def _site_diagnostics(g, tree, node):
     site = node.site_id
     substitution = node.kind == SUBSTITUTION
     diags = []
-    entries = g.phi.get(site, ())
+    entries = g.phi[site]
 
     total = sum(p for _, p in entries)
     if abs(total - 1.0) > PROPERNESS_TOL:

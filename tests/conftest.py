@@ -111,8 +111,8 @@ def random_proper_grammar(seed, max_trees=10, max_sites=20):
         group.setdefault(t.root.label, []).append(t.tree_id)
 
     phi = []
-    for site in g_bare.site_ids:
-        node = g_bare.site_node(site)
+    for node in [n for t in g_bare.trees for n in t.sites]:  # in g_bare.site_ids order
+        site = node.site_id
         if node.kind == gr.SUBSTITUTION:
             targets = init_by_label[node.label]
             weights = [rng.random() + 0.05 for _ in targets]

@@ -107,9 +107,28 @@ def test_missing_file_exit66():
     assert "cannot read" in err
 
 
-def test_malformed_document_exit65(tmp_path):
+def phi_document(**entry):
+    """minimal_document() with site A on its root and one phi entry for it."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "A"
+    doc["phi"] = [{"site": "A", "tree": None, "prob": 1.0, **entry}]
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(b"{not json", id="not-json"),
+    pytest.param(phi_document(prob=10**400), id="prob-beyond-float"),
+    pytest.param(phi_document(site=["A"]), id="site-array"),
+    pytest.param(phi_document(tree={"x": 1}), id="tree-object"),
+    pytest.param(phi_document().replace(b'"S"', b'"\xe9"'), id="not-utf8"),
+    pytest.param(json.dumps(minimal_document()).encode().replace(
+        b'{"anchor": "a"}',
+        b'{"label": "S", "children": [' * 500 + b'{"anchor": "a"}' + b"]}" * 500),
+        id="nested-500"),
+])
+def test_malformed_document_exit65(tmp_path, body):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(body)
     code, _, err = run(["check", str(path)])
     assert code == 65
     assert "malformed" in err
@@ -175,7 +194,8 @@ def test_extinction_with_start_weights(tmp_path):
 @pytest.mark.parametrize("command", ["extinction", "simulate"])
 @pytest.mark.parametrize("t1, t2", [("1.0", w) for w in ("NaN", "Infinity", "-Infinity",
                                                          "-1", "-0.5", "true")]
-                         + [("1e308", "1e308")])  # each finite, the sum is not
+                         + [("1e308", "1e308"),  # each finite, the sum is not
+                            pytest.param("1.0", "1" + "0" * 400, id="1.0-10**400")])
 def test_bad_start_weights_exit65(tmp_path, command, t1, t2):
     # random_proper_grammar(0) has the start trees t1 and t2
     path = tmp_path / "random0.json"

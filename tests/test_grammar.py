@@ -1,8 +1,11 @@
+import io
 import json
 
 import pytest
 
+from ptagcheck import cli
 from ptagcheck import grammar as gr
+from ptagcheck.consistency import check_consistency
 from conftest import GRAMMAR4, minimal_document, parse
 
 
@@ -70,6 +73,39 @@ def test_parse_rejects_duplicate_tree_id():
     doc["trees"].append(json.loads(json.dumps(doc["trees"][0])))
     with pytest.raises(gr.GrammarParseError, match="duplicate tree id"):
         parse(doc)
+
+
+def test_grammar_rejects_repeated_tree_id(grammar4):
+    g = grammar4
+    with pytest.raises(gr.GrammarError, match="duplicate tree id 't2'"):
+        gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees + (g.trees[1],), g.phi)
+
+
+def test_grammar_rejects_repeated_site_id(grammar4):
+    g = grammar4
+    copy = gr.ElementaryTree("t4", gr.AUXILIARY, g.trees[1].root)  # t2's sites again
+    with pytest.raises(gr.GrammarError, match="duplicate site id 'A2'"):
+        gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees + (copy,), g.phi)
+
+
+def test_validation_runs_once_per_grammar(monkeypatch):
+    passes = []
+    diagnose = gr._diagnose
+
+    def counting(g):
+        passes.append(g)
+        return diagnose(g)
+
+    monkeypatch.setattr(gr, "_diagnose", counting)
+    g = gr.load_grammar(GRAMMAR4)
+    gr.validate(g)
+    check_consistency(g)
+    gr.validate(g)
+    assert passes == [g]
+
+    passes.clear()
+    assert cli.run(["check", str(GRAMMAR4)], out=io.StringIO(), err=io.StringIO()) == 0
+    assert len(passes) == 1
 
 
 def test_parse_rejects_unknown_node_form():
@@ -283,7 +319,10 @@ def test_validate_is_deterministic(grammar4):
     doc["trees"][0]["root"]["site"] = "A"
     doc["phi"] = [{"site": "A", "tree": None, "prob": 0.4}]
     g = parse(doc)
-    assert gr.validate(g) == gr.validate(g)
+    first = gr.validate(g)
+    assert first == gr.validate(g) == list(g.diagnostics)
+    first.clear()  # each call returns a fresh list
+    assert [d.code for d in gr.validate(g)] == [gr.IMPROPER_SITE]
 
 
 def test_diagnostic_site_ids_exist():
