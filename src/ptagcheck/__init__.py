@@ -3,9 +3,8 @@
 from .branching import (ExtinctionVector, adjunction_gf, constant_split,
                         death_by_level, extinction, level_gf, m_from_partials,
                         start_termination)
-from .consistency import (ConsistencyReport, InvalidGrammarError, ScaledPower,
-                          check_consistency, row_sum_test,
-                          spectral_radius_estimate)
+from .consistency import (ConsistencyReport, InvalidGrammarError,
+                          check_consistency)
 from .expectation import (LabelledMatrix, SiteIndex, build_M, build_N,
                           build_P, matrix_json_doc, matrix_tsv, start_law)
 from .grammar import (Diagnostic, ElementaryTree, Grammar, GrammarError,
@@ -14,8 +13,8 @@ from .grammar import (Diagnostic, ElementaryTree, Grammar, GrammarError,
                       parse_grammar, serialize_grammar, to_document, validate)
 from .polynomials import SparsePolynomial, TermCapExceeded
 from .simulate import (Derivation, DerivationNode, EnumerationBudgetExceeded,
-                       SimulationStats, anchor_multiset, derivation_depth,
-                       derived_tree, enumerate_derivations,
-                       estimate_termination, sample_derivation, yield_string)
+                       SimulationStats, anchor_multiset, derived_tree,
+                       enumerate_derivations, estimate_termination,
+                       sample_derivation, yield_string)
 
 __version__ = "0.1.0"

@@ -119,14 +119,10 @@ def _load_weights(path, g, err):
     except OSError as exc:
         err.write(f"cannot read {path}: {exc.strerror or exc}\n")
         return None, EX_NOINPUT
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         err.write(f"malformed start weights: {exc}\n")
         return None, EX_DATAERR
     try:
-        if not isinstance(weights, dict) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in weights.values()):
-            raise ValueError("not a JSON object of numbers")
         expectation.start_law(g, weights)
     except ValueError as exc:
         err.write(f"start weights must be a JSON object of finite nonnegative numbers"

@@ -113,12 +113,6 @@ def _max_row_sum(m):
     return float(m.sum(axis=1).max()) if m.size else 0.0
 
 
-def row_sum_test(m):
-    """(all row sums < 1, max row sum) for a plain nonnegative matrix."""
-    top = _max_row_sum(np.asarray(m, dtype=float))
-    return top < 1.0, top
-
-
 def check_consistency(g, max_squarings=64, tol=1e-9):
     """Decide consistency of a validated grammar.
 
@@ -161,23 +155,3 @@ def _saturated_exp(log_value):
         return 0.0
     return math.exp(min(log_value, _MAX_FLOAT_LOG))
 
-
-def spectral_radius_estimate(m, iterations=64, tol=1e-9):
-    """Gelfand estimate ||M^(2^k)||_inf^(1/2^k) by scaled squaring.
-
-    Stops when successive values differ by less than tol or the squaring
-    budget runs out; returns (estimate, converged).
-    """
-    power = ScaledPower.initial(np.asarray(m, dtype=float))
-    value = power.gelfand_value()
-    if value == 0.0:
-        return 0.0, True
-    for _ in range(iterations):
-        power = power.squared()
-        nxt = power.gelfand_value()
-        if nxt == 0.0:
-            return 0.0, True
-        if abs(nxt - value) < tol:
-            return nxt, True
-        value = nxt
-    return value, False

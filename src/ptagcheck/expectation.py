@@ -14,7 +14,9 @@ begins a derivation.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -100,15 +102,19 @@ def start_law(g, start_weights=None):
 
     positions is the read-only g.index.starts, which indexes
     g.index.tree_ids in declaration order; probs sum to one.  The law is
-    uniform over the start trees unless start_weights, a {tree id: weight}
-    map, is given; trees it leaves out weigh 0 and ids that are no start
-    tree are ignored.  Every method weighs its start trees by this law.
+    uniform over the start trees unless start_weights is given: a mapping of
+    tree ids to finite, nonnegative reals (not bools) with a finite sum and
+    mass on a start tree, else ValueError.  Trees it leaves out weigh 0, and
+    ids that are no start tree are ignored.  Every method weighs by this law.
     """
     positions = g.index.starts
     if not len(positions):
         raise ValueError(f"no initial tree rooted in {g.start!r}")
     if start_weights is None:
         return positions, np.full(len(positions), 1.0 / len(positions))
+    if not isinstance(start_weights, Mapping) or not all(
+            isinstance(w, Real) and not isinstance(w, bool) for w in start_weights.values()):
+        raise ValueError("start weights must map tree ids to real numbers")
     tree_ids = g.index.tree_ids
     try:
         weights = np.array([float(start_weights.get(tree_ids[j], 0.0)) for j in positions])

@@ -214,11 +214,6 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     return Derivation(root, complete, probability)
 
 
-def derivation_depth(d):
-    """Largest level of any instantiated tree, frontier included."""
-    return max(node.level for node in d.root.nodes())
-
-
 # ---------------------------------------------------------------------------
 # derived trees
 

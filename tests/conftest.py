@@ -2,6 +2,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ptagcheck import grammar as gr
@@ -235,6 +236,16 @@ def two_site_start_grammar():
             {"site": "A2", "tree": None, "prob": 0.6},
         ],
     })
+
+
+def spectral_radius(m):
+    """Largest eigenvalue modulus of m by numpy, 0.0 for an empty matrix.
+
+    The oracle the consistency tests check against: it shares no code with
+    the row-sum squaring of check_consistency.
+    """
+    m = np.asarray(m, dtype=float)
+    return float(np.abs(np.linalg.eigvals(m)).max()) if m.size else 0.0
 
 
 def pinned_grammar(name):

@@ -191,21 +191,31 @@ def test_extinction_with_start_weights(tmp_path):
     assert doc["combined"] == pytest.approx(1.0, abs=1e-9)
 
 
+def weights_param(t2, t1="1.0", id=None):
+    body = f'{{"t1": {t1}, "t2": {t2}}}'.encode()
+    return pytest.param(body, "finite nonnegative numbers", id=id or f"{t1}-{t2}")
+
+
 @pytest.mark.parametrize("command", ["extinction", "simulate"])
-@pytest.mark.parametrize("t1, t2", [("1.0", w) for w in ("NaN", "Infinity", "-Infinity",
-                                                         "-1", "-0.5", "true")]
-                         + [("1e308", "1e308"),  # each finite, the sum is not
-                            pytest.param("1.0", "1" + "0" * 400, id="1.0-10**400")])
-def test_bad_start_weights_exit65(tmp_path, command, t1, t2):
+@pytest.mark.parametrize("body, message", [
+    *(weights_param(w) for w in ("NaN", "Infinity", "-Infinity", "-1", "-0.5", "true")),
+    weights_param("1e308", t1="1e308"),  # each finite, the sum is not
+    weights_param("1" + "0" * 400, id="1.0-10**400"),
+    weights_param('"0.5"', id="1.0-string"),
+    pytest.param(b"[1, 2]", "finite nonnegative numbers", id="list"),
+    pytest.param(b'{"t1": "\xe9"}', "malformed start weights", id="not-utf8"),
+    pytest.param(b"[" * 2000 + b"]" * 2000, "malformed start weights", id="nested-2000"),
+])
+def test_bad_start_weights_exit65(tmp_path, command, body, message):
     # random_proper_grammar(0) has the start trees t1 and t2
     path = tmp_path / "random0.json"
     path.write_text(json.dumps(gr.to_document(random_proper_grammar(0))))
     weights = tmp_path / "w.json"
-    weights.write_text(f'{{"t1": {t1}, "t2": {t2}}}')
+    weights.write_bytes(body)
     extra = ["--samples", "100"] if command == "simulate" else []
     code, out, err = run([command, str(path), *extra, "--start-weights", str(weights)])
     assert (code, out) == (65, "")
-    assert "finite nonnegative numbers" in err
+    assert message in err
 
 
 def grammar_file(tmp_path, g):

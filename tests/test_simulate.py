@@ -40,7 +40,7 @@ def test_sample_trivial_grammar():
     d = sim.sample_derivation(all_nil_grammar(), seed=123, max_depth=5)
     assert d.complete
     assert d.probability == 1.0
-    assert sim.derivation_depth(d) == 0
+    assert max(n.level for n in d.root.nodes()) == 0
     assert d.root.children == {"R": None}
 
 
@@ -66,7 +66,7 @@ def test_sample_depth_cap_censors(grammar4):
     frontier = d.root.children["A1"]
     assert frontier.tree_id == "t2"
     assert frontier.children is None  # unexpanded
-    assert sim.derivation_depth(d) == 1
+    assert max(n.level for n in d.root.nodes()) == 1
 
 
 def test_sample_levels_increase(grammar4):
@@ -112,6 +112,18 @@ def test_start_weights_must_be_finite_and_nonnegative(t1, t2):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         sim.sample_derivation(g, seed=0, start_weights=weights)
     with pytest.raises(ValueError, match="finite and nonnegative"):
+        sim.estimate_termination(g, 100, 10, start_weights=weights)
+
+
+@pytest.mark.parametrize("weights", [[1, 2], {"t1": True}, {"t1": "0.5"}],
+                         ids=["list", "bool", "string"])
+def test_start_weights_must_map_tree_ids_to_reals(weights):
+    g = random_proper_grammar(0)
+    with pytest.raises(ValueError, match="map tree ids to real numbers"):
+        ex.start_law(g, weights)
+    with pytest.raises(ValueError, match="map tree ids to real numbers"):
+        sim.sample_derivation(g, seed=0, start_weights=weights)
+    with pytest.raises(ValueError, match="map tree ids to real numbers"):
         sim.estimate_termination(g, 100, 10, start_weights=weights)
 
 
