@@ -3,9 +3,10 @@
 Every command reads a grammar document and writes machine-readable output
 (JSON, or TSV where requested) to stdout; human diagnostics go to stderr.
 
-Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors,
-3 indeterminate, 64 usage error, 65 malformed grammar document,
-66 unreadable input.
+Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors or a
+cap hit (gf's term cap, enumerate's node cap, or the dense cap of matrix and
+check, expectation.DENSE_CELL_CAP cells), 3 indeterminate, 64 usage error,
+65 malformed grammar document, 66 unreadable input.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ def run(argv, out=None, err=None):
     except ValueError as exc:
         err.write(f"usage error: {exc}\n")
         return EX_USAGE
+    except expectation.DenseCapExceeded as exc:  # matrix and check
+        err.write(f"DENSE_CAP_EXCEEDED: {exc}\n")
+        return EX_INVALID
 
 
 def _dispatch(args, g, out, err):

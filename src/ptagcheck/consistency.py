@@ -120,7 +120,9 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     k = 0, 1, ... and returns at the first decisive power; after
     max_squarings squarings the verdict is Indeterminate with the Gelfand
     value of the last power as the spectral radius estimate.  A negative
-    max_squarings and a negative or NaN tol raise ValueError.
+    max_squarings and a negative or NaN tol raise ValueError; a grammar
+    whose dense M would exceed expectation.DENSE_CELL_CAP cells raises
+    DenseCapExceeded.
     """
     if max_squarings < 0:
         raise ValueError("max_squarings must be >= 0")

@@ -49,25 +49,28 @@ class SiteIndex:
     def from_grammar(cls, g):
         tree_ids = tuple(t.tree_id for t in g.trees)
         tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
-        nil = np.zeros(len(g.site_ids))
-        site, tree, prob = [], [], []
-        for i, s in enumerate(g.site_ids):
-            for target, p in g.phi[s]:
-                if target is None:
-                    nil[i] += p
-                else:
-                    site.append(i)
-                    tree.append(tree_pos[target])
-                    prob.append(p)
-        start_ids = {t.tree_id for t in g.start_trees()}
-        starts = np.array([j for j, tid in enumerate(tree_ids) if tid in start_ids],
-                          dtype=np.intp)
+        sizes, anchors, nil, site, tree, prob = [], [], [], [], [], []
+        phi = g.phi
+        for t in g.trees:  # one pass, in canonical site order
+            sizes.append(len(t.sites))
+            anchors.append(len(t.anchors))
+            for node in t.sites:
+                i = len(nil)
+                mass = 0.0
+                for target, p in phi[node.site_id]:
+                    if target is None:
+                        mass += p
+                    else:
+                        site.append(i)
+                        tree.append(tree_pos[target])
+                        prob.append(p)
+                nil.append(mass)
+        starts = np.array([tree_pos[t.tree_id] for t in g.start_trees()], dtype=np.intp)
         starts.flags.writeable = False
-        return cls(tuple(g.site_ids), tree_ids,
-                   np.cumsum([0] + [len(t.sites) for t in g.trees]),
+        return cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes),
                    np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp),
-                   np.array(prob, dtype=float), nil,
-                   np.array([len(t.anchors) for t in g.trees], dtype=float), starts)
+                   np.array(prob, dtype=float), np.array(nil, dtype=float),
+                   np.array(anchors, dtype=float), starts)
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
@@ -132,7 +135,9 @@ def start_law(g, start_weights=None):
 class LabelledMatrix:
     """A matrix with its row labels; cols=None means square over the rows.
 
-    P is sites x trees, N trees x sites and M sites x sites.
+    P is sites x trees, N trees x sites and M sites x sites.  The builders
+    raise DenseCapExceeded rather than allocate more than DENSE_CELL_CAP
+    cells.
     """
 
     values: np.ndarray
@@ -140,8 +145,24 @@ class LabelledMatrix:
     cols: tuple | None = None
 
 
+# Most cells one dense matrix may have: 2^26 float64 cells take 512 MB per
+# copy, and the squaring test holds a few copies at once.
+DENSE_CELL_CAP = 2**26
+
+
+class DenseCapExceeded(RuntimeError):
+    """A dense matrix would have more than DENSE_CELL_CAP cells."""
+
+
+def _check_dense(rows, cols):
+    if rows * cols > DENSE_CELL_CAP:
+        raise DenseCapExceeded(f"a {rows} x {cols} dense matrix has more than "
+                               f"{DENSE_CELL_CAP} cells")
+
+
 def build_P(g):
     idx = g.index
+    _check_dense(len(idx), len(idx.tree_ids))
     values = np.zeros((len(idx), len(idx.tree_ids)))
     np.add.at(values, (idx.site, idx.tree), idx.prob)
     return LabelledMatrix(values, idx.ids, idx.tree_ids)
@@ -149,6 +170,7 @@ def build_P(g):
 
 def build_N(g):
     idx = g.index
+    _check_dense(len(idx.tree_ids), len(idx))
     values = np.zeros((len(idx.tree_ids), len(idx)))
     values[idx.owner, np.arange(len(idx))] = 1.0
     return LabelledMatrix(values, idx.tree_ids, idx.ids)
@@ -156,6 +178,7 @@ def build_N(g):
 
 def build_M(g):
     """P scattered through the owner of each site; bitwise equal to P @ N."""
+    _check_dense(len(g.index), len(g.index))
     return LabelledMatrix(build_P(g).values[:, g.index.owner], g.index.ids)
 
 

@@ -18,9 +18,14 @@ all other labels are nonterminals, and the two sets must be disjoint.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
+from operator import itemgetter
+
+import numpy as np
 
 from .expectation import SiteIndex
 
@@ -50,6 +55,8 @@ BAD_PROB = "BAD_PROB"
 
 PROPERNESS_TOL = 1e-9
 
+_prob = itemgetter(1)  # of a phi entry
+
 _NODE_FORMS = {"label": {"label", "children", "site"}, "anchor": {"anchor"},
                "foot": {"foot"}, "subst": {"subst", "site"}, "epsilon": {"epsilon"}}
 
@@ -68,7 +75,7 @@ class GrammarParseError(GrammarError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One node of an elementary (or derived) tree.
 
@@ -88,7 +95,7 @@ class TreeNode:
             yield from child.preorder()
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementaryTree:
     tree_id: str
     kind: str  # "initial" | "auxiliary"
@@ -98,10 +105,19 @@ class ElementaryTree:
     feet: tuple[TreeNode, ...] = field(init=False)
 
     def __post_init__(self):
-        nodes = tuple(self.root.preorder())
-        self.sites = tuple(n for n in nodes if n.site_id is not None)
-        self.anchors = tuple(n.label for n in nodes if n.kind == ANCHOR)
-        self.feet = tuple(n for n in nodes if n.kind == FOOT)
+        sites, anchors, feet = [], [], []
+        stack = [self.root]
+        while stack:  # one preorder walk
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            if node.site_id is not None:
+                sites.append(node)
+            if node.kind == ANCHOR:
+                anchors.append(node.label)
+            elif node.kind == FOOT:
+                feet.append(node)
+        self.sites, self.anchors, self.feet = tuple(sites), tuple(anchors), tuple(feet)
 
     @property
     def foot(self):
@@ -175,8 +191,36 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # parsing
 
+def _collector_paused(func):
+    """Run func with the cyclic garbage collector paused.
+
+    For builders that create no reference cycles: reference counting frees
+    all they allocate, so collections would only walk their live objects.
+    The caller's state comes back afterwards, also when func raises; a
+    collector the caller had disabled stays disabled.  The state is
+    process-wide.
+    """
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def parse_grammar(data):
-    """Parse a grammar document (bytes or str of JSON) into a Grammar."""
+    """Parse a grammar document (bytes or str of JSON) into a Grammar.
+
+    The cyclic garbage collector is paused while the document is decoded
+    and the grammar built, and comes back as the caller had it, also when
+    GrammarParseError is raised.  A grammar holds no reference cycles, so
+    reference counting frees all that the parse drops.
+    """
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -194,12 +238,18 @@ def parse_grammar(data):
 
 
 def load_grammar(path):
+    """parse_grammar of the file at path."""
     with open(path, "rb") as handle:
         return parse_grammar(handle.read())
 
 
+@_collector_paused
 def from_document(doc):
-    """Build a Grammar from an already-decoded document object."""
+    """Build a Grammar from an already-decoded document object.
+
+    The cyclic garbage collector is paused while it builds, as in
+    parse_grammar.
+    """
     if not isinstance(doc, dict):
         raise GrammarParseError("document root must be a JSON object")
     start = doc.get("start")
@@ -215,23 +265,21 @@ def from_document(doc):
     seen_site_ids = set()
     trees = []
     for i, tdoc in enumerate(tree_docs):
-        where = f"trees[{i}]"
         if not isinstance(tdoc, dict):
-            raise GrammarParseError("tree must be an object", where)
+            raise GrammarParseError("tree must be an object", f"trees[{i}]")
         tree_id = tdoc.get("id")
         if not isinstance(tree_id, str) or not tree_id:
-            raise GrammarParseError("missing tree \"id\"", where)
+            raise GrammarParseError("missing tree \"id\"", f"trees[{i}]")
         if tree_id in seen_tree_ids:
-            raise GrammarParseError(f"duplicate tree id {tree_id!r}", where)
+            raise GrammarParseError(f"duplicate tree id {tree_id!r}", f"trees[{i}]")
         seen_tree_ids.add(tree_id)
         kind = tdoc.get("type")
         if kind not in (INITIAL, AUXILIARY):
             raise GrammarParseError(
-                f"tree type must be \"initial\" or \"auxiliary\", got {kind!r}", where)
+                f"tree type must be \"initial\" or \"auxiliary\", got {kind!r}", f"trees[{i}]")
         if "root" not in tdoc:
-            raise GrammarParseError("missing \"root\" node", where)
-        root = _parse_node(tdoc["root"], "", f"{where}.root",
-                           nonterminals, terminals, seen_site_ids)
+            raise GrammarParseError("missing \"root\" node", f"trees[{i}]")
+        root = _parse_node(tdoc["root"], i, "", nonterminals, terminals, seen_site_ids)
         trees.append(ElementaryTree(tree_id, kind, root))
 
     overlap = nonterminals & terminals
@@ -240,98 +288,110 @@ def from_document(doc):
             "symbols used both as terminals and nonterminals: "
             + ", ".join(sorted(overlap)))
 
-    phi = _parse_phi(doc.get("phi", []), trees, seen_tree_ids, seen_site_ids)
+    phi = _parse_phi(doc.get("phi", []), trees, seen_tree_ids)
     return Grammar(start=start, nonterminals=frozenset(nonterminals),
                    terminals=frozenset(terminals), trees=tuple(trees), phi=phi)
 
 
-def _parse_node(obj, address, where, nonterminals, terminals, seen_site_ids):
+# every key set a node may have, mapped to its form
+_FORM_OF = {frozenset((form, *extra)): form
+            for form, allowed in _NODE_FORMS.items()
+            for n in range(len(allowed))
+            for extra in itertools.combinations(sorted(allowed - {form}), n)}
+
+
+def _node_error(message, tree_pos, address):
+    """GrammarParseError located at the node with this Gorn address."""
+    steps = "".join(f".children[{int(k) - 1}]" for k in address.split(".")) if address else ""
+    return GrammarParseError(message, f"trees[{tree_pos}].root{steps}")
+
+
+def _parse_node(obj, tree_pos, address, nonterminals, terminals, seen_site_ids):
+    """The TreeNode of obj, the node at Gorn address in tree tree_pos.
+
+    Adds the node's labels to nonterminals or terminals and its site id to
+    seen_site_ids.
+    """
     if not isinstance(obj, dict):
-        raise GrammarParseError("node must be an object", where)
-    forms = [k for k in _NODE_FORMS if k in obj]
-    if len(forms) != 1:
-        raise GrammarParseError(
-            f"node must use exactly one of {tuple(_NODE_FORMS)}, got {sorted(obj)}", where)
-    form = forms[0]
-    extra = set(obj) - _NODE_FORMS[form]
-    if extra:
-        raise GrammarParseError(f"unknown node keys {sorted(extra)}", where)
+        raise _node_error("node must be an object", tree_pos, address)
+    form = _FORM_OF.get(frozenset(obj))
+    if form is None:
+        forms = [k for k in _NODE_FORMS if k in obj]
+        if len(forms) != 1:
+            raise _node_error(f"node must use exactly one of {tuple(_NODE_FORMS)}, "
+                              f"got {sorted(obj)}", tree_pos, address)
+        raise _node_error(f"unknown node keys {sorted(set(obj) - _NODE_FORMS[forms[0]])}",
+                          tree_pos, address)
 
     site_id = obj.get("site")
     if site_id is not None:
         if not isinstance(site_id, str) or not site_id:
-            raise GrammarParseError("\"site\" must be a nonempty string", where)
+            raise _node_error("\"site\" must be a nonempty string", tree_pos, address)
         if site_id in seen_site_ids:
-            raise GrammarParseError(f"duplicate site id {site_id!r}", where)
+            raise _node_error(f"duplicate site id {site_id!r}", tree_pos, address)
         seen_site_ids.add(site_id)
 
-    if form == "anchor":
-        label = _require_symbol(obj["anchor"], where)
-        terminals.add(label)
-        return TreeNode(ANCHOR, label, address=address)
-    if form == "foot":
-        label = _require_symbol(obj["foot"], where)
-        nonterminals.add(label)
-        return TreeNode(FOOT, label, address=address)
     if form == "epsilon":
         if obj["epsilon"] is not True:
-            raise GrammarParseError("\"epsilon\" must be true", where)
-        return TreeNode(EPSILON, None, address=address)
-    if form == "subst":
-        label = _require_symbol(obj["subst"], where)
-        nonterminals.add(label)
-        if site_id is None:
-            raise GrammarParseError("substitution leaf requires a \"site\" id", where)
-        return TreeNode(SUBSTITUTION, label, site_id=site_id, address=address)
-
-    # interior
-    label = _require_symbol(obj["label"], where)
+            raise _node_error("\"epsilon\" must be true", tree_pos, address)
+        return TreeNode(EPSILON, None, (), None, address)
+    label = obj[form]
+    if not isinstance(label, str) or not label:
+        raise _node_error("symbol must be a nonempty string", tree_pos, address)
+    if form == "anchor":
+        terminals.add(label)
+        return TreeNode(ANCHOR, label, (), None, address)
     nonterminals.add(label)
+    if form == "foot":
+        return TreeNode(FOOT, label, (), None, address)
+    if form == "subst":
+        if site_id is None:
+            raise _node_error("substitution leaf requires a \"site\" id", tree_pos, address)
+        return TreeNode(SUBSTITUTION, label, (), site_id, address)
+
     children_doc = obj.get("children")
     if not isinstance(children_doc, list) or not children_doc:
-        raise GrammarParseError("interior node requires nonempty \"children\"", where)
-    children = tuple(
-        _parse_node(child, f"{address}.{j + 1}" if address else str(j + 1),
-                    f"{where}.children[{j}]", nonterminals, terminals, seen_site_ids)
-        for j, child in enumerate(children_doc))
-    return TreeNode(INTERIOR, label, children=children, site_id=site_id,
-                    address=address)
+        raise _node_error("interior node requires nonempty \"children\"", tree_pos, address)
+    prefix = f"{address}." if address else ""
+    children = tuple([_parse_node(child, tree_pos, f"{prefix}{j}", nonterminals, terminals,
+                                  seen_site_ids)
+                      for j, child in enumerate(children_doc, 1)])
+    return TreeNode(INTERIOR, label, children, site_id, address)
 
 
-def _require_symbol(value, where):
-    if not isinstance(value, str) or not value:
-        raise GrammarParseError("symbol must be a nonempty string", where)
-    return value
+_PHI_KEYS = frozenset(("site", "tree", "prob"))
 
 
-def _parse_phi(phi_doc, trees, tree_ids, site_ids):
+def _parse_phi(phi_doc, trees, tree_ids):
     if not isinstance(phi_doc, list):
         raise GrammarParseError("\"phi\" must be an array")
-    entries = {}
+    # one bucket per site, in canonical site order
+    entries = {node.site_id: [] for tree in trees for node in tree.sites}
     for i, edoc in enumerate(phi_doc):
-        where = f"phi[{i}]"
-        if not isinstance(edoc, dict) or set(edoc) != {"site", "tree", "prob"}:
+        if not isinstance(edoc, dict) or edoc.keys() != _PHI_KEYS:
             raise GrammarParseError(
-                "phi entry must be {\"site\": ..., \"tree\": ..., \"prob\": ...}", where)
+                "phi entry must be {\"site\": ..., \"tree\": ..., \"prob\": ...}", f"phi[{i}]")
         site = edoc["site"]
-        if not isinstance(site, str) or site not in site_ids:
-            raise GrammarParseError(f"unknown site {site!r}", where)
+        bucket = entries.get(site) if isinstance(site, str) else None
+        if bucket is None:
+            raise GrammarParseError(f"unknown site {site!r}", f"phi[{i}]")
         target = edoc["tree"]
         if target is not None and (not isinstance(target, str) or target not in tree_ids):
-            raise GrammarParseError(f"unknown target tree {target!r}", where)
+            raise GrammarParseError(f"unknown target tree {target!r}", f"phi[{i}]")
         prob = edoc["prob"]
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
-            raise GrammarParseError("\"prob\" must be a number", where)
-        try:
-            prob = float(prob)
-        except OverflowError:
-            raise GrammarParseError("\"prob\" is beyond float range", where) from None
-        entries.setdefault(site, []).append((target, prob))
+        if type(prob) is not float:
+            if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+                raise GrammarParseError("\"prob\" must be a number", f"phi[{i}]")
+            try:
+                prob = float(prob)
+            except OverflowError:
+                raise GrammarParseError("\"prob\" is beyond float range", f"phi[{i}]") from None
+        bucket.append((target, prob))
 
-    # canonical site order + default {nil: 1.0} for adjunction sites; an
-    # unfilled substitution site gets no entry, which validate flags
-    return {node.site_id: tuple(entries.get(
-                node.site_id, () if node.kind == SUBSTITUTION else [(None, 1.0)]))
+    # a site the document leaves out: {nil: 1.0} for adjunction; none for
+    # substitution, which validate flags
+    return {node.site_id: tuple(entries[node.site_id])
+            or (() if node.kind == SUBSTITUTION else ((None, 1.0),))
             for tree in trees for node in tree.sites}
 
 
@@ -386,6 +446,7 @@ def validate(g):
 
 def _diagnose(g):
     diags = []
+    shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
 
     if not g.start_trees():
         diags.append(Diagnostic(ERROR, NO_START_TREE,
@@ -415,7 +476,7 @@ def _diagnose(g):
                                     tree_id=tree.tree_id))
 
         for node in tree.sites:
-            diags.extend(_site_diagnostics(g, tree, node))
+            _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id], shapes)
 
     for tree_id in detect_unreachable(g):
         diags.append(Diagnostic(WARNING, UNREACHABLE_TREE,
@@ -425,53 +486,64 @@ def _diagnose(g):
     return tuple(diags)
 
 
-def _site_diagnostics(g, tree, node):
+def _site_diagnostics(diags, tree_id, node, entries, shapes):
+    """Append the findings at one site; shapes maps each tree id to its
+    (kind, root label)."""
     site = node.site_id
     substitution = node.kind == SUBSTITUTION
-    diags = []
-    entries = g.phi[site]
 
-    total = sum(p for _, p in entries)
+    total = sum(map(_prob, entries))
     if abs(total - 1.0) > PROPERNESS_TOL:
         diags.append(Diagnostic(
             ERROR, IMPROPER_SITE,
             f"site probabilities sum to {total:.12g}, expected 1",
-            tree_id=tree.tree_id, site_id=site))
+            tree_id=tree_id, site_id=site))
 
+    want_kind = INITIAL if substitution else AUXILIARY
     seen_targets = set()
     for target_id, prob in entries:
         if not 0.0 <= prob <= 1.0:
             diags.append(Diagnostic(
                 ERROR, BAD_PROB,
                 f"probability {prob!r} outside [0, 1] for target "
-                f"{target_id!r}", tree_id=tree.tree_id, site_id=site))
+                f"{target_id!r}", tree_id=tree_id, site_id=site))
         if target_id is None:
             if substitution:
                 diags.append(Diagnostic(
                     ERROR, BAD_PROB,
                     "substitution site cannot stay unfilled (nil target)",
-                    tree_id=tree.tree_id, site_id=site))
+                    tree_id=tree_id, site_id=site))
             continue
         if target_id in seen_targets:
             diags.append(Diagnostic(
                 ERROR, BAD_PROB, f"target {target_id!r} listed twice",
-                tree_id=tree.tree_id, site_id=site))
+                tree_id=tree_id, site_id=site))
         seen_targets.add(target_id)
-        target = g.tree(target_id)
-        want_kind = INITIAL if substitution else AUXILIARY
-        if target.kind != want_kind:
+        kind, label = shapes[target_id]
+        if kind != want_kind:
             diags.append(Diagnostic(
                 ERROR, LABEL_MISMATCH,
                 f"{'substitution' if substitution else 'adjunction'} target "
-                f"{target_id!r} is {target.kind}, expected {want_kind}",
-                tree_id=tree.tree_id, site_id=site))
-        elif target.root.label != node.label:
+                f"{target_id!r} is {kind}, expected {want_kind}",
+                tree_id=tree_id, site_id=site))
+        elif label != node.label:
             diags.append(Diagnostic(
                 ERROR, LABEL_MISMATCH,
-                f"target {target_id!r} has root label {target.root.label!r} "
+                f"target {target_id!r} has root label {label!r} "
                 f"but the site is labeled {node.label!r}",
-                tree_id=tree.tree_id, site_id=site))
-    return diags
+                tree_id=tree_id, site_id=site))
+
+
+def _rewrite_graph(g):
+    """For each tree position, the positions of the trees its sites rewrite
+    to, in site order, read off g.index.  Only positive-probability phi
+    entries count; zero-probability entries stay in phi but rewrite nothing."""
+    idx = g.index
+    live = idx.prob > 0.0
+    bounds = np.searchsorted(idx.owner[idx.site[live]],
+                             np.arange(len(idx.tree_ids) + 1)).tolist()
+    targets = idx.tree[live].tolist()
+    return [targets[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def detect_unreachable(g):
@@ -480,15 +552,17 @@ def detect_unreachable(g):
     Edges follow positive-probability phi entries only; zero-probability
     entries are kept in the model but carry no reachability.
     """
-    reachable = set()
-    frontier = [t.tree_id for t in g.start_trees()]
+    edges = _rewrite_graph(g)
+    frontier = g.index.starts.tolist()
+    reachable = [False] * len(edges)
+    for j in frontier:
+        reachable[j] = True
     while frontier:
-        tree_id = frontier.pop()
-        if tree_id in reachable:
-            continue
-        reachable.add(tree_id)
-        frontier += [t for t in _rewrites(g, tree_id) if t not in reachable]
-    return [t.tree_id for t in g.trees if t.tree_id not in reachable]
+        for k in edges[frontier.pop()]:
+            if not reachable[k]:
+                reachable[k] = True
+                frontier.append(k)
+    return [t.tree_id for t, seen in zip(g.trees, reachable) if not seen]
 
 
 def detect_empty_yield_loops(g):
@@ -498,30 +572,25 @@ def detect_empty_yield_loops(g):
     anchorless trees in the positive-probability rewrite graph, followed by a
     NOT_LEXICALIZED warning per anchorless tree.
     """
-    anchorless = [t.tree_id for t in g.trees if not t.anchors]
-    order = {tid: i for i, tid in enumerate(anchorless)}
-    edges = {tid: [t for t in _rewrites(g, tid) if t in order] for tid in anchorless}
+    anchorless = [j for j, t in enumerate(g.trees) if not t.anchors]
+    kept = set(anchorless)
+    graph = _rewrite_graph(g)
+    edges = {j: [k for k in graph[j] if k in kept] for j in anchorless}
 
     diags = []
     for component in _strongly_connected(anchorless, edges):
         looping = len(component) > 1 or component[0] in edges[component[0]]
         if looping:
-            members = sorted(component, key=order.get)
+            members = [g.trees[j].tree_id for j in sorted(component)]
             diags.append(Diagnostic(
                 ERROR, EMPTY_YIELD_LOOP,
                 "anchorless trees can adjoin in a cycle without generating: "
                 + ", ".join(members), tree_id=members[0]))
-    for tid in anchorless:
+    for j in anchorless:
+        tree_id = g.trees[j].tree_id
         diags.append(Diagnostic(WARNING, NOT_LEXICALIZED,
-                                f"tree {tid!r} has no anchor", tree_id=tid))
+                                f"tree {tree_id!r} has no anchor", tree_id=tree_id))
     return diags
-
-
-def _rewrites(g, tree_id):
-    """Targets of the positive-probability phi entries at tree_id's sites,
-    in site order; zero-probability entries stay in phi but rewrite nothing."""
-    return [t for node in g.tree(tree_id).sites
-            for t, p in g.phi[node.site_id] if t is not None and p > 0.0]
 
 
 def _strongly_connected(nodes, edges):

@@ -15,8 +15,6 @@ termination probabilities computed there.
 
 from __future__ import annotations
 
-import functools
-import gc
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -25,6 +23,7 @@ import numpy as np
 
 from . import grammar as gr
 from .expectation import start_law
+from .grammar import _collector_paused
 
 RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
@@ -33,27 +32,6 @@ DEFAULT_FRONTIER_CAP = 10_000
 
 class EnumerationBudgetExceeded(RuntimeError):
     """Exhaustive enumeration outgrew its node cap."""
-
-
-def _collector_paused(func):
-    """Run func with the cyclic garbage collector paused.
-
-    For builders that create no reference cycles: reference counting frees
-    all they allocate, so collections would only walk their live objects.
-    The caller's state comes back afterwards, also when func raises; a
-    collector the caller had disabled stays disabled.  The state is
-    process-wide.
-    """
-    @functools.wraps(func)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
 
 
 @dataclass(slots=True)

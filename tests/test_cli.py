@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ptagcheck import cli
+from ptagcheck import cli, consistency, expectation
 from ptagcheck import grammar as gr
 from ptagcheck import simulate
 from conftest import (GRAMMAR2, GRAMMAR4, REPO, minimal_document, random_proper_grammar,
@@ -354,3 +354,26 @@ def test_stdout_matches_recorded_digests(monkeypatch):
     for command, digest in recorded.items():
         _, out, _ = run(command.split())
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_dense_cap_reported_like_the_other_caps(monkeypatch):
+    # grammar4 has 5 sites and 3 trees: P and N have 15 cells, M has 25
+    monkeypatch.setattr(expectation, "DENSE_CELL_CAP", 20)
+    assert not issubclass(expectation.DenseCapExceeded, ValueError)  # ValueError exits 64
+    g = gr.load_grammar(GRAMMAR4)
+    assert expectation.build_P(g).values.shape == (5, 3)
+    assert expectation.build_N(g).values.shape == (3, 5)
+    for refused in (expectation.build_M, consistency.check_consistency):
+        with pytest.raises(expectation.DenseCapExceeded, match="a 5 x 5 dense matrix"):
+            refused(g)
+    for argv in (["matrix", str(GRAMMAR4)], ["matrix", "--which", "M", "--format", "tsv",
+                                             str(GRAMMAR4)], ["check", str(GRAMMAR4)]):
+        assert run(argv) == (2, "", "DENSE_CAP_EXCEEDED: a 5 x 5 dense matrix has more "
+                                    "than 20 cells\n")
+    assert run(["matrix", "--which", "P", str(GRAMMAR4)])[0] == 0
+
+    monkeypatch.setattr(expectation, "DENSE_CELL_CAP", 14)
+    for which, shape in (("P", "5 x 3"), ("N", "3 x 5")):
+        code, out, err = run(["matrix", "--which", which, str(GRAMMAR4)])
+        assert (code, out) == (2, "")
+        assert err == f"DENSE_CAP_EXCEEDED: a {shape} dense matrix has more than 14 cells\n"

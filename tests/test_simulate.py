@@ -10,7 +10,7 @@ from ptagcheck import branching as br
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (duplicate_target_grammar, minimal_document, parse,
+from conftest import (GRAMMAR2, GRAMMAR4, duplicate_target_grammar, minimal_document, parse,
                       pinned_grammar, random_proper_grammar, segment_edge_grammar,
                       two_site_start_grammar, two_siteless_start_grammar)
 
@@ -603,6 +603,18 @@ def test_builders_leave_no_cyclic_garbage(grammar4, grammar2):
     assert gc.collect() == 0
     sim.sample_derivation(grammar2, seed=5, max_nodes=2_000)
     assert gc.collect() == 0
+    gr.load_grammar(GRAMMAR4)
+    gr.parse_grammar(GRAMMAR2.read_bytes())
+    gr.from_document(json.loads(GRAMMAR4.read_text()))
+    assert gc.collect() == 0
+    duplicate_site = minimal_document()
+    duplicate_site["trees"][0]["root"]["children"].append({"subst": "S", "site": "X"})
+    duplicate_site["trees"][0]["root"]["site"] = "X"
+    for call in (lambda: gr.parse_grammar(b'{"start": "S",'),
+                 lambda: gr.from_document(duplicate_site)):
+        with pytest.raises(gr.GrammarParseError):
+            call()
+        assert gc.collect() == 0
 
 
 # -- termination estimation ---------------------------------------------------
