@@ -104,6 +104,23 @@ def m_from_partials(g):
     return LabelledMatrix(values, idx.ids)
 
 
+def _iterates(idx):
+    """(q_n-1, q_n), n >= 1, from q_0 = 0 by q_n = min(g(q_n-1), 1): views valid
+    for one step, into two buffers that end in the 1.0 that idx.bounds reads.
+    """
+    k = len(idx)
+    buffers = np.zeros((2, k + 1))
+    buffers[:, k] = 1.0
+    (ext, q), (ext_next, q_next) = ((b, b[:k]) for b in buffers)
+    while True:
+        spawned = np.multiply.reduceat(ext, idx.bounds)[idx.entry_slot]
+        spawned *= idx.prob
+        np.add(idx.nil, np.bincount(idx.site, spawned, minlength=k), out=q_next)
+        np.minimum(q_next, 1.0, out=q_next)
+        yield q, q_next
+        ext, q, ext_next, q_next = ext_next, q_next, ext, q
+
+
 def extinction(g, tol=1e-12, max_iter=10**6):
     """Per-site termination probability by fixed-point iteration of q = g(q).
 
@@ -112,29 +129,28 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     drops below tol; if max_iter is hit first the last iterate is returned
     with converged=False.  Values are capped at 1.0 so that site sums at the
     edge of the properness tolerance cannot push a probability above one.
-    A decreasing iterate means some phi entry is negative, and raises
-    ValueError, as do max_iter < 1 and a negative or NaN tol.
+    A decreasing iterate raises ValueError, as do max_iter < 1 and a negative
+    or NaN tol.  It is tested for only if phi has a negative or nonfinite
+    entry; else each rounded operation is monotone, and no iterate can fall.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
     idx = g.index
-    q = np.zeros(len(idx))
     if not len(idx):
-        return ExtinctionVector(q, idx, 0, 0.0, True)
-    residual = float("inf")
-    for iteration in range(1, max_iter + 1):
-        nxt = np.minimum(idx.offspring(q), 1.0)
-        step = nxt - q
+        return ExtinctionVector(np.zeros(0), idx, 0, 0.0, True)
+    guarded = not all(((a >= 0.0) & (a < np.inf)).all() for a in (idx.prob, idx.nil))
+    step = np.empty(len(idx))
+    for iteration, (q, nxt) in zip(range(1, max_iter + 1), _iterates(idx)):
+        np.subtract(nxt, q, out=step)
         # fmin skips NaN, so a NaN iterate cannot hide a decrease elsewhere
-        if np.fmin.reduce(step) < 0.0:
+        if guarded and np.fmin.reduce(step) < 0.0:
             raise ValueError("extinction iterates decreased; phi has a negative entry")
-        residual = float(step.max())
-        q = nxt
+        residual = float(np.maximum.reduce(step))
         if residual < tol:
-            return ExtinctionVector(q, idx, iteration, residual, True)
-    return ExtinctionVector(q, idx, max_iter, residual, False)
+            return ExtinctionVector(nxt.copy(), idx, iteration, residual, True)
+    return ExtinctionVector(nxt.copy(), idx, max_iter, residual, False)
 
 
 def death_by_level(g, n):
@@ -149,8 +165,9 @@ def death_by_level(g, n):
     idx = g.index
     positions, probs = start_law(g)
     q = np.zeros(len(idx))
+    iterates = _iterates(idx)
     for _ in range(n):
-        q = np.minimum(idx.offspring(q), 1.0)
+        _, q = next(iterates)
     return float(probs @ idx.tree_prod(q)[positions])
 
 

@@ -31,8 +31,10 @@ class SiteIndex:
     mass of each site, anchors the anchor count of each tree and starts the
     read-only positions of the start trees, in declaration order.  The
     layout is recorded once, read-only: owner, the tree of each site;
-    with_sites, the positions of the trees that have sites; and segments,
-    where those trees' slices start.
+    with_sites, the trees that have sites; bounds, where their slices start,
+    then k, which reduce q plus a trailing 1.0 to those trees' products and
+    a last 1.0; and tree_slot and entry_slot, the slot there of each tree
+    and of each phi entry's tree (the last for a tree without sites).
     """
 
     ids: tuple
@@ -76,9 +78,12 @@ class SiteIndex:
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
         sizes = np.diff(self.tree_start)
         with_sites = np.flatnonzero(sizes)
+        tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
         for name, layout in (("owner", np.repeat(np.arange(len(self.tree_ids)), sizes)),
                              ("with_sites", with_sites),
-                             ("segments", self.tree_start[with_sites])):
+                             ("bounds", np.append(self.tree_start[with_sites], len(self))),
+                             ("tree_slot", tree_slot),
+                             ("entry_slot", tree_slot[self.tree])):
             layout.flags.writeable = False
             object.__setattr__(self, name, layout)
 
@@ -90,9 +95,7 @@ class SiteIndex:
 
     def tree_prod(self, q):
         """Product of q over each tree's sites; 1 for a tree without sites."""
-        out = np.ones(len(self.tree_ids))
-        out[self.with_sites] = np.multiply.reduceat(q, self.segments)
-        return out
+        return np.multiply.reduceat(np.append(q, 1.0), self.bounds)[self.tree_slot]
 
     def offspring(self, q):
         """Every site's offspring generating function g_i evaluated at q."""

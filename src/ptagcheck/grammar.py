@@ -247,8 +247,8 @@ def load_grammar(path):
 def from_document(doc):
     """Build a Grammar from an already-decoded document object.
 
-    The cyclic garbage collector is paused while it builds, as in
-    parse_grammar.
+    The collector is paused while it builds, and a tree nested too deeply
+    raises GrammarParseError, as in parse_grammar.
     """
     if not isinstance(doc, dict):
         raise GrammarParseError("document root must be a JSON object")
@@ -279,7 +279,10 @@ def from_document(doc):
                 f"tree type must be \"initial\" or \"auxiliary\", got {kind!r}", f"trees[{i}]")
         if "root" not in tdoc:
             raise GrammarParseError("missing \"root\" node", f"trees[{i}]")
-        root = _parse_node(tdoc["root"], i, "", nonterminals, terminals, seen_site_ids)
+        try:
+            root = _parse_node(tdoc["root"], i, "", nonterminals, terminals, seen_site_ids)
+        except RecursionError:
+            raise GrammarParseError("document is nested too deeply") from None
         trees.append(ElementaryTree(tree_id, kind, root))
 
     overlap = nonterminals & terminals

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from ptagcheck import grammar as gr
 REPO = Path(__file__).resolve().parents[1]
 GRAMMAR4 = REPO / "grammar4.json"
 GRAMMAR2 = REPO / "grammar2.json"
+BENCH = REPO / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -259,3 +261,11 @@ def pinned_grammar(name):
             "two_site_start": two_site_start_grammar,
             "two_siteless_start": two_siteless_start_grammar,
             "duplicate_target": duplicate_target_grammar}[name]()
+
+
+def verdict_corpus(seed):
+    """[(name, grammar)]: the benchmark's verdict-scale grammars for one seed."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    from workloads import verdict_corpus as documents
+    return [(name, gr.from_document(doc)) for name, doc in documents(seed)]

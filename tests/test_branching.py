@@ -7,12 +7,12 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import simulate as sim
 from ptagcheck.consistency import check_consistency
-from ptagcheck.expectation import SiteIndex, build_M, build_N, build_P
+from ptagcheck.expectation import SiteIndex, build_M, build_N, build_P, start_law
 from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
 from conftest import (GRAMMAR4, minimal_document, parse, pinned_grammar,
                       random_proper_grammar, segment_edge_grammar, spectral_radius,
-                      two_site_start_grammar, two_siteless_start_grammar)
+                      two_site_start_grammar, two_siteless_start_grammar, verdict_corpus)
 
 # G_2 of grammar4, expanded by hand from 0.8*g2*g3*g4 + 0.2 with
 # g2 = 0.2u + 0.8, g3 = 0.2*s5 + 0.8, g4 = 0.4u + 0.6 over u = s2*s3*s4
@@ -205,8 +205,11 @@ def test_site_index_records_its_layout_once():
     sizes = np.diff(idx.tree_start).tolist()
     assert idx.owner.tolist() == [t for t, n in enumerate(sizes) for _ in range(n)]
     assert idx.with_sites.tolist() == [0, 2]
-    assert idx.segments.tolist() == [idx.tree_start[t] for t in (0, 2)]
-    for layout in (idx.owner, idx.with_sites, idx.segments, idx.starts):
+    assert idx.bounds.tolist() == [idx.tree_start[t] for t in (0, 2)] + [len(idx)]
+    assert idx.tree_slot.tolist() == [0, 2, 1, 2]  # t2 and t4 read the trailing 1.0
+    assert idx.entry_slot.tolist() == idx.tree_slot[idx.tree].tolist()
+    for layout in (idx.owner, idx.with_sites, idx.bounds, idx.tree_slot, idx.entry_slot,
+                   idx.starts):
         assert not layout.flags.writeable
     assert idx.owner is idx.owner
 
@@ -645,6 +648,160 @@ def test_extinction_output_pinned(case, digest):
 @pytest.mark.parametrize("name", PINNED)
 def test_death_by_level_pinned(name):
     assert death_digest(pinned_grammar(name)) == DEATH_DIGESTS[name]
+
+
+# The Kleene step as a fresh array per call: tree products scattered into
+# ones, then np.minimum(nil + bincount(site, prob * tree_prod(q)[tree]), 1).
+# extinction and death_by_level must match it bit for bit.
+def reference_tree_prod(idx, q):
+    out = np.ones(len(idx.tree_ids))
+    out[idx.with_sites] = np.multiply.reduceat(q, idx.tree_start[idx.with_sites])
+    return out
+
+
+def reference_step(idx, q):
+    spawned = idx.prob * reference_tree_prod(idx, q)[idx.tree]
+    return np.minimum(idx.nil + np.bincount(idx.site, spawned, minlength=len(idx)), 1.0)
+
+
+def reference_extinction(g, tol=1e-12, max_iter=10**6):
+    """(q, iterations, residual, converged), testing every step for a decrease."""
+    idx = g.index
+    q = np.zeros(len(idx))
+    if not len(idx):
+        return q, 0, 0.0, True
+    residual = float("inf")
+    for iteration in range(1, max_iter + 1):
+        nxt = reference_step(idx, q)
+        step = nxt - q
+        if np.fmin.reduce(step) < 0.0:
+            raise ValueError("decreased")
+        residual = float(step.max())
+        q = nxt
+        if residual < tol:
+            return q, iteration, residual, True
+    return q, max_iter, residual, False
+
+
+def reference_death(g, n):
+    idx = g.index
+    positions, probs = start_law(g)
+    q = np.zeros(len(idx))
+    for _ in range(n):
+        q = reference_step(idx, q)
+    return float(probs @ reference_tree_prod(idx, q)[positions])
+
+
+def sized_trees_grammar(sizes, targets):
+    """Trees t1, t2, ... with sizes[j] sites each (t1 initial, the rest
+    auxiliary on S); every site adjoins each tree in targets with
+    probability 0.2 and keeps the rest as nil mass."""
+    trees, phi = [], []
+    for j, size in enumerate(sizes):
+        sites = [f"X{j}_{i}" for i in range(size)]
+        leaves = [{"label": "S", "site": s, "children": [{"anchor": "a"}]} for s in sites]
+        if j:
+            trees.append({"id": f"t{j + 1}", "type": "auxiliary", "root": {
+                "label": "S", "children": [{"foot": "S"}, {"anchor": "b"}, *leaves]}})
+        else:
+            trees.append({"id": "t1", "type": "initial",
+                          "root": {"label": "S", "children": [{"anchor": "a"}, *leaves]}})
+        for s in sites:
+            phi += [{"site": s, "tree": t, "prob": 0.2} for t in targets]
+            phi.append({"site": s, "tree": None, "prob": 1.0 - 0.2 * len(targets)})
+    return parse({"start": "S", "trees": trees, "phi": phi})
+
+
+def kleene_edge_grammars():
+    """Shapes at the edges of the product layout, with their names."""
+    yield "segment_edge", segment_edge_grammar()
+    yield "nil_only", sized_trees_grammar((2, 3), ())  # bincount gets no weights
+    yield "first_siteless", sized_trees_grammar((0, 2, 1), ("t1", "t2", "t3"))
+    yield "last_siteless", sized_trees_grammar((2, 1, 0), ("t2", "t3"))
+    yield "middle_siteless", sized_trees_grammar((1, 0, 2), ("t2", "t3", "t1"))
+    yield "only_siteless", parse(minimal_document())  # also: zero sites
+    yield "siteless_pair", two_siteless_start_grammar()
+    yield "one_tree", sized_trees_grammar((3,), ("t1",))
+
+
+KLEENE_SETTINGS = ({"tol": 1e-12, "max_iter": 1000}, {"tol": 0.0, "max_iter": 5},
+                   {"max_iter": 1}, {"tol": 1e-6, "max_iter": 100})
+
+
+def kleene_oracle_grammars():
+    yield from kleene_edge_grammars()
+    yield from ((f"random{seed}", random_proper_grammar(seed)) for seed in range(200))
+    yield from verdict_corpus(1)
+
+
+def test_kleene_matches_reference_bit_for_bit():
+    edges = dict(kleene_edge_grammars())
+    sizes = {name: np.diff(g.index.tree_start).tolist() for name, g in edges.items()}
+    assert sizes["first_siteless"][0] == 0 and sizes["last_siteless"][-1] == 0
+    assert sizes["only_siteless"] == [0] and sizes["siteless_pair"] == [0, 0]
+    assert len(edges["nil_only"].index.prob) == 0
+    for name, g in kleene_oracle_grammars():
+        for setting in KLEENE_SETTINGS:
+            ev = br.extinction(g, **setting)
+            q, iterations, residual, converged = reference_extinction(g, **setting)
+            assert (ev.q.tobytes(), ev.iterations, ev.residual.hex(), ev.converged) == (
+                q.tobytes(), iterations, residual.hex(), converged), (name, setting)
+        for n in range(7):
+            assert br.death_by_level(g, n).hex() == reference_death(g, n).hex(), (name, n)
+
+
+def nonfinite_grammar(r_nil, x_to_t2):
+    """R (on t1) adjoins t2 at 0.5 with nil mass r_nil; X (on t2) adjoins t2
+    at x_to_t2 with nil mass 0.7.  No entry is negative."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    doc["trees"].append({"id": "t2", "type": "auxiliary",
+                         "root": {"label": "S", "site": "X", "children": [
+                             {"anchor": "b"}, {"foot": "S"}]}})
+    doc["phi"] = [{"site": "R", "tree": "t2", "prob": 0.5},
+                  {"site": "R", "tree": None, "prob": r_nil},
+                  {"site": "X", "tree": "t2", "prob": x_to_t2},
+                  {"site": "X", "tree": None, "prob": 0.7}]
+    return parse(doc)
+
+
+# (grammar, extinction keyword arguments) -> extinction_digest, recorded
+# when every step still tested for a decrease: NaN and inf entries keep
+# that test, and it must leave their output as it was
+NONFINITE_DIGESTS = [
+    ((math.nan, 0.3), {"max_iter": 50},
+     "5bfa024d8478f7ea31cbe63938a4e7881e93ec6b02b6a9336296619f54fb0101"),
+    ((math.nan, 0.3), {"tol": 0.0, "max_iter": 3},
+     "e48f616bce7dad558ae1fd18717b63a599f3cdae01de96aac52c0903c64ddde3"),
+    ((math.nan, 0.3), {"max_iter": 1},
+     "df26b49a8f27605a8edeb367cf7e0f742991da58f676eeb35521e1484347c850"),
+    ((0.5, math.inf), {"max_iter": 50},
+     "1ee26596f19930588ce3f775504fe4847e8126b622b2b0bcc1084555bf0570d1"),
+    ((0.5, math.inf), {"tol": 0.0, "max_iter": 3},
+     "fc5a4f9248bb21447c765cfc2aec8dda43920e14f529c929825c828a82922e8b"),
+    ((0.5, math.inf), {"max_iter": 1},
+     "bf379124f8812adeb6e474394bfc6465e14093c5fcdee74e23aae92811f39f0c"),
+]
+
+
+@pytest.mark.parametrize("entries,setting,digest", NONFINITE_DIGESTS)
+def test_extinction_nonfinite_entries_pinned(entries, setting, digest):
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, as it always was
+        ev = br.extinction(nonfinite_grammar(*entries), **setting)
+    assert extinction_digest(ev) == digest
+
+
+def test_unguarded_iterates_never_fall():
+    # with finite, nonnegative phi extinction skips the decrease test; the
+    # iterates it leaves untested must each be >= the one before, bit for bit
+    grammars = [g for _, g in kleene_edge_grammars()]
+    grammars += [random_proper_grammar(seed) for seed in range(50)]
+    for g in grammars:
+        last = np.zeros(len(g.index))
+        for n in range(1, 40):
+            q = br.extinction(g, tol=0.0, max_iter=n).q
+            assert (q >= last).all()
+            last = q
 
 
 def parse_supercritical():

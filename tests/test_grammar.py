@@ -291,6 +291,25 @@ def test_undecodable_document_pinned(data, message):
     assert (info.value.location, str(info.value)) == (None, message)
 
 
+def nested_document(depth):
+    """minimal_document() with depth interior B nodes above its anchor."""
+    node = {"anchor": "a"}
+    for _ in range(depth):
+        node = {"label": "B", "children": [node]}
+    doc = minimal_document()
+    doc["trees"][0]["root"]["children"] = [node]
+    return doc
+
+
+def test_from_document_too_deep_is_a_parse_error():
+    # a document object built in Python never meets the JSON decoder's
+    # depth limit, so the recursive node parser meets it instead
+    with pytest.raises(gr.GrammarParseError) as info:
+        gr.from_document(nested_document(3000))
+    assert (info.value.location, str(info.value)) == (None, "document is nested too deeply")
+    assert len(gr.from_document(nested_document(200)).trees[0].root.children) == 1
+
+
 def test_deep_document_is_clean():
     # the error cases above differ from a clean grammar only where they say
     g = parse(deep_document())
@@ -628,7 +647,7 @@ def front_end_digest(g):
         repr((idx.ids, idx.tree_ids)),
         *(f"{a.dtype.str}{a.shape}{a.tobytes().hex()}"
           for a in (idx.tree_start, idx.site, idx.tree, idx.prob, idx.nil, idx.anchors,
-                    idx.starts, idx.owner, idx.with_sites, idx.segments)),
+                    idx.starts, idx.owner, idx.with_sites, idx.bounds[:-1])),
     ]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
