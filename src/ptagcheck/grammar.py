@@ -164,6 +164,12 @@ class Grammar:
         return SiteIndex.from_grammar(self)
 
     @cached_property
+    def _draw_plan(self):
+        """simulate.draw_plan of the grammar, built on first use and then shared."""
+        from .simulate import draw_plan
+        return draw_plan(self)
+
+    @cached_property
     def diagnostics(self):
         """validate's findings as a tuple, computed on first use."""
         return _diagnose(self)

@@ -16,8 +16,10 @@ termination probabilities computed there.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,17 +127,42 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def _draw_index(rng, entries):
-    """Index of the (item, prob) entry drawn by inverse CDF from one uniform:
-    the last one if the running sum never passes it, -1 if there is none."""
-    u = rng.random()
-    acc = 0.0
-    i = -1
-    for i, (_, p) in enumerate(entries):
-        acc += p
-        if u < acc:
-            return i
-    return i
+def _uniforms(rng):
+    """rng's uniforms one by one, drawn in blocks of 16 doubling to 4096: the
+    same doubles in the same order as one rng.random() call each."""
+    size = 16
+    while True:
+        yield from rng.random(size).tolist()
+        size = min(2 * size, 4096)
+
+
+def draw_plan(g):
+    """Per tree id, the draws sample_derivation makes for an instance of it.
+
+    One (site id, running sums, outcomes) per site, in site order: the sums
+    add the site's phi probabilities left to right, as an inverse-CDF scan
+    would, and outcomes holds each entry's (target, prob, whether the target
+    has sites).  A uniform u picks outcomes[bisect_right(sums, u)], the first
+    entry whose running sum passes u; outcomes ends in a repeat of the last
+    entry, which the scan picks when no sum passes u, or in None for a site
+    without entries.  Each Grammar keeps its plan (``g._draw_plan``).  A
+    negative or nonfinite probability raises ValueError, since bisection
+    picks what the scan picks only on nondecreasing sums free of NaN.
+    """
+    plan = {}
+    for tree in g.trees:
+        draws = []
+        for site_node in tree.sites:
+            entries = g.phi[site_node.site_id]
+            if not all(0.0 <= p < math.inf for _, p in entries):
+                raise ValueError(f"site {site_node.site_id!r} has a negative or "
+                                 "nonfinite phi probability")
+            outcomes = [(target, p, target is not None and bool(g.tree(target).sites))
+                        for target, p in entries]
+            draws.append((site_node.site_id, list(accumulate(p for _, p in entries)),
+                          outcomes + outcomes[-1:] if outcomes else [None]))
+        plan[tree.tree_id] = draws
+    return plan
 
 
 @_collector_paused
@@ -151,16 +178,30 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     node budget censors runaway samples (complete=False, like a
     depth-capped one).  The tree holds no reference cycles, so it is built
     with the cyclic collector paused.
+
+    Each draw takes one uniform and picks by inverse CDF from the grammar's
+    draw_plan, which is built on the first call.  A Generator made here
+    (from an int, None or a SeedSequence) yields its uniforms in blocks,
+    the same doubles as one random() call per draw; a caller's Generator,
+    BitGenerator or scripted double gets one random() call per draw, so it
+    ends where one call per draw leaves it.  Raises ValueError on a
+    negative or nonfinite phi probability.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
+    plan = g._draw_plan
     rng = _as_rng(seed)
+    if rng is seed or isinstance(seed, np.random.BitGenerator):
+        draw = rng.random
+    else:
+        draw = _uniforms(rng).__next__
     positions, start_probs = start_law(g, start_weights)
-    starts = list(zip(positions.tolist(), start_probs.tolist()))
-    t, probability = starts[_draw_index(rng, starts)]
-    root = DerivationNode(g.index.tree_ids[t], 0)
+    start_probs = start_probs.tolist()
+    chosen = min(bisect_right(list(accumulate(start_probs)), draw()), len(start_probs) - 1)
+    probability = start_probs[chosen]
+    root = DerivationNode(g.index.tree_ids[positions[chosen]], 0)
     complete = True
     nodes = 1
     queue = deque([root])
@@ -170,22 +211,21 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
             complete = False
             break
         children = node.children = {}
-        for site_node in g.tree(node.tree_id).sites:
-            site = site_node.site_id
-            entries = g.phi[site]
-            chosen = _draw_index(rng, entries)
-            if chosen < 0:
+        level = node.level + 1
+        for site, sums, outcomes in plan[node.tree_id]:
+            outcome = outcomes[bisect_right(sums, draw())]
+            if outcome is None:
                 # unfillable substitution site; cannot happen on validated input
                 complete = False
                 continue
-            target, prob = entries[chosen]
+            target, prob, has_sites = outcome
             probability *= prob
             if target is None:
                 children[site] = None
                 continue
-            child = children[site] = DerivationNode(target, node.level + 1)
+            child = children[site] = DerivationNode(target, level)
             nodes += 1
-            if child.level < max_depth or not g.tree(target).sites:
+            if level < max_depth or not has_sites:
                 queue.append(child)
             else:
                 complete = False  # frontier tree with sites at the depth cap
@@ -375,13 +415,21 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     reach max_depth or its pending-site count exceeds frontier_cap.  Past
     the cap the chance of ever dying out is below q_max^frontier_cap,
     vanishingly small, so the censoring bias is far under sampling noise.
+    A sample's pending count is at most frontier_cap times the most sites
+    of one tree, so a cap for which that product could reach 2^63 (where
+    the int64 counts wrap) raises ValueError, as does a negative one.
 
-    Only live samples keep state: how many trees of each kind each one
-    bore at the last level, as a trees x live samples array whose row for
-    a tree is the pending count of each of that tree's sites.  A sample
-    leaves as soon as it terminates or is censored.  The random draws are
-    those of keeping every sample in every multinomial: a row with n = 0
-    draws no random numbers, so dropping a finished sample changes no
+    Only what is alive keeps state: ``born`` has one row per tree that some
+    live sample bore at the last level (their tree ids ascending in
+    ``rows``) and one column per live sample, holding how many of that
+    tree it bore, which is the pending count of each of the tree's sites.
+    Memory is rows born x live samples, not trees x samples.  A sample
+    leaves as soon as it terminates or is censored.  Each site of a born
+    tree makes one multinomial over that row's nonzero samples, in
+    ascending order, and the draws land in the next level's rows: the
+    sorted union of the targets of the trees that expanded.  The random
+    draws are those of keeping every tree and sample in every multinomial:
+    a row with n = 0 draws no random numbers, so leaving it out changes no
     other row's draws.
 
     mean_depth and mean_yield_length are over terminated samples (NaN when
@@ -393,25 +441,50 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         raise ValueError("max_depth must be >= 1")
     if frontier_cap < 0:
         raise ValueError("frontier_cap must be >= 0")
+    index = g.index
+    site_count = np.diff(index.tree_start)
+    most_sites = max(1, int(site_count.max(initial=0)))
+    if frontier_cap * most_sites >= 2**63:
+        raise ValueError(f"frontier_cap must be <= {(2**63 - 1) // most_sites}: times the "
+                         f"{most_sites} sites of the largest tree it could reach 2^63")
     rng = np.random.default_rng(seed)
     positions, start_probs = start_law(g, start_weights)
-    index = g.index
-    k = len(index)
-    site_count = np.diff(index.tree_start)
+    # entries of site j: bounds[j]:bounds[j + 1]; of tree t: entry_of[t]:entry_of[t + 1]
+    bounds = np.searchsorted(index.site, np.arange(len(index) + 1))
+    entry_of = bounds[index.tree_start]
+    laws = {}  # tree -> [(target tree indices, pvals with a trailing nil bucket)] per site
 
-    # per site: target tree indices plus a trailing nil bucket
-    site_targets = []
-    site_pvals = []
-    bounds = np.searchsorted(index.site, np.arange(k + 1))
-    for j in range(k):
-        probs = index.prob[bounds[j]:bounds[j + 1]].tolist()
-        nil = max(0.0, 1.0 - sum(probs))
-        pvals = np.array(probs + [nil])
-        site_targets.append(index.tree[bounds[j]:bounds[j + 1]].tolist())
-        site_pvals.append(pvals / pvals.sum())
-    # (tree, its sites) for the trees with sites, in site order
-    expanding = [(t, range(index.tree_start[t], index.tree_start[t + 1]))
-                 for t in index.with_sites]
+    def site_laws(t):
+        if t not in laws:
+            out = laws[t] = []
+            for j in range(index.tree_start[t], index.tree_start[t + 1]):
+                probs = index.prob[bounds[j]:bounds[j + 1]].tolist()
+                nil = max(0.0, 1.0 - sum(probs))
+                pvals = np.array(probs + [nil])
+                out.append((index.tree[bounds[j]:bounds[j + 1]].tolist(), pvals / pvals.sum()))
+        return laws[t]
+
+    def births(rows, born):
+        """(rows, born) one level on.  Its views of born end with the call, so
+        the caller's rebinding frees the old array."""
+        expanding = np.flatnonzero(site_count[rows]).tolist()
+        trees = rows[expanding].tolist()
+        targets = np.concatenate([index.tree[entry_of[t]:entry_of[t + 1]] for t in trees])
+        next_rows = np.flatnonzero(np.bincount(targets, minlength=len(index.tree_ids)))
+        next_born = np.zeros((len(next_rows), born.shape[1]), dtype=np.int64)
+        row_of = dict(zip(next_rows.tolist(), range(len(next_rows))))
+        for r, t in zip(expanding, trees):
+            row = born[r]
+            # a dense row is cheaper whole: its zero entries draw nothing
+            samples_with = (np.flatnonzero(row) if 2 * np.count_nonzero(row) < row.size
+                            else ...)
+            n = row[samples_with]
+            for targets, pvals in site_laws(t):
+                draws = rng.multinomial(n, pvals)
+                # a target a site lists twice gets both of its columns added
+                for column, target in enumerate(targets):
+                    next_born[row_of[target]][samples_with] += draws[:, column]
+        return next_rows, next_born
 
     start_tree_idx = positions[rng.choice(len(positions), size=samples, p=start_probs)]
     depth = np.zeros(samples, dtype=np.int64)
@@ -420,24 +493,15 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     terminated = site_count[start_tree_idx] == 0
 
     live = np.flatnonzero(~terminated)
-    born = (np.arange(len(index.tree_ids))[:, None] == start_tree_idx[live]).astype(np.int64)
+    rows = np.flatnonzero(np.bincount(start_tree_idx[live], minlength=len(index.tree_ids)))
+    born = (rows[:, None] == start_tree_idx[live]).astype(np.int64)
     live_yields = yields[live]
     for level in range(1, max_depth + 1):
         if not live.size:
             break
-        # a target a site lists twice gets both of its columns added
-        next_born = np.zeros_like(born)
-        for t, sites in expanding:
-            row = born[t]  # the pending count of each of t's sites
-            if not row.any():
-                continue
-            for j in sites:
-                draws = rng.multinomial(row, site_pvals[j])
-                for column, target in enumerate(site_targets[j]):
-                    next_born[target] += draws[:, column]
-        born = next_born
-        live_yields += index.anchors @ born
-        pending = site_count @ born
+        rows, born = births(rows, born)
+        live_yields += index.anchors[rows] @ born
+        pending = site_count[rows] @ born
         has_births = born.any(axis=0)
         # pending sites past the cap censor, at max_depth every one does;
         # a sample without births has died whatever the cap
@@ -453,6 +517,9 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         # compress keeps born C-contiguous, so each row stays a plain view
         keep = ~(done | over)
         live, born, live_yields = live[keep], born.compress(keep, axis=1), live_yields[keep]
+        alive = born.any(axis=1)
+        if not alive.all():
+            rows, born = rows[alive], born[alive]
 
     n_term = int(terminated.sum())
     n_cens = int(censored.sum())

@@ -263,9 +263,20 @@ def pinned_grammar(name):
             "duplicate_target": duplicate_target_grammar}[name]()
 
 
-def verdict_corpus(seed):
-    """[(name, grammar)]: the benchmark's verdict-scale grammars for one seed."""
+def _bench_importable():
     if str(BENCH) not in sys.path:
         sys.path.append(str(BENCH))
+
+
+def verdict_corpus(seed):
+    """[(name, grammar)]: the benchmark's verdict-scale grammars for one seed."""
+    _bench_importable()
     from workloads import verdict_corpus as documents
     return [(name, gr.from_document(doc)) for name, doc in documents(seed)]
+
+
+def synth_grammar(seed, sites, **kwargs):
+    """The benchmark's seeded synthetic grammar (bench/synth.py)."""
+    _bench_importable()
+    from synth import synth_document
+    return gr.from_document(synth_document(seed, sites, **kwargs))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,21 +317,6 @@ def test_extinction_rejects_decreasing_iterates():
                   {"site": "X", "tree": None, "prob": 0.9}]
     with pytest.raises(ValueError, match="decreased"):
         br.extinction(parse(doc))
-
-
-def test_extinction_rejects_decreasing_iterates_beside_nan():
-    # R's NaN nil mass makes its iterates NaN; X's iterates still fall at the
-    # second step, and that must raise rather than hide behind the NaN
-    doc = minimal_document()
-    doc["trees"][0]["root"]["site"] = "R"
-    doc["trees"].append({"id": "t2", "type": "auxiliary",
-                         "root": {"label": "S", "site": "X", "children": [
-                             {"anchor": "b"}, {"foot": "S"}]}})
-    doc["phi"] = [{"site": "R", "tree": None, "prob": math.nan},
-                  {"site": "X", "tree": "t2", "prob": -0.2},
-                  {"site": "X", "tree": None, "prob": 0.9}]
-    with pytest.raises(ValueError, match="decreased"):
-        br.extinction(parse(doc), max_iter=10)
 
 
 def test_numeric_form_built_once(monkeypatch):
@@ -765,30 +751,39 @@ def nonfinite_grammar(r_nil, x_to_t2):
     return parse(doc)
 
 
-# (grammar, extinction keyword arguments) -> extinction_digest, recorded
-# when every step still tested for a decrease: NaN and inf entries keep
-# that test, and it must leave their output as it was
-NONFINITE_DIGESTS = [
-    ((math.nan, 0.3), {"max_iter": 50},
-     "5bfa024d8478f7ea31cbe63938a4e7881e93ec6b02b6a9336296619f54fb0101"),
-    ((math.nan, 0.3), {"tol": 0.0, "max_iter": 3},
-     "e48f616bce7dad558ae1fd18717b63a599f3cdae01de96aac52c0903c64ddde3"),
-    ((math.nan, 0.3), {"max_iter": 1},
-     "df26b49a8f27605a8edeb367cf7e0f742991da58f676eeb35521e1484347c850"),
-    ((0.5, math.inf), {"max_iter": 50},
-     "1ee26596f19930588ce3f775504fe4847e8126b622b2b0bcc1084555bf0570d1"),
-    ((0.5, math.inf), {"tol": 0.0, "max_iter": 3},
-     "fc5a4f9248bb21447c765cfc2aec8dda43920e14f529c929825c828a82922e8b"),
-    ((0.5, math.inf), {"max_iter": 1},
-     "bf379124f8812adeb6e474394bfc6465e14093c5fcdee74e23aae92811f39f0c"),
-]
+def nan_beside_negative_grammar():
+    """R's nil mass is NaN; X adjoins t2 at -0.2, so its iterates would fall."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    doc["trees"].append({"id": "t2", "type": "auxiliary",
+                         "root": {"label": "S", "site": "X", "children": [
+                             {"anchor": "b"}, {"foot": "S"}]}})
+    doc["phi"] = [{"site": "R", "tree": None, "prob": math.nan},
+                  {"site": "X", "tree": "t2", "prob": -0.2},
+                  {"site": "X", "tree": None, "prob": 0.9}]
+    return parse(doc)
 
 
-@pytest.mark.parametrize("entries,setting,digest", NONFINITE_DIGESTS)
-def test_extinction_nonfinite_entries_pinned(entries, setting, digest):
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, as it always was
-        ev = br.extinction(nonfinite_grammar(*entries), **setting)
-    assert extinction_digest(ev) == digest
+NONFINITE_GRAMMARS = {
+    "nan_nil": lambda: nonfinite_grammar(math.nan, 0.3),
+    "inf_entry": lambda: nonfinite_grammar(0.5, math.inf),
+    "nan_beside_negative": nan_beside_negative_grammar,
+}
+
+
+@pytest.mark.parametrize("name", list(NONFINITE_GRAMMARS))
+def test_nonfinite_phi_is_rejected_up_front(name):
+    # a NaN or infinite entry would only ever give NaN iterates (with a
+    # RuntimeWarning for inf * 0), so it is refused before the first step
+    g = NONFINITE_GRAMMARS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for setting in ({"max_iter": 50}, {"tol": 0.0, "max_iter": 3}, {"max_iter": 1}):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                br.extinction(g, **setting)
+        for n in (0, 1, 5):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                br.death_by_level(g, n)
 
 
 def test_unguarded_iterates_never_fall():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
 from conftest import (GRAMMAR2, GRAMMAR4, duplicate_target_grammar, minimal_document, parse,
-                      pinned_grammar, random_proper_grammar, segment_edge_grammar,
+                      pinned_grammar, random_proper_grammar, segment_edge_grammar, synth_grammar,
                       two_site_start_grammar, two_siteless_start_grammar)
 
 
@@ -158,6 +159,110 @@ def test_sample_unfillable_site_censors_after_one_draw():
     assert not d.complete
     assert d.root.children == {"R": None}
     assert rng.draws == [0.9]
+
+
+def sample_digest(g, seeds, kwargs):
+    """sha256 of each seed's as_dict() JSON, complete and probability.hex()."""
+    lines = []
+    for seed in seeds:
+        d = sim.sample_derivation(g, seed=seed, **kwargs)
+        lines.append(f"{json.dumps(d.as_dict())} {d.complete} {d.probability.hex()}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# (grammar, seeds, keyword arguments, sample_digest) recorded from the sampler
+# that scanned each site's phi entries with one scalar uniform per site
+SAMPLE_DIGESTS = [
+    ("grammar2", range(2), {"max_depth": 200},  # both stopped by the default node cap
+     "26ae15c275d593f55cb5c984813310ef78411e2d74c759b74c1bcd69443e2be6"),
+    ("grammar2", range(20), {"max_depth": 200, "max_nodes": 1},
+     "ecb1ff88cadff832e5e6b4d7c3b739d558c00bc8de4a1b8c9dd59f789e76e3d1"),
+    ("grammar2", range(20), {"max_depth": 200, "max_nodes": 2_000},
+     "4cc5b63fde4fdad8243088674e471dbce5f327ee880f3d0ad563f0c2bf457d81"),
+    ("grammar4", range(200), {"max_depth": 40},
+     "17faeb67bbba57dfcc771778d6e955c4a1160190459ebbb3dd2ac717b2418c56"),
+    ("segment_edge", range(200), {"max_depth": 40, "max_nodes": 500},
+     "f55c780aa3a3977291470331d05003f368db7c918b2563cca0a808bde7717e0c"),
+    ("two_site_start", range(200), {"max_depth": 40},
+     "201c7cb9a86ec014ae09b0fdd17ca44e716e74d24c1d01837317ccd769d1300e"),
+    *((f"random{seed}", range(50), {"max_depth": 40, "max_nodes": 500}, digest)
+      for seed, digest in enumerate((
+          "d20b798f20f6ec010849e6d0daa2356a16241e7868e72ffc2c8290119f547e47",
+          "a4a0c393c17e2789515fdc13200d1b6b10c0ce3bd52f411347da1005d7c4918c",
+          "01307a44742918e950e156baa714f9ab76c8119a062fef14cbcd34b0e5474bb5",
+          "a4a0c393c17e2789515fdc13200d1b6b10c0ce3bd52f411347da1005d7c4918c",
+          "0c88e66dee169c58f6557662f1538884797425a291d4713153ff4f3b7faf43d0",
+          "6a012e7b1697e86fc6dab20302cf8ac65363e7c1d2e9ce12578a81f1ea48b60e",
+          "bf20a8b893bbbc4b6fc0635f4a42838cad2a6e3940b3ed548aa3a9e30d18c0c4",
+          "e12978f254ae4f4959b3be6c51f8eab24eae32fa2b40f3c22eb901c9593c9675",
+          "fa8bcbd1bf699c7979e43da792ba02a570452cd04d2c266ad0df764e21c71379",
+          "87b417bd12e9a635c5c26da1cdb7287e9b61a627240170cb8f7eb4e3d6a64099"))),
+    ("random0", range(50), {"max_depth": 40, "start_weights": {"t1": 1.0, "t2": 3.0}},
+     "4e70379c791ed9391b1275ceefad04f1a68e01bf3ad693208f14f02837b1696c"),
+    ("two_siteless_start", range(20), {"start_weights": {"t1": 1.0, "t2": 3.0}},
+     "3cec8f80291fdae062e6bc0c241ab2ea5037d5a4827bba709f376c146b5e364e"),
+    ("grammar4", range(50), {"max_depth": 1},
+     "6f5bc3037816ca773c0988e57a4fe879bb3c1367a3d95c61282209c8d4ee30b4"),
+    ("grammar2", range(50), {"max_depth": 1},
+     "67baa236b15481c6a6963b2cfce8e89423c97ae5e2d98cc4134f4add76d292a2"),
+    ("random4", range(50), {"max_depth": 1},
+     "ea36b0d5887af1e038e13043813f51a7abf696f6f217b68f636af36f6a1476f5"),
+]
+
+
+@pytest.mark.parametrize("name,seeds,kwargs,digest", SAMPLE_DIGESTS,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(SAMPLE_DIGESTS)])
+def test_sample_derivation_pinned(name, seeds, kwargs, digest):
+    assert sample_digest(pinned_grammar(name), seeds, kwargs) == digest
+
+
+class CountingRNG:
+    """Hands a Generator's scalar uniforms through, one random() call each."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
+
+
+@pytest.mark.parametrize("name,max_nodes", [("grammar4", 500), ("grammar2", 300),
+                                            ("random1", 500), ("segment_edge", 500)])
+def test_caller_generator_draws_one_uniform_per_site(name, max_nodes):
+    # a caller's Generator is advanced exactly as by one random() per draw:
+    # the start tree, then each site of each expanded node
+    g = pinned_grammar(name)
+    for seed in range(20):
+        given = np.random.default_rng(seed)
+        counting = CountingRNG(np.random.default_rng(seed))
+        d = sim.sample_derivation(g, seed=given, max_depth=40, max_nodes=max_nodes)
+        e = sim.sample_derivation(g, seed=counting, max_depth=40, max_nodes=max_nodes)
+        assert (d.as_dict(), d.complete, d.probability) == (e.as_dict(), e.complete,
+                                                            e.probability)
+        assert given.bit_generator.state == counting.rng.bit_generator.state
+        expanded = [n for n in d.root.nodes() if n.children is not None]
+        assert counting.calls == 1 + sum(len(g.tree(n.tree_id).sites) for n in expanded)
+        bits = np.random.PCG64(seed)
+        assert sim.sample_derivation(g, seed=bits, max_depth=40,
+                                     max_nodes=max_nodes).as_dict() == d.as_dict()
+        assert bits.state == given.bit_generator.state
+
+
+def test_draw_plan_built_once_per_grammar(monkeypatch):
+    grammar4 = gr.load_grammar(GRAMMAR4)
+    built = []
+    draw_plan = sim.draw_plan
+
+    def counting(g):
+        built.append(g)
+        return draw_plan(g)
+
+    monkeypatch.setattr(sim, "draw_plan", counting)
+    for seed in range(5):
+        sim.sample_derivation(grammar4, seed=seed)
+    assert built == [grammar4]
 
 
 def test_start_law():
@@ -644,6 +749,53 @@ def test_negative_budgets_are_rejected(grammar4):
         sim.enumerate_derivations(grammar4, 2, node_cap=-1)
     with pytest.raises(ValueError, match="term_cap must be >= 0"):
         br.level_gf(grammar4, 2, term_cap=-1)
+
+
+@pytest.mark.parametrize("name,most_sites", [("grammar2", 2), ("grammar4", 3)])
+def test_frontier_cap_is_bounded_by_the_int64_counts(name, most_sites):
+    # a pending count stays below cap x the most sites of one tree; a cap
+    # that could bring it to 2^63 would wrap the counts, so it is refused
+    g = pinned_grammar(name)
+    bound = (2**63 - 1) // most_sites
+    assert sim.estimate_termination(g, 200, 5, seed=1, frontier_cap=bound) == \
+        sim.estimate_termination(g, 200, 5, seed=1, frontier_cap=10**6)
+    for cap in (bound + 1, 10**30):
+        with pytest.raises(ValueError, match=f"frontier_cap must be <= {bound}"):
+            sim.estimate_termination(g, 200, 5, frontier_cap=cap)
+
+
+def test_estimate_memory_stays_below_one_dense_array():
+    # born keeps rows only for the trees live samples bore, so the peak stays
+    # under one trees x samples int64 array (about 2.8 MB here)
+    g = synth_grammar(1, 1000, mass=0.3)
+    samples = 500
+    dense = len(g.index.tree_ids) * samples * np.dtype(np.int64).itemsize
+    g.index
+    tracemalloc.start()
+    try:
+        stats = sim.estimate_termination(g, samples, 200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.terminated == samples
+    assert peak < dense
+
+
+@pytest.mark.parametrize("entries", [[("t2", -0.1), (None, 1.1)], [("t2", math.nan)],
+                                     [("t2", 0.5), (None, math.inf)]],
+                         ids=["negative", "nan", "inf"])
+def test_sample_rejects_negative_or_nonfinite_phi(entries):
+    # picking by bisection equals the inverse-CDF scan only on
+    # nondecreasing running sums free of NaN
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    doc["phi"] = [{"site": "R", "tree": t, "prob": p} for t, p in entries]
+    doc["trees"].append({"id": "t2", "type": "auxiliary", "root": {
+        "label": "S", "children": [{"anchor": "b"}, {"foot": "S"}]}})
+    g = parse(doc)
+    for seed in (0, np.random.default_rng(0)):
+        with pytest.raises(ValueError, match="site 'R' has a negative or nonfinite"):
+            sim.sample_derivation(g, seed=seed)
 
 
 def test_estimate_counts_add_up(grammar2):
