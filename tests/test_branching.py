@@ -786,6 +786,35 @@ def test_nonfinite_phi_is_rejected_up_front(name):
                 br.death_by_level(g, n)
 
 
+# (grammar entries, extinction keyword arguments); the ids are those the
+# cases had when each pinned the digest of the NaN iterates it returned
+NONFINITE_SETTINGS = [
+    pytest.param((math.nan, 0.3), {"max_iter": 50}, id="entries0-setting0-"
+                 "5bfa024d8478f7ea31cbe63938a4e7881e93ec6b02b6a9336296619f54fb0101"),
+    pytest.param((math.nan, 0.3), {"tol": 0.0, "max_iter": 3}, id="entries1-setting1-"
+                 "e48f616bce7dad558ae1fd18717b63a599f3cdae01de96aac52c0903c64ddde3"),
+    pytest.param((math.nan, 0.3), {"max_iter": 1}, id="entries2-setting2-"
+                 "df26b49a8f27605a8edeb367cf7e0f742991da58f676eeb35521e1484347c850"),
+    pytest.param((0.5, math.inf), {"max_iter": 50}, id="entries3-setting3-"
+                 "1ee26596f19930588ce3f775504fe4847e8126b622b2b0bcc1084555bf0570d1"),
+    pytest.param((0.5, math.inf), {"tol": 0.0, "max_iter": 3}, id="entries4-setting4-"
+                 "fc5a4f9248bb21447c765cfc2aec8dda43920e14f529c929825c828a82922e8b"),
+    pytest.param((0.5, math.inf), {"max_iter": 1}, id="entries5-setting5-"
+                 "bf379124f8812adeb6e474394bfc6465e14093c5fcdee74e23aae92811f39f0c"),
+]
+
+
+@pytest.mark.parametrize("entries,setting", NONFINITE_SETTINGS)
+def test_extinction_nonfinite_entries_pinned(entries, setting):
+    # each setting, the one-step and zero-tolerance runs too, refuses the
+    # entry without a warning instead of returning NaN iterates
+    g = nonfinite_grammar(*entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            br.extinction(g, **setting)
+
+
 def test_unguarded_iterates_never_fall():
     # with finite, nonnegative phi extinction skips the decrease test; the
     # iterates it leaves untested must each be >= the one before, bit for bit
