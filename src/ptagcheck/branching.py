@@ -104,13 +104,6 @@ def m_from_partials(g):
     return LabelledMatrix(values, idx.ids)
 
 
-def _finite(idx):
-    """idx, once it is checked that phi has no NaN or infinite entry."""
-    if not (np.isfinite(idx.prob).all() and np.isfinite(idx.nil).all()):
-        raise ValueError("phi has a NaN or infinite entry")
-    return idx
-
-
 def _iterates(idx):
     """(q_n-1, q_n), n >= 1, from q_0 = 0 by q_n = min(g(q_n-1), 1): views valid
     for one step, into two buffers that end in the 1.0 that idx.bounds reads.
@@ -136,26 +129,20 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     drops below tol; if max_iter is hit first the last iterate is returned
     with converged=False.  Values are capped at 1.0 so that site sums at the
     edge of the properness tolerance cannot push a probability above one.
-    A NaN or infinite phi entry raises ValueError up front, as do
-    max_iter < 1 and a negative or NaN tol.  A decreasing iterate raises
-    ValueError too.  It is tested for only if phi has a negative entry;
-    else each rounded operation is monotone, and no iterate can fall.
+    phi breaking the SiteIndex input contract raises ValueError up front,
+    and with it kept each rounded operation is monotone, so no iterate can
+    fall.  max_iter < 1 and a negative or NaN tol raise ValueError too.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
-    idx = _finite(g.index)
+    idx = g.index.checked()
     if not len(idx):
         return ExtinctionVector(np.zeros(0), idx, 0, 0.0, True)
-    guarded = (idx.prob < 0.0).any() or (idx.nil < 0.0).any()
     step = np.empty(len(idx))
     for iteration, (q, nxt) in zip(range(1, max_iter + 1), _iterates(idx)):
-        np.subtract(nxt, q, out=step)
-        # fmin skips NaN, so a NaN iterate cannot hide a decrease elsewhere
-        if guarded and np.fmin.reduce(step) < 0.0:
-            raise ValueError("extinction iterates decreased; phi has a negative entry")
-        residual = float(np.maximum.reduce(step))
+        residual = float(np.maximum.reduce(np.subtract(nxt, q, out=step)))
         if residual < tol:
             return ExtinctionVector(nxt.copy(), idx, iteration, residual, True)
     return ExtinctionVector(nxt.copy(), idx, max_iter, residual, False)
@@ -166,12 +153,12 @@ def death_by_level(g, n):
 
     Numeric counterpart of constant_split(level_gf(g, n))[1]: the start
     law's mixture, over the start trees, of the product over each tree's
-    sites of the n-fold iterate of the offspring functions at zero.  A NaN
-    or infinite phi entry raises ValueError.
+    sites of the n-fold iterate of the offspring functions at zero.  phi
+    breaking the SiteIndex input contract raises ValueError.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    idx = _finite(g.index)
+    idx = g.index.checked()
     positions, probs = start_law(g)
     q = np.zeros(len(idx))
     iterates = _iterates(idx)

@@ -6,9 +6,9 @@ substitution) probabilities per site and tree, and N is the 0/1 site-in-tree
 incidence.  Rows and columns follow the canonical site order: tree
 declaration order, preorder within each tree.  SiteIndex lays the phi table
 out in that order.  Grammar.index builds it once per grammar; the matrices,
-the offspring functions of the extinction iteration and the Monte Carlo all
-read it there.  start_law, beside it, gives the chance that each start tree
-begins a derivation.
+the extinction iteration and the Monte Carlo all read it there, and it alone
+decides which phi values a numeric path accepts.  start_law, beside it,
+gives the chance that each start tree begins a derivation.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class SiteIndex:
     then k, which reduce q plus a trailing 1.0 to those trees' products and
     a last 1.0; and tree_slot and entry_slot, the slot there of each tree
     and of each phi entry's tree (the last for a tree without sites).
+    bad_site is the first site, in canonical order, with a phi entry (nil
+    included) that is negative, NaN or infinite, or None when there is none.
     """
 
     ids: tuple
@@ -46,12 +48,13 @@ class SiteIndex:
     nil: np.ndarray
     anchors: np.ndarray
     starts: np.ndarray
+    bad_site: str | None = None
 
     @classmethod
     def from_grammar(cls, g):
         tree_ids = tuple(t.tree_id for t in g.trees)
         tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
-        sizes, anchors, nil, site, tree, prob = [], [], [], [], [], []
+        sizes, anchors, nil, site, tree, prob, nil_entries = [], [], [], [], [], [], []
         phi = g.phi
         for t in g.trees:  # one pass, in canonical site order
             sizes.append(len(t.sites))
@@ -62,6 +65,7 @@ class SiteIndex:
                 for target, p in phi[node.site_id]:
                     if target is None:
                         mass += p
+                        nil_entries.append(p)
                     else:
                         site.append(i)
                         tree.append(tree_pos[target])
@@ -69,10 +73,14 @@ class SiteIndex:
                 nil.append(mass)
         starts = np.array([tree_pos[t.tree_id] for t in g.start_trees()], dtype=np.intp)
         starts.flags.writeable = False
+        prob = np.array(prob, dtype=float)
+        # every entry is tested at once; the site is sought only on failure
+        kept = all(((a >= 0.0) & (a < math.inf)).all() for a in (prob, np.array(nil_entries)))
+        bad_site = None if kept else next((s for s in g.site_ids if not all(
+            0.0 <= p < math.inf for _, p in phi[s])), None)
         return cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes),
-                   np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp),
-                   np.array(prob, dtype=float), np.array(nil, dtype=float),
-                   np.array(anchors, dtype=float), starts)
+                   np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp), prob,
+                   np.array(nil, dtype=float), np.array(anchors, dtype=float), starts, bad_site)
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
@@ -93,14 +101,17 @@ class SiteIndex:
     def __getitem__(self, site_id):
         return self.position[site_id]
 
+    def checked(self):
+        """self when phi keeps the input contract of every numeric path, that
+        no entry is negative, NaN or infinite; else ValueError naming bad_site."""
+        if self.bad_site is not None:
+            raise ValueError(f"site {self.bad_site!r} has a negative or nonfinite phi "
+                             "probability: no entry may be negative, NaN or infinite")
+        return self
+
     def tree_prod(self, q):
         """Product of q over each tree's sites; 1 for a tree without sites."""
         return np.multiply.reduceat(np.append(q, 1.0), self.bounds)[self.tree_slot]
-
-    def offspring(self, q):
-        """Every site's offspring generating function g_i evaluated at q."""
-        spawned = self.prob * self.tree_prod(q)[self.tree]
-        return self.nil + np.bincount(self.site, spawned, minlength=len(self.ids))
 
 
 def start_law(g, start_weights=None):

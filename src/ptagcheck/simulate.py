@@ -145,18 +145,16 @@ def draw_plan(g):
     has sites).  A uniform u picks outcomes[bisect_right(sums, u)], the first
     entry whose running sum passes u; outcomes ends in a repeat of the last
     entry, which the scan picks when no sum passes u, or in None for a site
-    without entries.  Each Grammar keeps its plan (``g._draw_plan``).  A
-    negative or nonfinite probability raises ValueError, since bisection
+    without entries.  Each Grammar keeps its plan (``g._draw_plan``).  phi
+    breaking the SiteIndex input contract raises ValueError, since bisection
     picks what the scan picks only on nondecreasing sums free of NaN.
     """
+    g.index.checked()
     plan = {}
     for tree in g.trees:
         draws = []
         for site_node in tree.sites:
             entries = g.phi[site_node.site_id]
-            if not all(0.0 <= p < math.inf for _, p in entries):
-                raise ValueError(f"site {site_node.site_id!r} has a negative or "
-                                 "nonfinite phi probability")
             outcomes = [(target, p, target is not None and bool(g.tree(target).sites))
                         for target, p in entries]
             draws.append((site_node.site_id, list(accumulate(p for _, p in entries)),
@@ -184,8 +182,8 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     (from an int, None or a SeedSequence) yields its uniforms in blocks,
     the same doubles as one random() call per draw; a caller's Generator,
     BitGenerator or scripted double gets one random() call per draw, so it
-    ends where one call per draw leaves it.  Raises ValueError on a
-    negative or nonfinite phi probability.
+    ends where one call per draw leaves it.  phi breaking the SiteIndex
+    input contract raises ValueError.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -317,7 +315,8 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     derivation's probability is then multiplied by its start tree's weight
     under the (uniform) start law, so the summed probabilities equal the
     death-by-level constant C_(max_depth); the floor applies to that
-    weighted probability.  prob_floor must not be NaN.
+    weighted probability.  prob_floor must not be NaN, and phi breaking the
+    SiteIndex input contract raises ValueError.
 
     node_cap bounds the partial expansions: one per kept pair of (choices
     so far, next option) as the sites of a tree are resolved one by one,
@@ -336,6 +335,7 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
         raise ValueError("prob_floor must not be NaN")
     if node_cap < 0:
         raise ValueError("node_cap must be >= 0")
+    g.index.checked()
     enumeration = _Enumeration(g, max_depth, prob_floor, node_cap)
     positions, start_probs = start_law(g)
     results = []
@@ -433,7 +433,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     other row's draws.
 
     mean_depth and mean_yield_length are over terminated samples (NaN when
-    none terminate).  Identical inputs give identical stats.
+    none terminate).  Identical inputs give identical stats.  phi breaking
+    the SiteIndex input contract raises ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -441,7 +442,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         raise ValueError("max_depth must be >= 1")
     if frontier_cap < 0:
         raise ValueError("frontier_cap must be >= 0")
-    index = g.index
+    index = g.index.checked()
     site_count = np.diff(index.tree_start)
     most_sites = max(1, int(site_count.max(initial=0)))
     if frontier_cap * most_sites >= 2**63:

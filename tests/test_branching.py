@@ -221,7 +221,7 @@ def test_offspring_matches_symbolic_gf():
         k = len(idx)
         for q in [np.zeros(k), np.ones(k)] + [rng.random(k) for _ in range(5)]:
             symbolic = [gf.evaluate(q) for gf in gfs]
-            assert np.abs(idx.offspring(q) - symbolic).max() <= 1e-15
+            assert np.abs(reference_offspring(idx, q) - symbolic).max() <= 1e-15
 
 
 def test_m_from_partials_grammar4(grammar4):
@@ -304,19 +304,12 @@ def test_extinction_monotone_iterates(grammar2):
             q = nxt
 
 
-def test_extinction_rejects_decreasing_iterates():
-    # unvalidated: X -> t2 at -0.2 makes the second iterate fall below the first
-    doc = minimal_document()
-    doc["trees"][0]["root"]["site"] = "R"
-    doc["trees"].append({"id": "t2", "type": "auxiliary",
-                         "root": {"label": "S", "site": "X", "children": [
-                             {"anchor": "b"}, {"foot": "S"}]}})
-    doc["phi"] = [{"site": "R", "tree": "t2", "prob": 0.5},
-                  {"site": "R", "tree": None, "prob": 0.5},
-                  {"site": "X", "tree": "t2", "prob": -0.2},
-                  {"site": "X", "tree": None, "prob": 0.9}]
-    with pytest.raises(ValueError, match="decreased"):
-        br.extinction(parse(doc))
+def test_extinction_rejects_negative_entry_up_front():
+    # unvalidated: X -> t2 at -0.2 would make the second iterate fall below
+    # the first, so it is refused before the first step
+    g = r_x_grammar([("R", "t2", 0.5), ("R", None, 0.5), ("X", "t2", -0.2), ("X", None, 0.9)])
+    with pytest.raises(ValueError, match="site 'X' has a negative or nonfinite"):
+        br.extinction(g)
 
 
 def test_numeric_form_built_once(monkeypatch):
@@ -645,9 +638,14 @@ def reference_tree_prod(idx, q):
     return out
 
 
-def reference_step(idx, q):
+def reference_offspring(idx, q):
+    """Every site's offspring generating function g_i evaluated at q."""
     spawned = idx.prob * reference_tree_prod(idx, q)[idx.tree]
-    return np.minimum(idx.nil + np.bincount(idx.site, spawned, minlength=len(idx)), 1.0)
+    return idx.nil + np.bincount(idx.site, spawned, minlength=len(idx))
+
+
+def reference_step(idx, q):
+    return np.minimum(reference_offspring(idx, q), 1.0)
 
 
 def reference_extinction(g, tol=1e-12, max_iter=10**6):
@@ -736,32 +734,28 @@ def test_kleene_matches_reference_bit_for_bit():
             assert br.death_by_level(g, n).hex() == reference_death(g, n).hex(), (name, n)
 
 
-def nonfinite_grammar(r_nil, x_to_t2):
-    """R (on t1) adjoins t2 at 0.5 with nil mass r_nil; X (on t2) adjoins t2
-    at x_to_t2 with nil mass 0.7.  No entry is negative."""
+def r_x_grammar(entries):
+    """Site R on the initial tree t1 and site X on the auxiliary tree t2;
+    entries lists the phi entries as (site, target, prob)."""
     doc = minimal_document()
     doc["trees"][0]["root"]["site"] = "R"
     doc["trees"].append({"id": "t2", "type": "auxiliary",
                          "root": {"label": "S", "site": "X", "children": [
                              {"anchor": "b"}, {"foot": "S"}]}})
-    doc["phi"] = [{"site": "R", "tree": "t2", "prob": 0.5},
-                  {"site": "R", "tree": None, "prob": r_nil},
-                  {"site": "X", "tree": "t2", "prob": x_to_t2},
-                  {"site": "X", "tree": None, "prob": 0.7}]
+    doc["phi"] = [{"site": s, "tree": t, "prob": p} for s, t, p in entries]
     return parse(doc)
+
+
+def nonfinite_grammar(r_nil, x_to_t2):
+    """R adjoins t2 at 0.5 with nil mass r_nil; X adjoins t2 at x_to_t2
+    with nil mass 0.7."""
+    return r_x_grammar([("R", "t2", 0.5), ("R", None, r_nil),
+                        ("X", "t2", x_to_t2), ("X", None, 0.7)])
 
 
 def nan_beside_negative_grammar():
     """R's nil mass is NaN; X adjoins t2 at -0.2, so its iterates would fall."""
-    doc = minimal_document()
-    doc["trees"][0]["root"]["site"] = "R"
-    doc["trees"].append({"id": "t2", "type": "auxiliary",
-                         "root": {"label": "S", "site": "X", "children": [
-                             {"anchor": "b"}, {"foot": "S"}]}})
-    doc["phi"] = [{"site": "R", "tree": None, "prob": math.nan},
-                  {"site": "X", "tree": "t2", "prob": -0.2},
-                  {"site": "X", "tree": None, "prob": 0.9}]
-    return parse(doc)
+    return r_x_grammar([("R", None, math.nan), ("X", "t2", -0.2), ("X", None, 0.9)])
 
 
 NONFINITE_GRAMMARS = {
@@ -815,9 +809,42 @@ def test_extinction_nonfinite_entries_pinned(entries, setting):
             br.extinction(g, **setting)
 
 
+# grammars that break the phi contract, with the first site that breaks it
+CONTRACT_BREAKERS = {
+    "nan_nil": (lambda: nonfinite_grammar(math.nan, 0.3), "R"),
+    "nan_beside_negative": (nan_beside_negative_grammar, "R"),
+    "inf_entry": (lambda: nonfinite_grammar(0.5, math.inf), "X"),
+    "negative_entry": (lambda: nonfinite_grammar(0.5, -0.2), "X"),
+    # R's nil mass sums to 0.5, but its running sums 0.5, 0.3, 1.0 fall
+    "offset_nil": (lambda: r_x_grammar([("R", "t2", 0.5), ("R", None, -0.2),
+                                        ("R", None, 0.7), ("X", None, 1.0)]), "R"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_BREAKERS))
+def test_every_numeric_path_refuses_phi_off_contract(name):
+    # SiteIndex alone decides which phi values a numeric path accepts, so
+    # all five entry points refuse the grammar with one and the same error
+    make, site = CONTRACT_BREAKERS[name]
+    g = make()
+    calls = [lambda: br.extinction(g), lambda: br.death_by_level(g, 3),
+             lambda: sim.estimate_termination(g, 100, 5, seed=0),
+             lambda: sim.sample_derivation(g, seed=0),
+             lambda: sim.enumerate_derivations(g, 3)]
+    messages = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=f"site '{site}' has a negative or nonfinite") as info:
+                call()
+            messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_unguarded_iterates_never_fall():
-    # with finite, nonnegative phi extinction skips the decrease test; the
-    # iterates it leaves untested must each be >= the one before, bit for bit
+    # with finite, nonnegative phi no step of extinction is tested for a
+    # decrease; each iterate must be >= the one before, bit for bit
     grammars = [g for _, g in kleene_edge_grammars()]
     grammars += [random_proper_grammar(seed) for seed in range(50)]
     for g in grammars:
