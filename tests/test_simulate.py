@@ -686,6 +686,72 @@ def test_enumerate_output_pinned(name, depth):
     assert (len(ds), enumeration_digest(ds)) == ENUMERATION_DIGESTS[name, depth]
 
 
+# (grammar, depth, prob_floor) -> (derivations, enumeration_digest): the
+# output when partial expansions below the floor are dropped.
+FLOOR_ENUMERATION_DIGESTS = {
+    ("grammar4", 5, 0.001):
+        (44, "021d295f501783664084be901ff5a9b5c3845285510625c1b6e1a8b467827516"),
+    ("grammar4", 5, 1e-06):
+        (1919, "a55e48821f419bc1680ea8265d87a99720e59779943683acd440dde7c4054e0d"),
+    ("grammar2", 3, 0.001):
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("grammar2", 3, 1e-06):
+        (3, "cf8fd01a83ffd46e234e3b9db9d360a851412f8547692c3f84d84f3839758964"),
+}
+
+
+@pytest.mark.parametrize("name,depth,floor", list(FLOOR_ENUMERATION_DIGESTS))
+def test_enumerate_floor_output_pinned(name, depth, floor):
+    ds = sim.enumerate_derivations(pinned_grammar(name), depth, prob_floor=floor)
+    assert (len(ds), enumeration_digest(ds)) == FLOOR_ENUMERATION_DIGESTS[name, depth, floor]
+
+
+# (grammar, depth, prob_floor) -> the smallest node_cap that passes: the
+# partial expansions the enumeration makes, which node_cap counts and any
+# rewrite of the enumerator must count alike.
+SMALLEST_NODE_CAPS = {
+    ("grammar4", 1, 0.0): 1,
+    ("grammar4", 2, 0.0): 5,
+    ("grammar4", 3, 0.0): 27,
+    ("grammar4", 4, 0.0): 543,
+    ("grammar4", 5, 0.0): 477811,
+    ("random0", 3, 0.0): 22,
+    ("random1", 3, 0.0): 3,
+    ("random2", 3, 0.0): 9,
+    ("random3", 3, 0.0): 3,
+    ("random4", 3, 0.0): 4,
+    ("random5", 3, 0.0): 6,
+    ("random6", 3, 0.0): 24,
+    ("random7", 3, 0.0): 2,
+    ("random8", 3, 0.0): 7,
+    ("random9", 3, 0.0): 1,
+    ("grammar4", 1, 0.0001): 1,
+    ("grammar4", 2, 0.0001): 5,
+    ("grammar4", 3, 0.0001): 27,
+    ("grammar4", 4, 0.0001): 206,
+    ("grammar4", 5, 0.0001): 637,
+    ("random0", 3, 0.0001): 22,
+    ("random1", 3, 0.0001): 3,
+    ("random2", 3, 0.0001): 9,
+    ("random3", 3, 0.0001): 3,
+    ("random4", 3, 0.0001): 4,
+    ("random5", 3, 0.0001): 6,
+    ("random6", 3, 0.0001): 24,
+    ("random7", 3, 0.0001): 2,
+    ("random8", 3, 0.0001): 7,
+    ("random9", 3, 0.0001): 1,
+}
+
+
+@pytest.mark.parametrize("name,depth,floor", list(SMALLEST_NODE_CAPS))
+def test_enumerate_smallest_node_cap_pinned(name, depth, floor):
+    g = pinned_grammar(name)
+    needed = SMALLEST_NODE_CAPS[name, depth, floor]
+    sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed)
+    with pytest.raises(sim.EnumerationBudgetExceeded):
+        sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed - 1)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_enumerate_restores_collector_state(grammar4, enabled):
     before = gc.isenabled()
