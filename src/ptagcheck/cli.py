@@ -25,6 +25,7 @@ EX_INDETERMINATE = 3
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a system call
 
 
 class _UsageError(Exception):
@@ -83,8 +84,13 @@ def _build_parser():
 
 
 def _emit(doc, out):
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    text = ""
+    for chunk in json.JSONEncoder(indent=2).iterencode(doc):
+        text += chunk
+        if len(text) >= EMIT_BATCH:
+            out.write(text)
+            text = ""
+    out.write(text + "\n")
 
 
 def _load(path, err):

@@ -20,8 +20,8 @@ from numbers import Real
 
 import numpy as np
 
-# How far the phi masses of a site may stray from 1 (validate) or above it
-# (SiteIndex.bad_site) through rounding.
+# How far the phi mass of a site may stray from 1 through rounding (validate
+# and SiteIndex.bad_site).
 PROPERNESS_TOL = 1e-9
 
 
@@ -40,8 +40,8 @@ class SiteIndex:
     a last 1.0; and tree_slot and entry_slot, the slot there of each tree
     and of each phi entry's tree (the last for a tree without sites).
     bad_site is the first site, in canonical order, with a phi entry (nil
-    included) that is negative, NaN or infinite, or whose entries sum above
-    1 + PROPERNESS_TOL, or None when there is none.
+    included) that is negative, NaN or infinite, or whose entries sum
+    further than PROPERNESS_TOL from 1, or None when there is none.
     """
 
     ids: tuple
@@ -80,12 +80,12 @@ class SiteIndex:
         starts.flags.writeable = False
         site, prob, nil = np.array(site, dtype=np.intp), np.array(prob, dtype=float), np.array(nil)
         # every entry and site mass is tested at once; the site is sought only on failure
-        heavy = np.bincount(site, prob, minlength=len(nil)) + nil > 1.0 + PROPERNESS_TOL
-        kept = not heavy.any() and all(((a >= 0.0) & (a < math.inf)).all()
-                                       for a in (prob, np.array(nil_entries)))
-        bad_site = None if kept else next((s for s, too_heavy in zip(g.site_ids, heavy.tolist())
-                                           if too_heavy or not all(0.0 <= p < math.inf
-                                                                   for _, p in phi[s])), None)
+        improper = abs(np.bincount(site, prob, minlength=len(nil)) + nil - 1.0) > PROPERNESS_TOL
+        kept = not improper.any() and all(((a >= 0.0) & (a < math.inf)).all()
+                                          for a in (prob, np.array(nil_entries)))
+        bad_site = None if kept else next((s for s, off in zip(g.site_ids, improper.tolist())
+                                           if off or not all(0.0 <= p < math.inf
+                                                             for _, p in phi[s])), None)
         return cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes), site,
                    np.array(tree, dtype=np.intp), prob, nil, np.array(anchors, dtype=float),
                    starts, bad_site)
@@ -111,12 +111,12 @@ class SiteIndex:
 
     def checked(self):
         """self when phi keeps the input contract of every numeric path, that
-        no entry is negative, NaN or infinite and no site's entries sum above
-        1 + PROPERNESS_TOL; else ValueError naming bad_site."""
+        no entry is negative, NaN or infinite and each site's entries sum to 1
+        within PROPERNESS_TOL; else ValueError naming bad_site."""
         if self.bad_site is not None:
             raise ValueError(f"site {self.bad_site!r} has a negative or nonfinite phi "
-                             "probability or a mass above 1: no entry may be negative, "
-                             "NaN or infinite, and no site's entries may sum above 1")
+                             "probability or a mass other than 1: no entry may be negative, "
+                             "NaN or infinite, and each site's entries must sum to 1")
         return self
 
     def tree_prod(self, q):

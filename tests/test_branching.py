@@ -881,6 +881,11 @@ CONTRACT_BREAKERS = {
     # 1.0 by extinction, 1.475 by the depth-3 enumeration and 0.9535 by the
     # Monte Carlo, which renormalizes each site
     "heavy_nil": (lambda: nonfinite_grammar(0.5, 0.3, x_nil=1.5), "X"),
+    # X's mass is 0.5, on which the methods would disagree: extinction and
+    # the enumeration lose the missing mass (start termination 0.643 and a
+    # depth-3 sum of 0.63), the Monte Carlo gives it to nil and the sampler
+    # to the site's last entry (1.0 each)
+    "light_nil": (lambda: nonfinite_grammar(0.5, 0.3, x_nil=0.2), "X"),
     # each entry is finite, but R's nil mass overflows to inf
     "overflowing_nil": (lambda: r_x_grammar([("R", None, 1e308), ("R", None, 1e308),
                                              ("X", None, 1.0)]), "R"),
@@ -909,10 +914,11 @@ def test_every_numeric_path_refuses_phi_off_contract(name):
 
 
 def test_site_mass_is_capped_at_properness_tolerance():
-    # a site may sum to 1 within PROPERNESS_TOL, or fall short of 1; a site
-    # whose entries sum further above 1 is off contract
-    for x_nil, bad in ((0.7 + 0.5 * PROPERNESS_TOL, None), (0.2, None),
-                       (0.7 + 2 * PROPERNESS_TOL, "X"), (1.5, "X")):
+    # a site must sum to 1 within PROPERNESS_TOL; a site whose entries sum
+    # further above or below 1 is off contract
+    for x_nil, bad in ((0.7 + 0.5 * PROPERNESS_TOL, None), (0.7 - 0.5 * PROPERNESS_TOL, None),
+                       (0.7 + 2 * PROPERNESS_TOL, "X"), (0.7 - 2 * PROPERNESS_TOL, "X"),
+                       (1.5, "X"), (0.2, "X")):
         g = nonfinite_grammar(0.5, 0.3, x_nil=x_nil)
         assert g.index.bad_site == bad, x_nil
         if bad is None:

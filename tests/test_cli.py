@@ -270,19 +270,23 @@ def test_budget_out_of_range_exit64(argv):
 
 
 def test_emit_streams_its_output():
-    # the text goes out in pieces, never the whole document at once
+    # the text goes out in writes of about EMIT_BATCH characters: never the
+    # whole document at once, nor one write per chunk of the encoder
     class Recorder(io.StringIO):
         def write(self, s):
             sizes.append(len(s))
             return super().write(s)
 
-    sizes = []
     doc = [{"tree": f"t{i}", "probability": i / 7, "children": {"A1": "nil"}}
            for i in range(20_000)]
-    out = Recorder()
-    cli._emit(doc, out)
-    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
-    assert max(sizes) < len(out.getvalue()) / 10
+    for part in (doc, doc[:3], []):
+        sizes = []
+        out = Recorder()
+        cli._emit(part, out)
+        text = json.dumps(part, indent=2) + "\n"
+        assert out.getvalue() == text
+        assert len(sizes) <= len(text) // cli.EMIT_BATCH + 1
+        assert max(sizes) < cli.EMIT_BATCH + 100 < len(json.dumps(doc)) / 10
 
 
 def test_simulate_output():

@@ -148,17 +148,16 @@ def test_sample_probability_carries_start_weight():
 
 
 def test_sample_unfillable_site_censors_after_one_draw():
-    # one uniform for the start tree, one per site: the substitution site N
-    # has no phi entry, so its draw is made and wasted
+    # the substitution site N has no phi entry, so its mass of 0 breaks the
+    # phi contract: the sampler refuses the grammar before drawing anything
     doc = minimal_document()
     doc["trees"][0]["root"] = {"label": "S", "site": "R", "children": [
         {"subst": "NP", "site": "N"}, {"anchor": "a"}]}
     doc["phi"] = [{"site": "R", "tree": None, "prob": 1.0}]
     rng = ScriptedRNG([0.0, 0.5, 0.7, 0.9])
-    d = sim.sample_derivation(parse(doc), seed=rng)
-    assert not d.complete
-    assert d.root.children == {"R": None}
-    assert rng.draws == [0.9]
+    with pytest.raises(ValueError, match="site 'N' has a negative or nonfinite"):
+        sim.sample_derivation(parse(doc), seed=rng)
+    assert rng.draws == [0.0, 0.5, 0.7, 0.9]
 
 
 def sample_digest(g, seeds, kwargs):
