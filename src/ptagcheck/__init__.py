@@ -10,7 +10,7 @@ from .expectation import (DenseCapExceeded, LabelledMatrix, SiteIndex, build_M,
 from .grammar import (Diagnostic, ElementaryTree, Grammar, GrammarError,
                       GrammarParseError, TreeNode, detect_empty_yield_loops,
                       detect_unreachable, from_document, load_grammar,
-                      parse_grammar, serialize_grammar, to_document, validate)
+                      parse_grammar, to_document, validate)
 from .polynomials import SparsePolynomial, TermCapExceeded
 from .simulate import (Derivation, DerivationNode, EnumerationBudgetExceeded,
                        SimulationStats, anchor_multiset, derived_tree,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -31,14 +32,17 @@ class SiteIndex:
 
     Sites follow the canonical order, so tree t owns the contiguous slice
     tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
-    parallel arrays site, tree and prob, in document order; nil is the nil
-    mass of each site, anchors the anchor count of each tree and starts the
-    read-only positions of the start trees, in declaration order.  The
-    layout is recorded once, read-only: owner, the tree of each site;
-    with_sites, the trees that have sites; bounds, where their slices start,
-    then k, which reduce q plus a trailing 1.0 to those trees' products and
-    a last 1.0; and tree_slot and entry_slot, the slot there of each tree
-    and of each phi entry's tree (the last for a tree without sites).
+    parallel arrays site, tree and prob, site by site, each site's in
+    document order; nil is the nil mass of each site, anchors the anchor
+    count of each tree and starts the read-only positions of the start
+    trees (initial trees rooted in the start symbol), in declaration order.
+    The layout is recorded once, read-only: sizes, the site count of each
+    tree; entry_start, so that site j owns the entries entry_start[j]:
+    entry_start[j + 1]; owner, the tree of each site; bounds, where the
+    slices of the trees with sites start, then k, which reduce q plus a
+    trailing 1.0 to those trees' products and a last 1.0; and tree_slot and
+    entry_slot, the slot there of each tree and of each phi entry's tree
+    (the last for a tree without sites).  rewrite_graph is built on first use.
     bad_site is the first site, in canonical order, with a phi entry (nil
     included) that is negative, NaN or infinite, or whose entries sum
     further than PROPERNESS_TOL from 1, or None when there is none.
@@ -59,7 +63,7 @@ class SiteIndex:
     def from_grammar(cls, g):
         tree_ids = tuple(t.tree_id for t in g.trees)
         tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
-        sizes, anchors, nil, site, tree, prob, nil_entries = [], [], [], [], [], [], []
+        sizes, anchors, nil, site, tree, prob, nil_site, nil_prob = [], [], [], [], [], [], [], []
         phi = g.phi
         for t in g.trees:  # one pass, in canonical site order
             sizes.append(len(t.sites))
@@ -70,38 +74,50 @@ class SiteIndex:
                 for target, p in phi[node.site_id]:
                     if target is None:
                         mass += p
-                        nil_entries.append(p)
+                        nil_site.append(i)
+                        nil_prob.append(p)
                     else:
                         site.append(i)
                         tree.append(tree_pos[target])
                         prob.append(p)
                 nil.append(mass)
-        starts = np.array([tree_pos[t.tree_id] for t in g.start_trees()], dtype=np.intp)
+        # the start trees: the initial trees rooted in the start symbol
+        starts = np.array([j for j, t in enumerate(g.trees)
+                           if t.kind == "initial" and t.root.label == g.start], dtype=np.intp)
         starts.flags.writeable = False
         site, prob, nil = np.array(site, dtype=np.intp), np.array(prob, dtype=float), np.array(nil)
-        # every entry and site mass is tested at once; the site is sought only on failure
-        improper = abs(np.bincount(site, prob, minlength=len(nil)) + nil - 1.0) > PROPERNESS_TOL
-        kept = not improper.any() and all(((a >= 0.0) & (a < math.inf)).all()
-                                          for a in (prob, np.array(nil_entries)))
-        bad_site = None if kept else next((s for s, off in zip(g.site_ids, improper.tolist())
-                                           if off or not all(0.0 <= p < math.inf
-                                                             for _, p in phi[s])), None)
+        # every site mass and every entry is tested at once; bad_site is the first flagged
+        flagged = abs(np.bincount(site, prob, minlength=len(nil)) + nil - 1.0) > PROPERNESS_TOL
+        for at, p in ((site, prob), (np.array(nil_site, dtype=np.intp), np.array(nil_prob))):
+            flagged[at[~((p >= 0.0) & (p < math.inf))]] = True
+        bad = np.flatnonzero(flagged)
         return cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes), site,
                    np.array(tree, dtype=np.intp), prob, nil, np.array(anchors, dtype=float),
-                   starts, bad_site)
+                   starts, g.site_ids[bad[0]] if bad.size else None)
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
         sizes = np.diff(self.tree_start)
         with_sites = np.flatnonzero(sizes)
         tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
-        for name, layout in (("owner", np.repeat(np.arange(len(self.tree_ids)), sizes)),
-                             ("with_sites", with_sites),
+        for name, layout in (("sizes", sizes),
+                             ("entry_start", np.searchsorted(self.site, np.arange(len(self) + 1))),
+                             ("owner", np.repeat(np.arange(len(self.tree_ids)), sizes)),
                              ("bounds", np.append(self.tree_start[with_sites], len(self))),
                              ("tree_slot", tree_slot),
                              ("entry_slot", tree_slot[self.tree])):
             layout.flags.writeable = False
             object.__setattr__(self, name, layout)
+
+    @cached_property
+    def rewrite_graph(self):
+        """Per tree position, the positions of the trees its sites rewrite
+        to, in site order.  Only positive-probability entries count; a
+        zero-probability entry stays in phi but rewrites nothing."""
+        live = self.prob > 0.0
+        ends = np.append(0, np.cumsum(live))[self.entry_start[self.tree_start]].tolist()
+        targets = self.tree[live].tolist()
+        return tuple(tuple(targets[a:b]) for a, b in zip(ends, ends[1:]))
 
     def __len__(self):
         return len(self.ids)

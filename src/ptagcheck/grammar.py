@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from operator import itemgetter
 
-import numpy as np
-
 from .expectation import PROPERNESS_TOL, SiteIndex
 
 # node kinds
@@ -117,20 +115,19 @@ class ElementaryTree:
                 feet.append(node)
         self.sites, self.anchors, self.feet = tuple(sites), tuple(anchors), tuple(feet)
 
-    @property
-    def foot(self):
-        return self.feet[0] if len(self.feet) == 1 else None
-
 
 @dataclass
 class Grammar:
     """An immutable probabilistic TAG.  Do not mutate after construction.
 
-    Tree ids and site ids are unique; construction raises GrammarError
-    naming the first repeated one.  ``phi`` maps each site id, in canonical
-    site order, to a tuple of (target, prob) entries in document order; a
-    target is a tree id, or None for "no adjunction".  An adjunction site
-    the document leaves out gets ((None, 1.0),), a substitution site ().
+    Tree ids and site ids are unique.  ``phi`` maps each site id, in
+    canonical site order, to a tuple of (target, prob) entries in document
+    order; a target is a tree id, or None for "no adjunction".  phi has a
+    key for every site and no other key, and every target names a tree of
+    the grammar.  Construction raises GrammarError naming the first
+    repeated id, or the first site or target that breaks this.  An
+    adjunction site the document leaves out gets ((None, 1.0),), a
+    substitution site ().
     The distinguished wrapper tree accepting any start-rooted initial tree
     is implicit: it contributes no site, no matrix row and no probability.
     """
@@ -152,6 +149,14 @@ class Grammar:
                 if i in seen:
                     raise GrammarError(f"duplicate {kind} id {i!r}")
                 seen.add(i)
+        phi = self.phi
+        if phi.keys() != seen:  # seen holds the site ids
+            s = next(s for s in (*self.site_ids, *phi) if (s in phi) != (s in seen))
+            raise GrammarError(f"phi {'leaves out' if s in seen else 'names unknown'} site {s!r}")
+        unknown = next(((s, target) for s in self.site_ids for target, _ in phi[s]
+                        if target is not None and target not in self._tree_by_id), None)
+        if unknown is not None:
+            raise GrammarError("phi rewrites site {!r} to unknown tree {!r}".format(*unknown))
 
     def tree(self, tree_id):
         return self._tree_by_id[tree_id]
@@ -171,11 +176,6 @@ class Grammar:
     def diagnostics(self):
         """validate's findings as a tuple, computed on first use."""
         return _diagnose(self)
-
-    def start_trees(self):
-        """Initial trees rooted in the start symbol, in declaration order."""
-        return tuple(t for t in self.trees
-                     if t.kind == INITIAL and t.root.label == self.start)
 
 
 @dataclass
@@ -432,10 +432,6 @@ def _node_doc(node):
     return doc
 
 
-def serialize_grammar(g, indent=2):
-    return json.dumps(to_document(g), indent=indent) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -455,7 +451,7 @@ def _diagnose(g):
     diags = []
     shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
 
-    if not g.start_trees():
+    if not len(g.index.starts):
         diags.append(Diagnostic(ERROR, NO_START_TREE,
                                 f"no initial tree rooted in start symbol {g.start!r}"))
 
@@ -541,35 +537,21 @@ def _site_diagnostics(diags, tree_id, node, entries, shapes):
                 tree_id=tree_id, site_id=site))
 
 
-def _rewrite_graph(g):
-    """For each tree position, the positions of the trees its sites rewrite
-    to, in site order, read off g.index.  Only positive-probability phi
-    entries count; zero-probability entries stay in phi but rewrite nothing."""
-    idx = g.index
-    live = idx.prob > 0.0
-    bounds = np.searchsorted(idx.owner[idx.site[live]],
-                             np.arange(len(idx.tree_ids) + 1)).tolist()
-    targets = idx.tree[live].tolist()
-    return [targets[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def detect_unreachable(g):
     """Tree ids never used in a derivation started from a start tree.
 
     Edges follow positive-probability phi entries only; zero-probability
     entries are kept in the model but carry no reachability.
     """
-    edges = _rewrite_graph(g)
+    edges = g.index.rewrite_graph
     frontier = g.index.starts.tolist()
-    reachable = [False] * len(edges)
-    for j in frontier:
-        reachable[j] = True
+    reachable = set(frontier)
     while frontier:
         for k in edges[frontier.pop()]:
-            if not reachable[k]:
-                reachable[k] = True
+            if k not in reachable:
+                reachable.add(k)
                 frontier.append(k)
-    return [t.tree_id for t, seen in zip(g.trees, reachable) if not seen]
+    return [t.tree_id for j, t in enumerate(g.trees) if j not in reachable]
 
 
 def detect_empty_yield_loops(g):
@@ -581,7 +563,7 @@ def detect_empty_yield_loops(g):
     """
     anchorless = [j for j, t in enumerate(g.trees) if not t.anchors]
     kept = set(anchorless)
-    graph = _rewrite_graph(g)
+    graph = g.index.rewrite_graph
     edges = {j: [k for k in graph[j] if k in kept] for j in anchorless}
 
     diags = []

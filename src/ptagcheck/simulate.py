@@ -449,26 +449,26 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     if frontier_cap < 0:
         raise ValueError("frontier_cap must be >= 0")
     index = g.index.checked()
-    site_count = np.diff(index.tree_start)
+    site_count = index.sizes
     most_sites = max(1, int(site_count.max(initial=0)))
     if frontier_cap * most_sites >= 2**63:
         raise ValueError(f"frontier_cap must be <= {(2**63 - 1) // most_sites}: times the "
                          f"{most_sites} sites of the largest tree it could reach 2^63")
     rng = np.random.default_rng(seed)
     positions, start_probs = start_law(g, start_weights)
-    # entries of site j: bounds[j]:bounds[j + 1]; of tree t: entry_of[t]:entry_of[t + 1]
-    bounds = np.searchsorted(index.site, np.arange(len(index) + 1))
-    entry_of = bounds[index.tree_start]
+    entry_start = index.entry_start
+    entry_of = entry_start[index.tree_start]  # tree t's entries: entry_of[t]:entry_of[t + 1]
     laws = {}  # tree -> [(target tree indices, pvals with a trailing nil bucket)] per site
 
     def site_laws(t):
         if t not in laws:
             out = laws[t] = []
             for j in range(index.tree_start[t], index.tree_start[t + 1]):
-                probs = index.prob[bounds[j]:bounds[j + 1]].tolist()
+                entries = slice(entry_start[j], entry_start[j + 1])
+                probs = index.prob[entries].tolist()
                 nil = max(0.0, 1.0 - sum(probs))
                 pvals = np.array(probs + [nil])
-                out.append((index.tree[bounds[j]:bounds[j + 1]].tolist(), pvals / pvals.sum()))
+                out.append((index.tree[entries].tolist(), pvals / pvals.sum()))
         return laws[t]
 
     def births(rows, born):

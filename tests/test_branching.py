@@ -203,16 +203,45 @@ def test_tree_prod_on_hand_built_layouts(sizes):
 
 def test_site_index_records_its_layout_once():
     idx = segment_edge_grammar().index  # t2 and t4 have no sites
-    sizes = np.diff(idx.tree_start).tolist()
+    sizes = idx.sizes.tolist()
+    assert sizes == np.diff(idx.tree_start).tolist()
     assert idx.owner.tolist() == [t for t, n in enumerate(sizes) for _ in range(n)]
-    assert idx.with_sites.tolist() == [0, 2]
+    assert np.flatnonzero(idx.sizes).tolist() == [0, 2]
     assert idx.bounds.tolist() == [idx.tree_start[t] for t in (0, 2)] + [len(idx)]
     assert idx.tree_slot.tolist() == [0, 2, 1, 2]  # t2 and t4 read the trailing 1.0
     assert idx.entry_slot.tolist() == idx.tree_slot[idx.tree].tolist()
-    for layout in (idx.owner, idx.with_sites, idx.bounds, idx.tree_slot, idx.entry_slot,
-                   idx.starts):
+    for layout in (idx.sizes, idx.entry_start, idx.owner, idx.bounds, idx.tree_slot,
+                   idx.entry_slot, idx.starts):
         assert not layout.flags.writeable
     assert idx.owner is idx.owner
+
+
+def test_site_index_entry_layout_and_rewrite_graph_match_phi():
+    grammars = [g for _, g in kleene_edge_grammars()]
+    grammars += [pinned_grammar("duplicate_target"), two_site_start_grammar()]
+    grammars += [random_proper_grammar(seed) for seed in range(200)]
+    for g in grammars:
+        idx = g.index
+        position = {t.tree_id: j for j, t in enumerate(g.trees)}
+        non_nil = {s: [(position[t], p) for t, p in g.phi[s] if t is not None]
+                   for s in g.site_ids}
+        assert idx.sizes.tolist() == [len(t.sites) for t in g.trees]
+        ends = idx.entry_start.tolist()
+        assert ends[0] == 0 and ends[-1] == len(idx.prob)
+        for j, s in enumerate(g.site_ids):
+            a, b = ends[j], ends[j + 1]
+            assert list(zip(idx.tree[a:b].tolist(), idx.prob[a:b].tolist())) == non_nil[s]
+        # zero-probability entries rewrite nothing
+        assert idx.rewrite_graph == tuple(
+            tuple(t for node in tree.sites for t, p in non_nil[node.site_id] if p > 0.0)
+            for tree in g.trees)
+        assert not idx.sizes.flags.writeable and not idx.entry_start.flags.writeable
+    # built once per grammar: the validators read the one graph
+    g = segment_edge_grammar()
+    graph = g.index.rewrite_graph
+    assert graph == ((2, 1), (), (2, 2, 3), ())  # A2's entry into t2 has probability 0
+    validate(g)
+    assert g.index.rewrite_graph is graph
 
 
 def test_offspring_matches_symbolic_gf():
@@ -693,7 +722,8 @@ def test_death_by_level_pinned(name):
 # extinction and death_by_level must match it bit for bit.
 def reference_tree_prod(idx, q):
     out = np.ones(len(idx.tree_ids))
-    out[idx.with_sites] = np.multiply.reduceat(q, idx.tree_start[idx.with_sites])
+    with_sites = np.flatnonzero(np.diff(idx.tree_start))
+    out[with_sites] = np.multiply.reduceat(q, idx.tree_start[with_sites])
     return out
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ptagcheck import branching as br
 from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck.expectation import build_M
-from conftest import minimal_document, parse, pinned_grammar, spectral_radius
+from conftest import (minimal_document, parse, pinned_grammar, random_proper_grammar,
+                      spectral_radius)
 
 M4_POW4_EXPECTED = np.array([
     [0, 0.1728, 0.1728, 0.1728, 0.0688],
@@ -111,6 +113,30 @@ def test_boundary_rho_one_is_indeterminate():
     assert report.verdict == cons.INDETERMINATE
     assert report.squarings_used == 16
     assert report.rho_estimate == pytest.approx(1.0, abs=1e-9)
+
+
+# random_proper_grammar seeds where the whole M has rho 1 and check says
+# Indeterminate, with the start termination that settles each: 0.0 where the
+# reachable part has rho 1 and no derivation finishes (Inconsistent), 1.0
+# where the rho-1 class is unreachable (Consistent).
+INDETERMINATE_SEEDS = {1: 0.0, 3: 0.0, 10: 0.0, 23: 0.0, 28: 0.0,
+                       9: 1.0, 13: 1.0, 20: 1.0, 33: 1.0, 40: 1.0, 45: 1.0}
+
+
+@pytest.mark.parametrize("seed", sorted(INDETERMINATE_SEEDS))
+def test_indeterminate_seed_has_a_settled_start_termination(seed):
+    g = random_proper_grammar(seed)
+    assert spectral_radius(build_M(g).values) == pytest.approx(1.0, abs=1e-9)
+    start = br.start_termination(g, br.extinction(g))
+    assert all(abs(p - INDETERMINATE_SEEDS[seed]) <= 1e-9 for p in start.values())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: check judges the whole site graph "
+                   "and says Indeterminate at rho 1, with no reachable, per-class decision")
+@pytest.mark.parametrize("seed", sorted(INDETERMINATE_SEEDS))
+def test_indeterminate_seed_verdict_follows_start_termination(seed):
+    expected = cons.CONSISTENT if INDETERMINATE_SEEDS[seed] == 1.0 else cons.INCONSISTENT
+    assert cons.check_consistency(random_proper_grammar(seed)).verdict == expected
 
 
 def test_supercritical_early_exit_bound(grammar2):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from ptagcheck import cli
@@ -25,7 +26,8 @@ def test_grammar2_structure(grammar2):
     assert grammar2.phi["S1"] == (("t2", 1.0),)  # no nil entry
     t2 = grammar2.tree("t2")
     assert t2.kind == gr.AUXILIARY
-    assert t2.foot is not None and t2.foot.label == "S"
+    (foot,) = t2.feet
+    assert foot.label == "S"
     assert t2.anchors == ("a",)
 
 
@@ -40,7 +42,7 @@ def test_gorn_addresses(grammar4):
     t2 = grammar4.tree("t2")
     addresses = {n.site_id: n.address for n in t2.sites}
     assert addresses == {"A2": "", "B1": "1", "A3": "2"}
-    foot = t2.foot
+    (foot,) = t2.feet
     assert foot.address == "2.1"
 
 
@@ -88,6 +90,20 @@ def test_grammar_rejects_repeated_site_id(grammar4):
     copy = gr.ElementaryTree("t4", gr.AUXILIARY, g.trees[1].root)  # t2's sites again
     with pytest.raises(gr.GrammarError, match="duplicate site id 'A2'"):
         gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees + (copy,), g.phi)
+
+
+# a hand-built Grammar is checked when it is built, since validate and the
+# index look each site up in phi and each target up among the trees
+@pytest.mark.parametrize("edit, message", [
+    (lambda phi: {s: e for s, e in phi.items() if s != "A1"}, "phi leaves out site 'A1'"),
+    (lambda phi: {**phi, "Z9": ((None, 1.0),)}, "phi names unknown site 'Z9'"),
+    (lambda phi: {**phi, "A3": (("t2", 0.4), ("nope", 0.6))},
+     "phi rewrites site 'A3' to unknown tree 'nope'"),
+], ids=["site-left-out", "key-of-no-site", "target-of-no-tree"])
+def test_grammar_rejects_malformed_phi(grammar4, edit, message):
+    g = grammar4
+    with pytest.raises(gr.GrammarError, match=message):
+        gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees, edit(g.phi))
 
 
 def test_validation_runs_once_per_grammar(monkeypatch):
@@ -348,7 +364,7 @@ def test_parse_restores_collector_state(tmp_path, enabled):
 
 def test_round_trip_identity(grammar4, grammar2):
     for g in (grammar4, grammar2):
-        text = gr.serialize_grammar(g)
+        text = json.dumps(gr.to_document(g), indent=2) + "\n"
         again = gr.parse_grammar(text)
         assert gr.to_document(again) == gr.to_document(g)
         assert again.site_ids == g.site_ids
@@ -360,7 +376,7 @@ def test_round_trip_preserves_defaulted_entries():
     doc = minimal_document()
     doc["trees"][0]["root"]["site"] = "R"
     g = parse(doc)
-    again = gr.parse_grammar(gr.serialize_grammar(g))
+    again = gr.parse_grammar(json.dumps(gr.to_document(g), indent=2) + "\n")
     assert again.phi["R"] == ((None, 1.0),)
 
 
@@ -647,7 +663,8 @@ def front_end_digest(g):
         repr((idx.ids, idx.tree_ids)),
         *(f"{a.dtype.str}{a.shape}{a.tobytes().hex()}"
           for a in (idx.tree_start, idx.site, idx.tree, idx.prob, idx.nil, idx.anchors,
-                    idx.starts, idx.owner, idx.with_sites, idx.bounds[:-1])),
+                    idx.starts, idx.owner, np.flatnonzero(np.diff(idx.tree_start)),
+                    idx.bounds[:-1])),
     ]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
