@@ -106,48 +106,78 @@ def m_from_partials(g):
     return LabelledMatrix(values, idx.ids)
 
 
-def _iterates(idx):
-    """(q_n-1, q_n), n >= 1, from q_0 = 0 by q_n = min(g(q_n-1), 1): views valid
-    for one step, into two buffers that end in the 1.0 that idx.bounds reads.
-    """
+# Kleene steps run in blocks of BLOCK_CELLS // (k + 1) steps, so that a
+# block's rows stay in cache, but at most MAX_BLOCK and at least two, since
+# blocks of one step measured slower than blocks of two from 5,000 to 20,000
+# sites: 16 steps up to 511 sites, two from 2,730.
+BLOCK_CELLS = 8192
+MAX_BLOCK = 16
+
+
+def _kleene_buffer(idx):
+    """(buf, rows): buf's row 0 holds q_0 = 0 and its other rows room for one
+    block of iterates, every row ending in the 1.0 that idx.bounds reads;
+    rows pairs each row with its first k entries, as views made once."""
     k = len(idx)
-    buffers = np.zeros((2, k + 1))
-    buffers[:, k] = 1.0
-    (ext, q), (ext_next, q_next) = ((b, b[:k]) for b in buffers)
-    while True:
+    buf = np.zeros((1 + max(2, min(MAX_BLOCK, BLOCK_CELLS // (k + 1))), k + 1))
+    buf[:, k] = 1.0
+    return buf, [(row, row[:k]) for row in buf]
+
+
+def _kleene_block(idx, rows, n):
+    """Write rows 1 .. n from row 0 by q_r+1 = min(g(q_r), 1).
+
+    A full block leaves its last iterate in the last row, which is row 0
+    once buf and rows are reversed, so the next block runs with no copy."""
+    k = len(idx)
+    for (ext, _), (_, nxt) in zip(rows, rows[1:n + 1]):
         spawned = np.multiply.reduceat(ext, idx.bounds)[idx.entry_slot]
         spawned *= idx.prob
-        np.add(idx.nil, np.bincount(idx.site, spawned, minlength=k), out=q_next)
-        np.minimum(q_next, 1.0, out=q_next)
-        yield q, q_next
-        ext, q, ext_next, q_next = ext_next, q_next, ext, q
+        np.add(idx.nil, np.bincount(idx.site, spawned, minlength=k), out=nxt)
+        np.minimum(nxt, 1.0, out=nxt)
 
 
 def extinction(g, tol=1e-12, max_iter=10**6):
     """Per-site termination probability by fixed-point iteration of q = g(q).
 
     Starts at q = 0; iterates are monotone nondecreasing and bounded by one,
-    converging to the smallest fixed point.  Stops when the max-norm change
-    drops below tol; if max_iter is hit first the last iterate is returned
-    with converged=False.  Values are capped at 1.0 so that site sums at the
-    edge of the properness tolerance cannot push a probability above one.
-    phi breaking the SiteIndex input contract raises ValueError up front,
-    and with it kept each rounded operation is monotone, so no iterate can
-    fall.  max_iter < 1 and a negative or NaN tol raise ValueError too.
+    converging to the smallest fixed point.  Stops at the first step whose
+    max-norm change is below tol; if max_iter is hit first the last iterate
+    is returned with converged=False.  Values are capped at 1.0 so that site
+    sums at the edge of the properness tolerance cannot push a probability
+    above one.  The steps run in blocks (16 steps up to 511 sites, two from
+    2,730) and the change is tested once per block; the steps after the
+    converged one are discarded, so iterate, count and residual are those of
+    a test after every step.  phi breaking the SiteIndex input contract
+    raises ValueError up front, and with it kept each rounded operation is
+    monotone, so no iterate can fall.  max_iter < 1 and a negative or NaN
+    tol raise ValueError too.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
     idx = g.index.checked()
-    if not len(idx):
+    k = len(idx)
+    if not k:
         return ExtinctionVector(np.zeros(0), idx, 0, 0.0, True)
-    step = np.empty(len(idx))
-    for iteration, (q, nxt) in zip(range(1, max_iter + 1), _iterates(idx)):
-        residual = float(np.maximum.reduce(np.subtract(nxt, q, out=step)))
-        if residual < tol:
-            return ExtinctionVector(nxt.copy(), idx, iteration, residual, True)
-    return ExtinctionVector(nxt.copy(), idx, max_iter, residual, False)
+    buf, rows = _kleene_buffer(idx)
+    change = np.empty((len(buf) - 1, k + 1))
+    done = 0
+    while True:
+        n = min(len(change), max_iter - done)
+        _kleene_block(idx, rows, n)
+        # whole rows: the trailing 1.0s change by 0.0, which is no residual's
+        # max since no iterate falls
+        residuals = np.maximum.reduce(np.subtract(buf[1:n + 1], buf[:n], out=change[:n]), axis=1)
+        for row, residual in enumerate(residuals.tolist(), 1):
+            if residual < tol:
+                return ExtinctionVector(rows[row][1].copy(), idx, done + row, residual, True)
+        done += n
+        if done == max_iter:
+            return ExtinctionVector(rows[n][1].copy(), idx, max_iter, residual, False)
+        buf = buf[::-1]
+        rows.reverse()
 
 
 def death_by_level(g, n):
@@ -162,11 +192,14 @@ def death_by_level(g, n):
         raise ValueError("level must be >= 0")
     idx = g.index.checked()
     positions, probs = start_law(g)
-    q = np.zeros(len(idx))
-    iterates = _iterates(idx)
-    for _ in range(n):
-        _, q = next(iterates)
-    return float(probs @ idx.tree_prod(q)[positions])
+    _, rows = _kleene_buffer(idx)
+    while True:
+        steps = min(len(rows) - 1, n)
+        _kleene_block(idx, rows, steps)
+        n -= steps
+        if not n:
+            return float(probs @ idx.tree_prod(rows[steps][1])[positions])
+        rows.reverse()
 
 
 def start_termination(g, ev):

@@ -36,16 +36,17 @@ class SiteIndex:
     document order; nil is the nil mass of each site, anchors the anchor
     count of each tree and starts the read-only positions of the start
     trees (initial trees rooted in the start symbol), in declaration order.
-    The layout is recorded once, read-only: sizes, the site count of each
-    tree; entry_start, so that site j owns the entries entry_start[j]:
-    entry_start[j + 1]; owner, the tree of each site; bounds, where the
+    The layout is recorded once, read-only: mass, the sum of each site's
+    entries as nil + bincount(site, prob), the one sum that bad_site tests
+    and validate reports; sizes, the site count of each tree; entry_start,
+    so that site j owns the entries entry_start[j]:entry_start[j + 1]; owner, the tree of each site; bounds, where the
     slices of the trees with sites start, then k, which reduce q plus a
     trailing 1.0 to those trees' products and a last 1.0; and tree_slot and
     entry_slot, the slot there of each tree and of each phi entry's tree
     (the last for a tree without sites).  rewrite_graph is built on first use.
     bad_site is the first site, in canonical order, with a phi entry (nil
-    included) that is negative, NaN or infinite, or whose entries sum
-    further than PROPERNESS_TOL from 1, or None when there is none.
+    included) that is negative, NaN or infinite, or whose mass is further
+    than PROPERNESS_TOL from 1, or None when there is none.
     """
 
     ids: tuple
@@ -85,22 +86,28 @@ class SiteIndex:
         starts = np.array([j for j, t in enumerate(g.trees)
                            if t.kind == "initial" and t.root.label == g.start], dtype=np.intp)
         starts.flags.writeable = False
-        site, prob, nil = np.array(site, dtype=np.intp), np.array(prob, dtype=float), np.array(nil)
-        # every site mass and every entry is tested at once; bad_site is the first flagged
-        flagged = abs(np.bincount(site, prob, minlength=len(nil)) + nil - 1.0) > PROPERNESS_TOL
+        site, prob = np.array(site, dtype=np.intp), np.array(prob, dtype=float)
+        index = cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes), site,
+                    np.array(tree, dtype=np.intp), prob, np.array(nil),
+                    np.array(anchors, dtype=float), starts)
+        # every site mass and every entry is tested at once; bad_site, the
+        # first flagged, is set once here, before the index is shared
+        flagged = abs(index.mass - 1.0) > PROPERNESS_TOL
         for at, p in ((site, prob), (np.array(nil_site, dtype=np.intp), np.array(nil_prob))):
             flagged[at[~((p >= 0.0) & (p < math.inf))]] = True
         bad = np.flatnonzero(flagged)
-        return cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes), site,
-                   np.array(tree, dtype=np.intp), prob, nil, np.array(anchors, dtype=float),
-                   starts, g.site_ids[bad[0]] if bad.size else None)
+        if bad.size:
+            object.__setattr__(index, "bad_site", index.ids[bad[0]])
+        return index
 
     def __post_init__(self):
         object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
         sizes = np.diff(self.tree_start)
         with_sites = np.flatnonzero(sizes)
         tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
-        for name, layout in (("sizes", sizes),
+        for name, layout in (("mass", np.bincount(self.site, self.prob, minlength=len(self))
+                                       + self.nil),
+                             ("sizes", sizes),
                              ("entry_start", np.searchsorted(self.site, np.arange(len(self) + 1))),
                              ("owner", np.repeat(np.arange(len(self.tree_ids)), sizes)),
                              ("bounds", np.append(self.tree_start[with_sites], len(self))),
@@ -131,7 +138,8 @@ class SiteIndex:
         within PROPERNESS_TOL; else ValueError naming bad_site."""
         if self.bad_site is not None:
             raise ValueError(f"site {self.bad_site!r} has a negative or nonfinite phi "
-                             "probability or a mass other than 1: no entry may be negative, "
+                             "probability or a mass other than 1 (its entries sum to "
+                             f"{float(self.mass[self[self.bad_site]])!r}): no entry may be negative, "
                              "NaN or infinite, and each site's entries must sum to 1")
         return self
 

@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from operator import itemgetter
+from numbers import Real
 
 from .expectation import PROPERNESS_TOL, SiteIndex
 
@@ -50,8 +50,6 @@ UNREACHABLE_TREE = "UNREACHABLE_TREE"
 EMPTY_YIELD_LOOP = "EMPTY_YIELD_LOOP"
 NO_START_TREE = "NO_START_TREE"
 BAD_PROB = "BAD_PROB"
-
-_prob = itemgetter(1)  # of a phi entry
 
 _NODE_FORMS = {"label": {"label", "children", "site"}, "anchor": {"anchor"},
                "foot": {"foot"}, "subst": {"subst", "site"}, "epsilon": {"epsilon"}}
@@ -122,10 +120,11 @@ class Grammar:
 
     Tree ids and site ids are unique.  ``phi`` maps each site id, in
     canonical site order, to a tuple of (target, prob) entries in document
-    order; a target is a tree id, or None for "no adjunction".  phi has a
-    key for every site and no other key, and every target names a tree of
-    the grammar.  Construction raises GrammarError naming the first
-    repeated id, or the first site or target that breaks this.  An
+    order; a target is a tree id, or None for "no adjunction", and a prob a
+    real number (not a bool).  phi has a key for every site and no other
+    key, and every target names a tree of the grammar.  Construction raises
+    GrammarError naming the first repeated id, or the first site, target or
+    prob that breaks this.  An
     adjunction site the document leaves out gets ((None, 1.0),), a
     substitution site ().
     The distinguished wrapper tree accepting any start-rooted initial tree
@@ -153,10 +152,14 @@ class Grammar:
         if phi.keys() != seen:  # seen holds the site ids
             s = next(s for s in (*self.site_ids, *phi) if (s in phi) != (s in seen))
             raise GrammarError(f"phi {'leaves out' if s in seen else 'names unknown'} site {s!r}")
-        unknown = next(((s, target) for s in self.site_ids for target, _ in phi[s]
-                        if target is not None and target not in self._tree_by_id), None)
-        if unknown is not None:
-            raise GrammarError("phi rewrites site {!r} to unknown tree {!r}".format(*unknown))
+        trees = self._tree_by_id
+        for s in self.site_ids:
+            for target, p in phi[s]:
+                if target is not None and target not in trees:
+                    raise GrammarError(f"phi rewrites site {s!r} to unknown tree {target!r}")
+                if type(p) is not float and (isinstance(p, bool) or not isinstance(p, Real)):
+                    raise GrammarError(f"phi gives site {s!r} the probability {p!r}, "
+                                       "which is not a real number")
 
     def tree(self, tree_id):
         return self._tree_by_id[tree_id]
@@ -450,8 +453,10 @@ def validate(g):
 def _diagnose(g):
     diags = []
     shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
+    idx = g.index
+    masses = idx.mass.tolist()
 
-    if not len(g.index.starts):
+    if not len(idx.starts):
         diags.append(Diagnostic(ERROR, NO_START_TREE,
                                 f"no initial tree rooted in start symbol {g.start!r}"))
 
@@ -479,7 +484,8 @@ def _diagnose(g):
                                     tree_id=tree.tree_id))
 
         for node in tree.sites:
-            _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id], shapes)
+            _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id],
+                              masses[idx[node.site_id]], shapes)
 
     for tree_id in detect_unreachable(g):
         diags.append(Diagnostic(WARNING, UNREACHABLE_TREE,
@@ -489,17 +495,16 @@ def _diagnose(g):
     return tuple(diags)
 
 
-def _site_diagnostics(diags, tree_id, node, entries, shapes):
-    """Append the findings at one site; shapes maps each tree id to its
-    (kind, root label)."""
+def _site_diagnostics(diags, tree_id, node, entries, mass, shapes):
+    """Append the findings at one site; mass is the site's g.index.mass,
+    and shapes maps each tree id to its (kind, root label)."""
     site = node.site_id
     substitution = node.kind == SUBSTITUTION
 
-    total = sum(map(_prob, entries))
-    if abs(total - 1.0) > PROPERNESS_TOL:
+    if abs(mass - 1.0) > PROPERNESS_TOL:
         diags.append(Diagnostic(
             ERROR, IMPROPER_SITE,
-            f"site probabilities sum to {total:.12g}, expected 1",
+            f"site probabilities sum to {mass:.12g}, expected 1",
             tree_id=tree_id, site_id=site))
 
     want_kind = INITIAL if substitution else AUXILIARY

@@ -137,6 +137,27 @@ def random_proper_grammar(seed, max_trees=10, max_sites=20):
     return g
 
 
+# Entries (b1, a), (nil, b), (b2, c) of the start site s0, whose mass lies
+# at the PROPERNESS_TOL edge: a + b + c in document order and the index's
+# (a + c) + b (bincount, then nil) fall on opposite sides of it.  "off" is
+# off by the index's sum, "on" within it.
+MASS_EDGE = {"off": ("0x1.132d8f91b7584p-4", "0x1.300c5f01d6618p-1", "0x1.5b1bde291372dp-2"),
+             "on": ("0x1.fb5355e16737ap-3", "0x1.251ce39dbfe99p-1", "0x1.70391bc9f539cp-3")}
+
+
+def mass_edge_document(name):
+    a, b, c = map(float.fromhex, MASS_EDGE[name])
+    aux = [{"id": tid, "type": "auxiliary",
+            "root": {"label": "S", "children": [{"anchor": leaf}, {"foot": "S"}]}}
+           for tid, leaf in (("b1", "b"), ("b2", "c"))]
+    return {"start": "S",
+            "trees": [{"id": "t1", "type": "initial",
+                       "root": {"label": "S", "site": "s0", "children": [{"anchor": "a"}]}},
+                      *aux],
+            "phi": [{"site": "s0", "tree": "b1", "prob": a}, {"site": "s0", "tree": None, "prob": b},
+                    {"site": "s0", "tree": "b2", "prob": c}]}
+
+
 def segment_edge_grammar():
     """Shapes that trip per-tree site offsets.
 

@@ -13,7 +13,8 @@ from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
 from conftest import (GRAMMAR4, minimal_document, parse, pinned_grammar,
                       random_proper_grammar, segment_edge_grammar, spectral_radius,
-                      two_site_start_grammar, two_siteless_start_grammar, verdict_corpus)
+                      synth_grammar, two_site_start_grammar, two_siteless_start_grammar,
+                      verdict_corpus)
 
 # G_2 of grammar4, expanded by hand from 0.8*g2*g3*g4 + 0.2 with
 # g2 = 0.2u + 0.8, g3 = 0.2*s5 + 0.8, g4 = 0.4u + 0.6 over u = s2*s3*s4
@@ -795,10 +796,24 @@ def kleene_edge_grammars():
     yield "only_siteless", parse(minimal_document())  # also: zero sites
     yield "siteless_pair", two_siteless_start_grammar()
     yield "one_tree", sized_trees_grammar((3,), ("t1",))
+    yield "block_end", block_end_grammar()
 
 
+def block_end_grammar():
+    """R and X each adjoin t2 at 0.41, so q_n = 1 - 0.41^n at X: the default
+    tol is met on step 32, the last of extinction's second block."""
+    return r_x_grammar([("R", "t2", 0.41), ("R", None, 0.59),
+                        ("X", "t2", 0.41), ("X", None, 0.59)])
+
+
+# extinction tests once per block of BLOCK steps on every grammar below
+# (none has over 510 sites), so max_iter also lands on both sides of a
+# block's end, with and without a tol that can be met
+BLOCK = br.MAX_BLOCK
 KLEENE_SETTINGS = ({"tol": 1e-12, "max_iter": 1000}, {"tol": 0.0, "max_iter": 5},
-                   {"max_iter": 1}, {"tol": 1e-6, "max_iter": 100})
+                   {"max_iter": 1}, {"tol": 1e-6, "max_iter": 100},
+                   *({**tol, "max_iter": n} for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+                     for tol in ({"tol": 0.0}, {})))
 
 
 def kleene_oracle_grammars():
@@ -813,14 +828,31 @@ def test_kleene_matches_reference_bit_for_bit():
     assert sizes["first_siteless"][0] == 0 and sizes["last_siteless"][-1] == 0
     assert sizes["only_siteless"] == [0] and sizes["siteless_pair"] == [0, 0]
     assert len(edges["nil_only"].index.prob) == 0
+    assert br.extinction(edges["block_end"]).iterations == 2 * BLOCK
     for name, g in kleene_oracle_grammars():
+        assert len(br._kleene_buffer(g.index)[0]) == BLOCK + 1, name
         for setting in KLEENE_SETTINGS:
-            ev = br.extinction(g, **setting)
-            q, iterations, residual, converged = reference_extinction(g, **setting)
-            assert (ev.q.tobytes(), ev.iterations, ev.residual.hex(), ev.converged) == (
-                q.tobytes(), iterations, residual.hex(), converged), (name, setting)
-        for n in range(7):
+            assert_kleene_matches_reference(g, setting, name)
+        # death_by_level runs whole and partial blocks too
+        for n in range(2 * BLOCK + 2 if name in edges else 7):
             assert br.death_by_level(g, n).hex() == reference_death(g, n).hex(), (name, n)
+
+
+def assert_kleene_matches_reference(g, setting, name):
+    ev = br.extinction(g, **setting)
+    q, iterations, residual, converged = reference_extinction(g, **setting)
+    assert (ev.q.tobytes(), ev.iterations, ev.residual.hex(), ev.converged) == (
+        q.tobytes(), iterations, residual.hex(), converged), (name, setting)
+
+
+def test_kleene_in_two_step_blocks_matches_reference():
+    # from 2,730 sites a block is two steps, the fewest there are
+    g = synth_grammar(1, 5000)
+    assert len(br._kleene_buffer(g.index)[0]) == 3
+    for setting in ({}, {"tol": 0.0, "max_iter": 3}, {"max_iter": 1}, {"max_iter": 2}):
+        assert_kleene_matches_reference(g, setting, "synth5000")
+    for n in (0, 1, 3, 4):
+        assert br.death_by_level(g, n).hex() == reference_death(g, n).hex(), n
 
 
 def r_x_grammar(entries):

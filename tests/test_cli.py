@@ -7,7 +7,8 @@ import pytest
 from ptagcheck import cli, consistency, expectation
 from ptagcheck import grammar as gr
 from ptagcheck import simulate
-from conftest import (GRAMMAR2, GRAMMAR4, REPO, minimal_document, random_proper_grammar,
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, mass_edge_document, minimal_document,
+                      random_proper_grammar,
                       segment_edge_grammar, two_siteless_start_grammar)
 
 
@@ -99,6 +100,26 @@ def test_analysis_rejects_invalid_grammar(tmp_path):
     assert code == 2
     assert json.loads(out)[0]["code"] == "IMPROPER_SITE"
     assert "validation error" in err
+
+
+MASS_EDGE_COMMANDS = {"validate": [], "matrix": [], "check": [], "gf": ["--level", "1"],
+                      "extinction": [], "simulate": ["--samples", "200"], "enumerate": []}
+
+
+@pytest.mark.parametrize("command", list(MASS_EDGE_COMMANDS))
+def test_site_mass_at_tolerance_edge_exit_codes(tmp_path, command):
+    # validate and every numeric command read the index's site mass: the
+    # "off" site is refused as invalid (exit 2) before any work, the "on"
+    # site is accepted and the command runs
+    for name, want in (("off", 2), ("on", 0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(mass_edge_document(name)))
+        code, out, err = run([command, str(path), *MASS_EDGE_COMMANDS[command]])
+        assert code == want, (name, err)
+        if name == "off":
+            assert [d["code"] for d in json.loads(out)] == ["IMPROPER_SITE"]
+        else:
+            assert not err and (json.loads(out) == []) == (command == "validate")
 
 
 def test_missing_file_exit66():

@@ -2,14 +2,19 @@ import gc
 import hashlib
 import io
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ptagcheck import cli
 from ptagcheck import grammar as gr
+from ptagcheck import branching as br
 from ptagcheck.consistency import check_consistency
-from conftest import GRAMMAR4, minimal_document, parse, pinned_grammar
+from ptagcheck.expectation import PROPERNESS_TOL
+from conftest import (GRAMMAR4, MASS_EDGE, mass_edge_document, minimal_document, parse,
+                      pinned_grammar, random_proper_grammar, verdict_corpus)
 
 
 def test_grammar4_structure(grammar4):
@@ -99,11 +104,82 @@ def test_grammar_rejects_repeated_site_id(grammar4):
     (lambda phi: {**phi, "Z9": ((None, 1.0),)}, "phi names unknown site 'Z9'"),
     (lambda phi: {**phi, "A3": (("t2", 0.4), ("nope", 0.6))},
      "phi rewrites site 'A3' to unknown tree 'nope'"),
-], ids=["site-left-out", "key-of-no-site", "target-of-no-tree"])
+    # validate raised a bare TypeError on a string, and summed a bool as 1
+    (lambda phi: {**phi, "A3": (("t2", "0.4"), (None, 0.6))},
+     "phi gives site 'A3' the probability '0.4', which is not a real number"),
+    (lambda phi: {**phi, "A3": (("t2", True), (None, 0.0))},
+     "phi gives site 'A3' the probability True, which is not a real number"),
+    (lambda phi: {**phi, "A3": (("t2", 0.4), (None, 0.6j))},
+     "phi gives site 'A3' the probability 0.6j, which is not a real number"),
+    (lambda phi: {**phi, "A3": (("t2", None), (None, 0.6))},
+     "phi gives site 'A3' the probability None, which is not a real number"),
+], ids=["site-left-out", "key-of-no-site", "target-of-no-tree", "string-prob", "bool-prob",
+        "complex-prob", "none-prob"])
 def test_grammar_rejects_malformed_phi(grammar4, edit, message):
     g = grammar4
-    with pytest.raises(gr.GrammarError, match=message):
+    with pytest.raises(gr.GrammarError, match=re.escape(message)):
         gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees, edit(g.phi))
+
+
+def test_grammar_accepts_any_real_probability(grammar4):
+    # ints, fractions and numpy floats are real numbers, counted at their value
+    g = grammar4
+    for entries in ((("t2", Fraction(2, 5)), (None, 0.6)), (("t2", 0), (None, 1)),
+                    (("t2", np.float32(0.5)), (None, 0.5))):
+        edited = gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees,
+                            {**g.phi, "A3": entries})
+        assert gr.validate(edited) == []
+        assert edited.index.mass[edited.index["A3"]] == 1.0
+
+
+def test_validate_reads_the_site_mass_of_the_index():
+    # at the PROPERNESS_TOL edge the order of the sum decides; both sides
+    # read the one mass the index records, so they cannot disagree
+    for name, (a, b, c) in MASS_EDGE.items():
+        a, b, c = map(float.fromhex, (a, b, c))
+        in_document_order = abs(a + b + c - 1.0) > PROPERNESS_TOL
+        assert in_document_order == (name == "on")
+    off = parse(mass_edge_document("off"))
+    mass = float(off.index.mass[off.index["s0"]])
+    assert mass == (float.fromhex(MASS_EDGE["off"][0]) + float.fromhex(MASS_EDGE["off"][2])
+                    + float.fromhex(MASS_EDGE["off"][1]))
+    diags = gr.validate(off)
+    assert [(d.code, d.site_id) for d in diags] == [(gr.IMPROPER_SITE, "s0")]
+    assert f"{mass:.12g}" in diags[0].message
+    assert off.index.bad_site == "s0"
+    with pytest.raises(ValueError, match=re.escape(f"(its entries sum to {mass!r})")):
+        br.extinction(off)
+    on = parse(mass_edge_document("on"))
+    assert gr.validate(on) == [] and on.index.bad_site is None
+    assert br.extinction(on).converged
+
+
+def nudged(g, seed):
+    """g with one site's entries scaled to a mass near the PROPERNESS_TOL edge."""
+    rng = np.random.default_rng(seed)
+    sites = [s for s in g.site_ids if g.phi[s]]
+    if not sites:
+        return g
+    site = sites[rng.integers(len(sites))]
+    factor = 1.0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5) * PROPERNESS_TOL
+    phi = {**g.phi, site: tuple((t, p * factor) for t, p in g.phi[site])}
+    return gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees, phi)
+
+
+def test_improper_site_names_exactly_the_sites_whose_index_mass_is_off():
+    grammars = [random_proper_grammar(seed) for seed in range(200)]
+    grammars += [g for _, g in verdict_corpus(1)]
+    grammars += [pinned_grammar(name) for name in (
+        "grammar2", "grammar4", "segment_edge", "duplicate_target", "two_site_start",
+        "two_siteless_start")]
+    grammars += [parse(mass_edge_document(name)) for name in MASS_EDGE]
+    grammars += [nudged(g, seed) for seed, g in enumerate(grammars)]
+    for g in grammars:
+        idx = g.index
+        named = {d.site_id for d in gr.validate(g) if d.code == gr.IMPROPER_SITE}
+        assert named == {idx.ids[i] for i in np.flatnonzero(abs(idx.mass - 1.0) > PROPERNESS_TOL)}
+        if not any(d.severity == gr.ERROR for d in gr.validate(g)):
+            assert g.index.checked() is idx
 
 
 def test_validation_runs_once_per_grammar(monkeypatch):
