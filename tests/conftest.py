@@ -261,6 +261,18 @@ def two_site_start_grammar():
     })
 
 
+def doubling_grammar():
+    """One initial tree with substitution sites B and C, each rewriting to
+    that tree with probability 1: clean, and G_n = s[B]^(2^n) * s[C]^(2^n)."""
+    return parse({
+        "start": "S",
+        "trees": [{"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+            {"subst": "S", "site": "B"}, {"anchor": "a"}, {"subst": "S", "site": "C"}]}}],
+        "phi": [{"site": "B", "tree": "t1", "prob": 1.0},
+                {"site": "C", "tree": "t1", "prob": 1.0}],
+    })
+
+
 def spectral_radius(m):
     """Largest eigenvalue modulus of m by numpy, 0.0 for an empty matrix.
 

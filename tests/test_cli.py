@@ -7,8 +7,8 @@ import pytest
 from ptagcheck import cli, consistency, expectation
 from ptagcheck import grammar as gr
 from ptagcheck import simulate
-from conftest import (GRAMMAR2, GRAMMAR4, REPO, mass_edge_document, minimal_document,
-                      random_proper_grammar,
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, doubling_grammar, mass_edge_document,
+                      minimal_document, random_proper_grammar,
                       segment_edge_grammar, two_siteless_start_grammar)
 
 
@@ -272,6 +272,19 @@ def test_gf_level_with_siteless_start_trees(tmp_path):
                         "--level", "2"])
     assert code == 0
     assert json.loads(out)["constant"] == 1.0
+
+
+@pytest.mark.parametrize("level", [11, 12])
+def test_gf_powers_past_the_recursion_limit(tmp_path, level):
+    # each level doubles both exponents, so substitution raises one
+    # replacement to the power 2^(level - 1)
+    code, out, err = run(["gf", grammar_file(tmp_path, doubling_grammar()),
+                          "--level", str(level)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["constant"] == 0.0
+    assert doc["terms"] == [{"coefficient": 1.0,
+                             "exponents": {"B": 2**level, "C": 2**level}}]
 
 
 @pytest.mark.parametrize("argv", [["extinction", str(GRAMMAR4), "--max-iter", "0"],

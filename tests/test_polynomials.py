@@ -1,6 +1,13 @@
+import random
+import struct
+from operator import add
+
 import pytest
 
+from ptagcheck import branching as br
+from ptagcheck.expectation import start_law
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
+from conftest import pinned_grammar
 
 
 def poly(nvars, coeffs):
@@ -131,3 +138,251 @@ def test_substitution_identity():
     p = poly(3, {(1, 2, 0): 0.3, (0, 0, 1): 0.7})
     identity = [SparsePolynomial.variable(i, 3) for i in range(3)]
     assert p.substitute(identity) == p
+
+
+def test_repr_shows_exponent_tuples():
+    p = poly(2, {(2, 1): 0.5, (0, 0): 0.25})
+    assert repr(p) == "SparsePolynomial(2, {(2, 1): 0.5, (0, 0): 0.25})"
+
+
+MALFORMED = {
+    "variable_negative": lambda: SparsePolynomial.variable(-1, 3),
+    "variable_past_end": lambda: SparsePolynomial.variable(3, 3),
+    "variable_float": lambda: SparsePolynomial.variable(1.0, 3),
+    "short_exponents": lambda: poly(2, {(1,): 1.0}),
+    "long_exponents": lambda: poly(2, {(1, 0, 0): 1.0}),
+    "negative_power": lambda: poly(2, {(-1, 0): 1.0}),
+    "fractional_power": lambda: poly(2, {(0.5, 0): 1.0}),
+    "float_power": lambda: poly(2, {(1.0, 0): 1.0}),
+    "power_at_cap": lambda: poly(1, {(2**32,): 1.0}),
+    "negative_nvars": lambda: SparsePolynomial(-1),
+    "monomial_negative": lambda: SparsePolynomial.monomial(1.0, [0, -1], 3),
+    "monomial_past_end": lambda: SparsePolynomial.monomial(1.0, [3], 3),
+    "partial_negative": lambda: SparsePolynomial.variable(0, 2).partial(-1),
+    "partial_past_end": lambda: SparsePolynomial.variable(0, 2).partial(2),
+    "coefficient_short": lambda: SparsePolynomial.variable(0, 2).coefficient((1,)),
+    "coefficient_negative": lambda: SparsePolynomial.variable(0, 2).coefficient((-1, 2)),
+    "product_across_spaces": lambda: SparsePolynomial.variable(0, 2) * SparsePolynomial.variable(0, 3),
+    "sum_across_spaces": lambda: SparsePolynomial.variable(0, 2) + SparsePolynomial.variable(0, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_exponents_refused(name):
+    # packed keys would alias each of these to another monomial
+    with pytest.raises(ValueError):
+        MALFORMED[name]()
+
+
+@pytest.mark.parametrize("position,nvars", [(0, 1), (1, 2), (0, 2)])
+def test_degree_cap_raises_before_a_carry(position, nvars):
+    p = SparsePolynomial.variable(position, nvars)
+    for _ in range(31):
+        p = p * p
+    exponents = [0] * nvars
+    exponents[position] = 2**31
+    assert dense_items(p) == [(tuple(exponents), (1.0).hex())]
+    with pytest.raises(OverflowError):
+        p * p
+    # the bound survives sums, scaling and partials
+    for q in (p + 1.0, 0.5 * p, p.partial(position)):
+        with pytest.raises(OverflowError):
+            q * p
+
+
+# -- the dense-tuple reference ---------------------------------------------
+# SparsePolynomial's arithmetic as it was on {exponent tuple: coefficient}
+# dicts, zero coefficients pruned after every operation.  The packed keys
+# must give the same keys, the same coefficient bits and the same insertion
+# order.
+
+def dense_items(p):
+    """(exponent tuple, coefficient hex) in insertion order, decoded from the
+    packed keys byte-wise, independently of the class's digit walk."""
+    n = p.nvars
+    return [(struct.unpack(f">{n}I", key.to_bytes(4 * n, "big")), c.hex())
+            for key, c in p._coeffs.items()]
+
+
+def ref_items(coeffs):
+    return [(e, c.hex()) for e, c in coeffs.items()]
+
+
+def _pruned(coeffs):
+    return {e: c for e, c in coeffs.items() if c != 0.0}
+
+
+def ref_constant(value, nvars):
+    return _pruned({(0,) * nvars: float(value)} if value else {})
+
+
+def ref_monomial(coefficient, positions, nvars):
+    exps = [0] * nvars
+    for position in positions:
+        exps[position] = 1
+    return _pruned({tuple(exps): float(coefficient)})
+
+
+def ref_add(a, b):
+    coeffs = dict(a)
+    for e, c in b.items():
+        coeffs[e] = coeffs.get(e, 0.0) + c
+    return _pruned(coeffs)
+
+
+def ref_mul(a, b):
+    coeffs = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            coeffs[e] = coeffs.get(e, 0.0) + c1 * c2
+    return _pruned(coeffs)
+
+
+def ref_evaluate(a, values):
+    total = 0.0
+    for e, c in a.items():
+        term = c
+        for position, power in enumerate(e):
+            if power:
+                term *= values[position] ** power
+        total += term
+    return total
+
+
+def ref_partial(a, position):
+    coeffs = {}
+    for e, c in a.items():
+        power = e[position]
+        if not power:
+            continue
+        reduced = list(e)
+        reduced[position] = power - 1
+        key = tuple(reduced)
+        coeffs[key] = coeffs.get(key, 0.0) + c * power
+    return _pruned(coeffs)
+
+
+def ref_substitute(a, replacements, nvars, term_cap=None):
+    def capped(coeffs):
+        if term_cap is not None and len(coeffs) > term_cap:
+            raise TermCapExceeded(len(coeffs))
+        return coeffs
+
+    power_cache = {}
+
+    def powered(position, power):
+        key = (position, power)
+        if key not in power_cache:
+            if power == 1:
+                power_cache[key] = replacements[position]
+            else:
+                power_cache[key] = capped(
+                    ref_mul(powered(position, power - 1), replacements[position]))
+        return power_cache[key]
+
+    result = {}
+    for e, c in a.items():
+        term = ref_constant(c, nvars)
+        for position, power in enumerate(e):
+            if power:
+                term = capped(ref_mul(term, powered(position, power)))
+        result = capped(ref_add(result, term))
+    return result
+
+
+def ref_level_gf(g, n):
+    idx = g.index
+    k = len(idx)
+    result = {}
+    for t, w in zip(*start_law(g)):
+        result = ref_add(result, ref_monomial(
+            w, range(idx.tree_start[t], idx.tree_start[t + 1]), k))
+    gfs = []
+    for site in idx.ids:
+        f = {}
+        for target, prob in g.phi[site]:
+            f = ref_add(f, ref_constant(prob, k) if target is None else ref_monomial(
+                prob, [idx[node.site_id] for node in g.tree(target).sites], k))
+        gfs.append(f)
+    for _ in range(n):
+        result = ref_substitute(result, gfs, k)
+    return result
+
+
+def random_dense(rng, nvars, terms, max_power, scale=1.0):
+    """A random {exponent tuple: coefficient} on at most three variables a term."""
+    coeffs = {}
+    for _ in range(terms):
+        exps = [0] * nvars
+        for position in rng.sample(range(nvars), min(nvars, rng.randint(0, 3))):
+            exps[position] = rng.randint(1, max_power)
+        coeffs[tuple(exps)] = scale * rng.uniform(-1.0, 1.0)
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_arithmetic_matches_dense_tuple_reference(seed):
+    rng = random.Random(seed)
+    nvars = 130 if seed == 0 else rng.randint(1, 130)
+    a = random_dense(rng, nvars, rng.randint(1, 12), 4)
+    b = random_dense(rng, nvars, rng.randint(0, 12), 4)
+    # some of a's terms cancelled exactly, others shifted by a tiny amount
+    for e in rng.sample(list(a), rng.randint(0, len(a))):
+        b[e] = -a[e] if rng.random() < 0.7 else -a[e] * (1 + 2**-50)
+    pa, pb = SparsePolynomial(nvars, a), SparsePolynomial(nvars, b)
+    assert dense_items(pa) == ref_items(_pruned(a))
+    assert dense_items(pa + pb) == ref_items(ref_add(a, b))
+    assert dense_items(pb + pa) == ref_items(ref_add(b, a))
+    assert dense_items(pa * pb) == ref_items(ref_mul(a, b))
+    assert dense_items(pa * pa) == ref_items(ref_mul(a, a))
+    assert dense_items(pa * 0.3) == ref_items(_pruned({e: c * 0.3 for e, c in a.items()}))
+    positions = {i for e in a for i, p in enumerate(e) if p} | {rng.randrange(nvars)}
+    for position in sorted(positions):
+        assert dense_items(pa.partial(position)) == ref_items(ref_partial(a, position))
+    values = [rng.uniform(-2.0, 2.0) for _ in range(nvars)]
+    assert pa.evaluate(values).hex() == ref_evaluate(a, values).hex()
+    assert (pa * pb).evaluate(values).hex() == ref_evaluate(ref_mul(a, b), values).hex()
+    reps = [random_dense(rng, nvars, rng.randint(1, 3), 1, 0.5) for _ in range(nvars)]
+    substituted = pa.substitute([SparsePolynomial(nvars, r) for r in reps])
+    assert dense_items(substituted) == ref_items(ref_substitute(a, reps, nvars))
+
+
+@pytest.mark.parametrize("term_cap", [0, 50, 500, 662, None])
+def test_term_cap_matches_dense_tuple_reference(term_cap):
+    # the full substitution has 662 terms
+    rng = random.Random(1)
+    nvars = 6
+    a = random_dense(rng, nvars, 8, 3)
+    reps = [random_dense(rng, nvars, 3, 1) for _ in range(nvars)]
+    try:
+        want = ref_items(ref_substitute(a, reps, nvars, term_cap))
+    except TermCapExceeded:
+        want = TermCapExceeded
+    try:
+        got = dense_items(SparsePolynomial(nvars, a).substitute(
+            [SparsePolynomial(nvars, r) for r in reps], term_cap=term_cap))
+    except TermCapExceeded:
+        got = TermCapExceeded
+    assert got == want
+
+
+def test_substitute_prunes_a_cancelled_term_before_it_returns():
+    # x + y + z with x <- t, y <- u - t, z <- t: t cancels after the second
+    # term and comes back after u, so it ends up last
+    xyz = {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0}
+    t, u = {(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}
+    reps = [t, ref_add(u, {(1, 0, 0): -1.0}), t]
+    got = poly(3, xyz).substitute([SparsePolynomial(3, r) for r in reps])
+    assert dense_items(got) == ref_items(ref_substitute(xyz, reps, 3))
+    assert [e for e, _ in dense_items(got)] == [(0, 1, 0), (1, 0, 0)]
+
+
+LEVEL_CASES = ([("grammar2", n) for n in range(5)] + [("grammar4", n) for n in range(6)]
+               + [("syn130", 2)] + [(f"random{seed}", 2) for seed in range(50)])
+
+
+@pytest.mark.parametrize("name,level", LEVEL_CASES)
+def test_level_gf_matches_dense_tuple_reference(name, level):
+    g = pinned_grammar(name)
+    assert dense_items(br.level_gf(g, level)) == ref_items(ref_level_gf(g, level))
