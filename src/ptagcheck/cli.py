@@ -4,9 +4,10 @@ Every command reads a grammar document and writes machine-readable output
 (JSON, or TSV where requested) to stdout; human diagnostics go to stderr.
 
 Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors or a
-cap hit (gf's term cap, enumerate's node cap, or the dense cap of matrix and
-check, expectation.DENSE_CELL_CAP cells), 3 indeterminate, 64 usage error,
-65 malformed grammar document, 66 unreadable input.
+cap hit (gf's term cap, enumerate's node cap or a depth past the recursion
+limit, or the dense cap of matrix and check, expectation.DENSE_CELL_CAP
+cells), 3 indeterminate, 64 usage error, 65 malformed grammar document,
+66 unreadable input.
 """
 
 from __future__ import annotations

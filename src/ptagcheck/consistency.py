@@ -9,12 +9,14 @@ power passes, every later one does), stopping with one of three verdicts:
   Inconsistent   a spectral-radius lower bound exceeded 1 + tol, using
                  rho >= diag(M^n)_ii^(1/n) and, when every row sum is
                  positive, rho >= (min row sum)^(1/n)
-  Indeterminate  budget exhausted (covers the rho = 1 boundary, which is
-                 deliberately not decided)
+  Indeterminate  the squaring budget ran out, or a power's max row sum
+                 passed SCALE_HIGH first (covers the rho = 1 boundary,
+                 which is deliberately not decided)
 
-Powers are renormalized by their max row sum whenever entries leave
-[1e-100, 1e100]; the accumulated log scale makes every reported quantity
-exact in log space while the matrices stay well inside double range.
+Powers are never rescaled.  A power whose row sums are at most
+SCALE_HIGH = 1e100 squares to one whose row sums are at most 1e200, far
+inside double range, so no product overflows and no entry that could grow
+again is flushed to zero.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from . import grammar as gr
 from .expectation import build_M
 
 SCALE_HIGH = 1e100
-SCALE_LOW = 1e-100
-_MAX_FLOAT_LOG = math.log(1.7e308)
 
 CONSISTENT = "Consistent"
 INCONSISTENT = "Inconsistent"
@@ -61,68 +61,18 @@ class ConsistencyReport:
                 "trace": [[k, v] for k, v in self.max_row_sum_trace]}
 
 
-@dataclass
-class ScaledPower:
-    """M^exponent represented as matrix * exp(log_scale).
-
-    log(true max row sum) = log_scale + log(max row sum of matrix), so norms
-    of astronomically large or tiny powers remain available exactly.
-    """
-
-    matrix: np.ndarray
-    log_scale: float = 0.0
-    exponent: int = 1
-
-    @classmethod
-    def initial(cls, m):
-        return cls(np.array(m, dtype=float))
-
-    def squared(self):
-        product = self.matrix @ self.matrix
-        log_scale = 2.0 * self.log_scale
-        top = _max_row_sum(product)
-        if top > SCALE_HIGH or (0.0 < top < SCALE_LOW):
-            product = product / top
-            log_scale += math.log(top)
-        return ScaledPower(product, log_scale, self.exponent * 2)
-
-    def log_max_row_sum(self):
-        top = _max_row_sum(self.matrix)
-        return -math.inf if top == 0.0 else self.log_scale + math.log(top)
-
-    def gelfand_value(self):
-        """(true max row sum)^(1/exponent), the spectral radius estimate."""
-        log_norm = self.log_max_row_sum()
-        return 0.0 if log_norm == -math.inf else math.exp(log_norm / self.exponent)
-
-    def rho_lower_bound(self):
-        """Best available lower bound on the spectral radius at this power."""
-        n = self.exponent
-        bound = 0.0
-        diag = np.diagonal(self.matrix)
-        if diag.size and diag.max() > 0.0:
-            bound = math.exp((self.log_scale + math.log(diag.max())) / n)
-        if self.matrix.size:
-            bottom = self.matrix.sum(axis=1).min()
-            if bottom > 0.0:
-                bound = max(bound, math.exp((self.log_scale + math.log(bottom)) / n))
-        return bound
-
-
-def _max_row_sum(m):
-    return float(m.sum(axis=1).max()) if m.size else 0.0
-
-
 def check_consistency(g, max_squarings=64, tol=1e-9):
     """Decide consistency of a validated grammar.
 
     Rejects grammars with error-severity diagnostics.  Tests M^(2^k) for
-    k = 0, 1, ... and returns at the first decisive power; after
-    max_squarings squarings the verdict is Indeterminate with the Gelfand
-    value of the last power as the spectral radius estimate.  A negative
-    max_squarings and a negative or NaN tol raise ValueError; a grammar
-    whose dense M would exceed expectation.DENSE_CELL_CAP cells raises
-    DenseCapExceeded.
+    k = 0, 1, ... and returns at the first decisive power.  The max row sum
+    of a power gives its trace entry, the Consistent test and the Gelfand
+    estimate (max row sum)^(1/2^k); its min row sum and diagonal give the
+    lower bounds.  After max_squarings squarings, or at an earlier power
+    whose max row sum passes SCALE_HIGH, the verdict is Indeterminate.  A
+    negative max_squarings and a negative or NaN tol raise ValueError; a
+    grammar whose dense M would exceed expectation.DENSE_CELL_CAP cells
+    raises DenseCapExceeded.
     """
     if max_squarings < 0:
         raise ValueError("max_squarings must be >= 0")
@@ -132,28 +82,26 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     if errors:
         raise InvalidGrammarError(errors)
 
-    power = ScaledPower.initial(build_M(g).values)
+    power = build_M(g).values
     trace = []
     best_lower = 0.0
     for k in range(max_squarings + 1):
-        log_top = power.log_max_row_sum()
-        trace.append((k, _saturated_exp(log_top)))
-        best_lower = max(best_lower, power.rho_lower_bound())
-        if log_top < 0.0:
-            return ConsistencyReport(CONSISTENT, k, trace,
-                                     power.gelfand_value(), best_lower, tol)
-        if best_lower > 1.0 + tol:
-            return ConsistencyReport(INCONSISTENT, k, trace,
-                                     power.gelfand_value(), best_lower, tol)
-        if k < max_squarings:
-            power = power.squared()
-    return ConsistencyReport(INDETERMINATE, max_squarings, trace,
-                             power.gelfand_value(), best_lower, tol)
+        sums = power.sum(axis=1)
+        top, bottom = (float(sums.max()), float(sums.min())) if sums.size else (0.0, 0.0)
+        # exp(log(top)) differs from top in the last bit on some powers; the
+        # reported trace has always carried the round trip's bits
+        trace.append((k, math.exp(math.log(top)) if top else 0.0))
+        for bound in (np.diagonal(power).max(initial=0.0), bottom):
+            if bound > 0.0:  # rho >= bound^(1/2^k)
+                best_lower = max(best_lower, _root(bound, k))
+        verdict = (CONSISTENT if top < 1.0 else INCONSISTENT if best_lower > 1.0 + tol
+                   else INDETERMINATE if top > SCALE_HIGH or k == max_squarings else None)
+        if verdict:
+            rho = _root(top, k) if top else 0.0
+            return ConsistencyReport(verdict, k, trace, rho, best_lower, tol)
+        power = power @ power
 
 
-def _saturated_exp(log_value):
-    # trace values stay finite even when the true row sum overflows a double
-    if log_value == -math.inf:
-        return 0.0
-    return math.exp(min(log_value, _MAX_FLOAT_LOG))
-
+def _root(x, k):
+    """x^(1/2^k) for x > 0; ldexp cannot overflow where / 2**k would."""
+    return math.exp(math.ldexp(math.log(x), -k))

@@ -33,7 +33,7 @@ DEFAULT_FRONTIER_CAP = 10_000
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Exhaustive enumeration outgrew its node cap."""
+    """Exhaustive enumeration outgrew its node cap or the recursion limit."""
 
 
 @dataclass(slots=True)
@@ -316,10 +316,12 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     so far, next option) as the sites of a tree are resolved one by one,
     counted once per (tree, level) because the expansions of a tree at a
     level are shared.  More than node_cap of them raises
-    EnumerationBudgetExceeded.  On grammar4 at depth 5 the result holds
-    238,145 derivations (129 MB traced); the call takes about 0.55 s and
-    peaks at 140 MB, because the memo of expansions is freed before the
-    result is wrapped (Python 3.11, 2-core shared machine).
+    EnumerationBudgetExceeded, as does a max_depth deeper than Python's
+    recursion limit allows, since each level takes one frame.  On grammar4
+    at depth 5 the result holds 238,145 derivations (129 MB traced); the
+    call takes about 0.55 s and peaks at 140 MB, because the memo of
+    expansions is freed before the result is wrapped (Python 3.11, 2-core
+    shared machine).
 
     The build runs with the cyclic garbage collector paused: it creates no
     reference cycles, so reference counting frees all it drops, and a
@@ -334,8 +336,12 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     g.index.checked()
     enumeration = _Enumeration(g, max_depth, prob_floor, node_cap)
     positions, start_probs = start_law(g)
-    roots = [(*enumeration.expand(g.index.tree_ids[t], 0), w)
-             for t, w in zip(positions.tolist(), start_probs.tolist())]
+    try:
+        roots = [(*enumeration.expand(g.index.tree_ids[t], 0), w)
+                 for t, w in zip(positions.tolist(), start_probs.tolist())]
+    except RecursionError:  # expand takes one frame per level
+        raise EnumerationBudgetExceeded(
+            f"max_depth {max_depth} is deeper than the enumerator can recurse") from None
     del enumeration  # nothing reads the memo again: free it before wrapping
     derivations = []
     while roots:  # and free each root's lists once they are wrapped

@@ -273,6 +273,58 @@ def doubling_grammar():
     })
 
 
+def branching_family(p, sites=2):
+    """t1's site adjoins t2 with probability p; t2's sites each adjoin t2 with p.
+
+    Every site takes nil with 1 - p.  With two sites the offspring function
+    is (1 - p) + p s^2: rho = 2p, extinction q = min(1, (1 - p)/p), and the
+    death-by-level constants follow c_n = (1 - p) + p c_(n-1)^2 from c_0 = 0.
+    p = 0.5 is critical.  With one site the grammar is a chain.
+    """
+    t2_sites = [{"label": "S", "site": f"B{i}", "children": [{"anchor": "b"}]}
+                for i in range(1, sites + 1)]
+    return parse({
+        "start": "S",
+        "trees": [{"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+                      {"label": "S", "site": "A1", "children": [{"anchor": "a"}]}]}},
+                  {"id": "t2", "type": "auxiliary", "root": {"label": "S", "children": [
+                      *t2_sites, {"foot": "S"}]}}],
+        "phi": [entry for site in ["A1"] + [n["site"] for n in t2_sites]
+                for entry in ({"site": site, "tree": "t2", "prob": p},
+                              {"site": site, "tree": None, "prob": 1 - p})],
+    })
+
+
+def critical_chain(classes, period):
+    """A chain of critical classes; clean, and start termination is 0.
+
+    Class i is a cycle of period trees c{i}_j, each with one site that
+    adjoins the next tree of the cycle with probability 1.  The first tree
+    of each class but the last has a second site, L{i}, that adjoins the
+    first tree of the next class with 0.5 (nil 0.5).  The start tree's site
+    adjoins the first class.  M has rho 1 and row sums of M^n that grow
+    like n^(classes - 1), while no derivation ever finishes.
+    """
+    def tree(i, j):
+        cycle_site = {"label": "S", "site": f"C{i}_{j}", "children": [{"anchor": "a"}]}
+        link = ([{"label": "S", "site": f"L{i}", "children": [{"anchor": "b"}]}]
+                if j == 0 and i < classes else [])
+        return {"id": f"c{i}_{j}", "type": "auxiliary",
+                "root": {"label": "S", "children": [cycle_site, *link, {"foot": "S"}]}}
+
+    phi = [{"site": "R", "tree": "c1_0", "prob": 1.0}]
+    for i in range(1, classes + 1):
+        phi += [{"site": f"C{i}_{j}", "tree": f"c{i}_{(j + 1) % period}", "prob": 1.0}
+                for j in range(period)]
+        if i < classes:
+            phi += [{"site": f"L{i}", "tree": f"c{i + 1}_0", "prob": 0.5},
+                    {"site": f"L{i}", "tree": None, "prob": 0.5}]
+    start = {"id": "t0", "type": "initial", "root": {"label": "S", "children": [
+        {"label": "S", "site": "R", "children": [{"anchor": "a"}]}]}}
+    return parse({"start": "S", "phi": phi, "trees": [
+        start, *(tree(i, j) for i in range(1, classes + 1) for j in range(period))]})
+
+
 def spectral_radius(m):
     """Largest eigenvalue modulus of m by numpy, 0.0 for an empty matrix.
 

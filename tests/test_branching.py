@@ -1,6 +1,8 @@
 import hashlib
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from ptagcheck.consistency import check_consistency
 from ptagcheck.expectation import PROPERNESS_TOL, SiteIndex, build_M, build_N, build_P, start_law
 from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
-from conftest import (GRAMMAR4, minimal_document, parse, pinned_grammar,
+from conftest import (GRAMMAR4, branching_family, minimal_document, parse, pinned_grammar,
                       random_proper_grammar, segment_edge_grammar, spectral_radius,
                       synth_grammar, two_site_start_grammar, two_siteless_start_grammar,
                       verdict_corpus)
+
+EPS = sys.float_info.epsilon
 
 # G_2 of grammar4, expanded by hand from 0.8*g2*g3*g4 + 0.2 with
 # g2 = 0.2u + 0.8, g3 = 0.2*s5 + 0.8, g4 = 0.4u + 0.6 over u = s2*s3*s4
@@ -349,6 +353,33 @@ def test_extinction_grammar2_fixed_point(grammar2):
     assert ev["S1"] == pytest.approx(ev["S2"] * ev["S3"], abs=1e-12)
     # exact smallest root of the quadratic fixed-point system
     assert ev["S1"] == pytest.approx(0.0004 / 1.9404, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", (0.3, 0.45, 0.7))
+def test_extinction_branching_family_closed_form(p):
+    # q* = min(1, (1 - p)/p) solves q = (1 - p) + p q^2.  Kleene climbs to q*
+    # from below, and the map's slope on [q, q*] is at most r = 2p q* =
+    # 2 min(p, 1 - p), so q* - q <= r / (1 - r) * residual, plus a few
+    # roundings of at most eps each
+    ev = br.extinction(branching_family(p))
+    expected = min(1.0, (1 - p) / p)
+    r = 2 * min(p, 1 - p)
+    assert ev.converged
+    for q in ev.q.tolist():
+        assert -4 * EPS <= expected - q <= r / (1 - r) * ev.residual + 4 * EPS
+
+
+@pytest.mark.parametrize("p", (0.3, 0.5, 0.7))
+def test_death_by_level_branching_family_recursion(p):
+    # c_n = (1 - p) + p c_(n-1)^2 from c_0 = 0, exact in Fraction over the
+    # float p.  A level adds a few roundings of at most eps/2 each and the
+    # map's slope 2p c_n stays at most 2 min(p, 1 - p) <= 1, so the errors
+    # add up to at most 2 eps per level
+    g = branching_family(p)
+    exact = Fraction(0)
+    for n in range(11):
+        assert abs(Fraction(br.death_by_level(g, n)) - exact) <= 2 * n * Fraction(EPS)
+        exact = (1 - Fraction(p)) + Fraction(p) * exact ** 2
 
 
 def test_extinction_trivial_site():

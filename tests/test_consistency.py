@@ -7,8 +7,8 @@ from ptagcheck import branching as br
 from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck.expectation import build_M
-from conftest import (minimal_document, parse, pinned_grammar, random_proper_grammar,
-                      spectral_radius)
+from conftest import (branching_family, critical_chain, minimal_document, parse,
+                      pinned_grammar, random_proper_grammar, spectral_radius)
 
 M4_POW4_EXPECTED = np.array([
     [0, 0.1728, 0.1728, 0.1728, 0.0688],
@@ -160,35 +160,75 @@ def test_spectral_radius_grammar2(grammar2):
     assert spectral_radius(build_M(grammar2).values) == pytest.approx(1.97, abs=1e-6)
 
 
-def test_scaled_power_matches_direct_squaring(grammar4):
-    m = build_M(grammar4).values
-    power = cons.ScaledPower.initial(m)
-    for k in range(1, 7):
-        power = power.squared()
-        direct = np.linalg.matrix_power(m, 2 ** k)
-        top = direct.sum(axis=1).max()
-        reconstructed = math.exp(power.log_max_row_sum())
-        assert reconstructed == pytest.approx(top, rel=1e-9)
+def test_trace_matches_matrix_power_row_sums(grammar4):
+    # each trace entry against numpy's matrix_power, and the Gelfand value of
+    # the last power, on powers that shrink (grammar4), grow polynomially
+    # (a chain of critical classes) and stay at rho = 1 (seed 9)
+    for g, max_squarings in ((grammar4, 64), (critical_chain(3, 2), 6),
+                             (random_proper_grammar(9), 6)):
+        m = build_M(g).values
+        report = cons.check_consistency(g, max_squarings=max_squarings)
+        for k, top in report.max_row_sum_trace:
+            direct = np.linalg.matrix_power(m, 2 ** k).sum(axis=1).max()
+            assert top == pytest.approx(direct, rel=1e-9)
+        assert report.rho_estimate == pytest.approx(top ** 0.5 ** k, rel=1e-12)
+        assert k == report.squarings_used
 
 
-def test_scaled_power_survives_huge_exponents(grammar2):
-    # 1.97^(2^20) overflows doubles by ~1e5 orders of magnitude
-    power = cons.ScaledPower.initial(build_M(grammar2).values)
-    for _ in range(20):
-        power = power.squared()
-    assert np.isfinite(power.matrix).all()
-    assert power.exponent == 2 ** 20
-    gelfand = power.gelfand_value()
-    assert gelfand == pytest.approx(1.97, abs=1e-4)
+def test_growth_stops_at_scale_high_with_finite_trace(grammar2):
+    # with a tol that no lower bound passes, grammar2's powers grow like
+    # 1.97^(2^k): 1.97^256 ~ 1e75 stays below SCALE_HIGH and 1.97^512 passes
+    # it, so the check stops there, unscaled and finite, long before 64
+    report = cons.check_consistency(grammar2, tol=1e9)
+    assert (report.verdict, report.squarings_used) == (cons.INDETERMINATE, 9)
+    trace = [top for _, top in report.max_row_sum_trace]
+    assert all(math.isfinite(top) for top in trace)
+    assert trace[-2] <= cons.SCALE_HIGH < trace[-1]
+    assert report.rho_lower_bound <= 1.97 * (1 + 1e-12) < report.rho_estimate < 1.98
 
 
-def test_scaled_power_survives_tiny_values(grammar4):
-    power = cons.ScaledPower.initial(build_M(grammar4).values)
-    for _ in range(20):
-        power = power.squared()
-    # true norm ~ 0.6^(2^20), far below double range
-    assert power.log_max_row_sum() < math.log(1e-300)
-    assert power.gelfand_value() == pytest.approx(0.6, abs=1e-4)
+def test_more_than_1024_squarings_stay_finite():
+    # the critical branching family's powers all equal M, so nothing stops
+    # the squaring early; an exponent of 2^1024 or more overflows a float
+    report = cons.check_consistency(branching_family(0.5), max_squarings=1100)
+    assert (report.verdict, report.squarings_used) == (cons.INDETERMINATE, 1100)
+    assert report.max_row_sum_trace == [(k, 1.0) for k in range(1101)]
+    assert (report.rho_estimate, report.rho_lower_bound) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("classes,period", [(1, 1), (2, 3), (7, 2)])
+def test_critical_chain_fixture(classes, period):
+    g = critical_chain(classes, period)
+    assert gr.validate(g) == []
+    assert spectral_radius(build_M(g).values) == pytest.approx(1.0, abs=1e-9)
+    assert br.start_termination(g, br.extinction(g)) == {"t0": 0.0}
+
+
+@pytest.mark.parametrize("max_squarings", (64, 400))
+@pytest.mark.parametrize("period", (1, 2, 3, 5))
+@pytest.mark.parametrize("classes", range(1, 12))
+def test_critical_chain_is_never_consistent(classes, period, max_squarings):
+    # no derivation finishes, so Consistent is wrong: rescaling a power by
+    # its max row sum flushed the critical diagonals to 0 and said so
+    report = cons.check_consistency(critical_chain(classes, period),
+                                    max_squarings=max_squarings)
+    assert report.verdict != cons.CONSISTENT
+    assert all(math.isfinite(top) for _, top in report.max_row_sum_trace)
+
+
+@pytest.mark.parametrize("p", (0.3, 0.45, 0.7))
+def test_branching_family_rho_is_2p(p):
+    report = cons.check_consistency(branching_family(p))
+    assert report.verdict == (cons.CONSISTENT if p < 0.5 else cons.INCONSISTENT)
+    assert report.rho_estimate == pytest.approx(2 * p, rel=1e-12)
+    assert report.rho_lower_bound == pytest.approx(2 * p, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a reachable, non-singular critical "
+                   "class dies out with certainty (Harris 1963), but check says "
+                   "Indeterminate at rho = 1")
+def test_critical_branching_family_is_consistent():
+    assert cons.check_consistency(branching_family(0.5)).verdict == cons.CONSISTENT
 
 
 def test_report_is_deterministic(grammar4):

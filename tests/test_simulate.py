@@ -11,9 +11,10 @@ from ptagcheck import branching as br
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (GRAMMAR2, GRAMMAR4, duplicate_target_grammar, minimal_document, parse,
-                      pinned_grammar, random_proper_grammar, segment_edge_grammar, synth_grammar,
-                      two_site_start_grammar, two_siteless_start_grammar)
+from conftest import (GRAMMAR2, GRAMMAR4, branching_family, duplicate_target_grammar,
+                      minimal_document, parse, pinned_grammar, random_proper_grammar,
+                      segment_edge_grammar, synth_grammar, two_site_start_grammar,
+                      two_siteless_start_grammar)
 
 
 class ScriptedRNG:
@@ -592,6 +593,16 @@ def test_enumerate_budget(grammar4):
         sim.enumerate_derivations(grammar4, 4, node_cap=needed, **kwargs)
         with pytest.raises(sim.EnumerationBudgetExceeded):
             sim.enumerate_derivations(grammar4, 4, node_cap=needed - 1, **kwargs)
+
+
+def test_enumerate_depth_beyond_recursion_limit():
+    # expand takes one frame per level, so a one-site chain 1,200 levels deep
+    # outruns Python's default recursion limit of 1,000
+    chain = branching_family(0.5, sites=1)
+    ds = sim.enumerate_derivations(chain, 200)
+    assert len(ds) == 200  # the chain stops by nil at one of levels 0-199
+    with pytest.raises(sim.EnumerationBudgetExceeded, match="max_depth 1200"):
+        sim.enumerate_derivations(chain, 1200)
 
 
 def test_enumerate_zero_prob_choices_excluded(grammar2):
