@@ -4,10 +4,10 @@ Every command reads a grammar document and writes machine-readable output
 (JSON, or TSV where requested) to stdout; human diagnostics go to stderr.
 
 Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors or a
-cap hit (gf's term cap, enumerate's node cap or a depth past the recursion
-limit, or the dense cap of matrix and check, expectation.DENSE_CELL_CAP
-cells), 3 indeterminate, 64 usage error, 65 malformed grammar document,
-66 unreadable input.
+cap hit (gf's term cap, enumerate's node cap or a --max-depth past
+ENUMERATE_DEPTH_CAP, or the dense cap of matrix and check,
+expectation.DENSE_CELL_CAP cells), 3 indeterminate, 64 usage error, 65
+malformed grammar document, 66 unreadable input.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a system call
+# the deepest --max-depth enumerate writes out: a derivation's doc and its JSON take two
+# frames a level each, and about 496 levels fit the default recursion limit (3.10-3.13)
+ENUMERATE_DEPTH_CAP = 400
 
 
 class _UsageError(Exception):
@@ -235,6 +238,10 @@ def _dispatch(args, g, out, err):
         return EX_OK
 
     if args.command == "enumerate":
+        if args.max_depth > ENUMERATE_DEPTH_CAP:
+            err.write(f"max_depth {args.max_depth} is past the {ENUMERATE_DEPTH_CAP} "
+                      "levels that enumerate writes out\n")
+            return EX_INVALID
         try:
             derivations = simulate.enumerate_derivations(
                 g, args.max_depth, prob_floor=args.prob_floor,

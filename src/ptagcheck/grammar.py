@@ -84,9 +84,12 @@ class TreeNode:
     address: str = ""
 
     def preorder(self):
-        yield self
-        for child in self.children:
-            yield from child.preorder()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
 
 @dataclass(slots=True)
@@ -100,11 +103,7 @@ class ElementaryTree:
 
     def __post_init__(self):
         sites, anchors, feet = [], [], []
-        stack = [self.root]
-        while stack:  # one preorder walk
-            node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
+        for node in self.root.preorder():
             if node.site_id is not None:
                 sites.append(node)
             if node.kind == ANCHOR:
@@ -588,49 +587,38 @@ def detect_empty_yield_loops(g):
 
 
 def _strongly_connected(nodes, edges):
-    """Tarjan's algorithm, iterative; components in deterministic order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
-
-    def visit(root):
-        work = [(root, 0)]
+    """Tarjan's algorithm, iterative; components in deterministic order.  Each
+    node on the depth-first path (work) resumes its iterator of successors."""
+    index, low, successors = {}, {}, {}
+    on_stack, stack, components = set(), [], []
+    for root in nodes:
+        if root in index:
+            continue
+        work = [root]
         while work:
-            node, child_i = work.pop()
-            if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
+            node = work[-1]
+            if node not in index:
+                index[node] = low[node] = len(index)
+                successors[node] = iter(edges[node])
                 stack.append(node)
                 on_stack.add(node)
-            recurse = False
-            for i in range(child_i, len(edges[node])):
-                succ = edges[node][i]
+            for succ in successors[node]:
                 if succ not in index:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    recurse = True
+                    work.append(succ)
                     break
                 if succ in on_stack:
                     low[node] = min(low[node], index[succ])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for node in nodes:
-        if node not in index:
-            visit(node)
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[node])
     return components

@@ -33,7 +33,9 @@ DEFAULT_FRONTIER_CAP = 10_000
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Exhaustive enumeration outgrew its node cap or the recursion limit."""
+    """Exhaustive enumeration outgrew its node cap.  Its depth has no cap in
+    the library; ``ptagcheck enumerate`` refuses a --max-depth past
+    cli.ENUMERATE_DEPTH_CAP, the deepest output it writes."""
 
 
 @dataclass(slots=True)
@@ -53,10 +55,11 @@ class DerivationNode:
     children: dict | None = None
 
     def nodes(self):
-        yield self
-        for child in (self.children or {}).values():
-            if child is not None:
-                yield from child.nodes()
+        stack = [self]
+        while stack:
+            if (node := stack.pop()) is not None:  # None: a nil choice
+                yield node
+                stack.extend(reversed((node.children or {}).values()))
 
 
 @dataclass(slots=True)
@@ -234,40 +237,35 @@ def derived_tree(d, g):
     the adjoined tree at the node's position and reattaches the excised
     subtree at its foot; substitution replaces the substitution leaf with
     the initial tree's root.  The tree is built by one recursive graft from
-    the start tree down, each node once, with Gorn addresses of its own.
+    the start tree down, each node once and with its Gorn address.
     The grammar must pass ``validate`` (every auxiliary tree has exactly one
     foot); on a grammar with ``BAD_FOOT`` errors the result is undefined.
     """
     if not d.complete:
         raise ValueError("cannot derive a tree from an incomplete derivation")
-    return _freeze(_graft(g.tree(d.root.tree_id).root, d.root.children, None, g), "")
+    return _graft(g.tree(d.root.tree_id).root, d.root.children, None, g, "")
 
 
-def _graft(node, chosen, foot, g):
-    """(kind, label, site_id, children) of node with its subtree derived.
+def _graft(node, chosen, foot, g, address):
+    """The TreeNode at address of node with its subtree derived.
 
     chosen maps the site ids of node's elementary tree to the derivation
-    node placed there (None for nil); foot, unless None, is what the tree's
-    foot leaf becomes.  A node that takes an adjunction is itself the foot
-    of the adjoined tree; a substituted tree has no foot to fill.
+    node placed there (None for nil).  foot, unless None, is the excised
+    (node, chosen, foot) that the tree's foot leaf becomes: a node that
+    takes an adjunction is itself grafted at the adjoined tree's foot,
+    without that adjunction.  A substituted tree has no foot to fill.
     """
     if node.kind == gr.FOOT and foot is not None:
-        return foot
-    built = (node.kind, node.label, node.site_id,
-             [_graft(child, chosen, foot, g) for child in node.children])
-    child = chosen.get(node.site_id) if chosen else None
-    if child is None:
-        return built
-    below = None if node.kind == gr.SUBSTITUTION else built
-    return _graft(g.tree(child.tree_id).root, child.children, below, g)
-
-
-def _freeze(built, address):
-    kind, label, site_id, children = built
-    children = tuple(
-        _freeze(child, f"{address}.{i + 1}" if address else str(i + 1))
-        for i, child in enumerate(children))
-    return gr.TreeNode(kind, label, children, site_id, address)
+        node, chosen, foot = foot
+    else:
+        child = chosen.get(node.site_id) if chosen else None
+        if child is not None:
+            below = None if node.kind == gr.SUBSTITUTION else (node, chosen, foot)
+            return _graft(g.tree(child.tree_id).root, child.children, below, g, address)
+    prefix = f"{address}." if address else ""
+    children = tuple([_graft(child, chosen, foot, g, f"{prefix}{i}")
+                      for i, child in enumerate(node.children, 1)])
+    return gr.TreeNode(node.kind, node.label, children, node.site_id, address)
 
 
 def yield_string(t):
@@ -312,16 +310,17 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     weighted probability.  prob_floor must not be NaN, and phi breaking the
     SiteIndex input contract raises ValueError.
 
-    node_cap bounds the partial expansions: one per kept pair of (choices
-    so far, next option) as the sites of a tree are resolved one by one,
-    counted once per (tree, level) because the expansions of a tree at a
-    level are shared.  More than node_cap of them raises
-    EnumerationBudgetExceeded, as does a max_depth deeper than Python's
-    recursion limit allows, since each level takes one frame.  On grammar4
-    at depth 5 the result holds 238,145 derivations (129 MB traced); the
-    call takes about 0.55 s and peaks at 140 MB, because the memo of
-    expansions is freed before the result is wrapped (Python 3.11, 2-core
-    shared machine).
+    The trees placed at each level are collected first, from the start
+    trees down; then the expansions of each (tree, level) are built once,
+    from level max_depth up, from those of the level below, and shared.
+    Nothing recurses per level.  node_cap bounds the partial expansions:
+    one per kept pair of (choices so far, next option) as the sites of a
+    tree are resolved one by one, counted once per (tree, level).  More
+    than node_cap of them raises EnumerationBudgetExceeded.  On grammar4
+    at depth 5 the result holds
+    238,145 derivations (129 MB traced); the call takes about 0.55 s and
+    peaks at 140 MB, because the expansions are freed before the result is
+    wrapped (Python 3.11, 2-core shared machine).
 
     The build runs with the cyclic garbage collector paused: it creates no
     reference cycles, so reference counting frees all it drops, and a
@@ -333,16 +332,24 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
         raise ValueError("prob_floor must not be NaN")
     if node_cap < 0:
         raise ValueError("node_cap must be >= 0")
-    g.index.checked()
-    enumeration = _Enumeration(g, max_depth, prob_floor, node_cap)
+    index = g.index.checked()
+    graph, sizes = index.rewrite_graph, index.sizes.tolist()
     positions, start_probs = start_law(g)
-    try:
-        roots = [(*enumeration.expand(g.index.tree_ids[t], 0), w)
-                 for t, w in zip(positions.tolist(), start_probs.tolist())]
-    except RecursionError:  # expand takes one frame per level
-        raise EnumerationBudgetExceeded(
-            f"max_depth {max_depth} is deeper than the enumerator can recurse") from None
-    del enumeration  # nothing reads the memo again: free it before wrapping
+    placed = [dict.fromkeys(positions.tolist())]  # tree positions per level
+    while placed[-1] and len(placed) <= max_depth:
+        deepest = len(placed) == max_depth
+        placed.append(dict.fromkeys(k for j in placed[-1] for k in graph[j]
+                                    if not (deepest and sizes[k])))
+    nil = [None], [1.0]  # no tree, with probability 1
+    below, spent = {None: nil}, 0  # the expansions at the level under the one being built
+    for level in reversed(range(len(placed))):
+        here = {None: nil}
+        for j in placed[level]:
+            here[index.tree_ids[j]], spent = _expand(g, g.trees[j], level, below,
+                                                     prob_floor, node_cap, spent)
+        below = here
+    roots = [(*below[index.tree_ids[t]], w) for t, w in zip(placed[0], start_probs.tolist())]
+    del below  # nothing reads the expansions again: free them before wrapping
     derivations = []
     while roots:  # and free each root's lists once they are wrapped
         nodes, probs, w = roots.pop(0)
@@ -351,63 +358,36 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     return derivations
 
 
-class _Enumeration:
-    """State of one enumerate_derivations call.
-
-    ``memo`` maps (tree_id, level) to the expansions found there, which
-    every later caller shares; ``spent`` counts partial expansions.
-    Nothing it holds refers back to it, so it forms no reference cycle.
-    """
-
-    __slots__ = ("g", "max_depth", "prob_floor", "node_cap", "memo", "spent")
-
-    def __init__(self, g, max_depth, prob_floor, node_cap):
-        self.g = g
-        self.max_depth = max_depth
-        self.prob_floor = prob_floor
-        self.node_cap = node_cap
-        self.memo = {}
-        self.spent = 0
-
-    def expand(self, tree_id, level):
-        """(nodes, probabilities): parallel lists of tree_id's expansions at level."""
-        key = (tree_id, level)
-        if key in self.memo:
-            return self.memo[key]
-        g, prob_floor = self.g, self.prob_floor
-        sites = [site_node.site_id for site_node in g.tree(tree_id).sites]
-        # the children chosen so far and their running products; the choices
-        # at the last site complete a node, and a tree without sites is one
-        combos, probs = [{} if sites else DerivationNode(tree_id, level, {})], [1.0]
-        for site in sites:
-            options, option_probs = [], []
-            for target, p in g.phi[site]:
-                if p <= 0.0:
-                    continue
-                if target is None:
-                    options.append(None)
-                    option_probs.append(p)
-                elif level + 1 < self.max_depth or not g.tree(target).sites:
-                    subs, sub_probs = self.expand(target, level + 1)
-                    options += subs
-                    option_probs += [p * sub_prob for sub_prob in sub_probs]
-            last = site == sites[-1]
-            extended, extended_probs = [], []
-            allowed = self.node_cap - self.spent
-            for children, prob in zip(combos, probs):
-                for choice, choice_prob in zip(options, option_probs):
-                    if (total := prob * choice_prob) >= prob_floor:
-                        chosen = children.copy()
-                        chosen[site] = choice
-                        extended.append(DerivationNode(tree_id, level, chosen) if last else chosen)
-                        extended_probs.append(total)
-                if len(extended) > allowed:
-                    raise EnumerationBudgetExceeded(
-                        f"more than {self.node_cap} partial derivations")
-            self.spent += len(extended)
-            combos, probs = extended, extended_probs
-        self.memo[key] = combos, probs
-        return combos, probs
+def _expand(g, tree, level, below, prob_floor, node_cap, spent):
+    """((nodes, probabilities), spent plus the partial expansions made) of
+    tree at level; below maps the trees placed at level + 1, and nil, to
+    theirs.  A call of its own, so its option lists die before the next's."""
+    tree_id, sites = tree.tree_id, [site_node.site_id for site_node in tree.sites]
+    # the children chosen so far and their running products; the choices
+    # at the last site complete a node, and a tree without sites is one
+    combos, probs = [{} if sites else DerivationNode(tree_id, level, {})], [1.0]
+    for site in sites:
+        options, option_probs = [], []
+        for target, p in g.phi[site]:
+            if p > 0.0 and target in below:  # p * 1.0 is p: nil's probability is exact
+                subs, sub_probs = below[target]
+                options += subs
+                option_probs += [p * sub_prob for sub_prob in sub_probs]
+        last = site == sites[-1]
+        extended, extended_probs = [], []
+        allowed = node_cap - spent
+        for children, prob in zip(combos, probs):
+            for choice, choice_prob in zip(options, option_probs):
+                if (total := prob * choice_prob) >= prob_floor:
+                    chosen = children.copy()
+                    chosen[site] = choice
+                    extended.append(DerivationNode(tree_id, level, chosen) if last else chosen)
+                    extended_probs.append(total)
+            if len(extended) > allowed:
+                raise EnumerationBudgetExceeded(f"more than {node_cap} partial derivations")
+        spent += len(extended)
+        combos, probs = extended, extended_probs
+    return (combos, probs), spent
 
 
 # ---------------------------------------------------------------------------

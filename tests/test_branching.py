@@ -154,8 +154,9 @@ def test_death_constants_nondecreasing(grammar4, grammar2):
 
 
 def test_death_rejects_negative_level(grammar4):
-    with pytest.raises(ValueError, match="level must be >= 0"):
-        br.death_by_level(grammar4, -1)
+    for level_function in (br.death_by_level, br.level_gf):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            level_function(grammar4, -1)
 
 
 def test_death_matches_symbolic_constant(grammar4):

@@ -1,12 +1,15 @@
 """Each cap ends its command with the documented exit code, not a traceback.
 
 Every case runs ``python -m ptagcheck.cli`` as a child process with a
-timeout, so a command that hangs, or dies of an uncaught error with exit 1
-(the code for "inconsistent"), fails its case instead of the suite.
+timeout and a 1 GiB address-space limit, so a command that hangs, blows up
+in memory, or dies of an uncaught error with exit 1 (the code for
+"inconsistent"), fails its case instead of the suite or the machine.
 """
 
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -14,7 +17,10 @@ import pytest
 
 from ptagcheck import cli
 from ptagcheck import grammar as gr
+from ptagcheck import simulate as sim
 from conftest import REPO, branching_family, critical_chain
+
+MEMORY_LIMIT = 1 << 30  # bytes of address space per child
 
 # name: (grammar, command and options, exit code)
 CASES = {
@@ -23,14 +29,25 @@ CASES = {
     "check-8-class-chain": (lambda: critical_chain(8, 2), ["check"], cli.EX_INDETERMINATE),
     "enumerate-depth-1200": (lambda: branching_family(0.5, sites=1),
                              ["enumerate", "--max-depth", "1200"], cli.EX_INVALID),
+    "enumerate-depth-cap+1": (lambda: branching_family(0.5, sites=1),
+                              ["enumerate", "--max-depth", str(cli.ENUMERATE_DEPTH_CAP + 1)],
+                              cli.EX_INVALID),
 }
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def run_cli(command, path, *options):
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    # OpenBLAS reserves a buffer per thread, which on a many-core machine
+    # alone could pass the limit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "ptagcheck.cli", command, str(path), *options],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=limit_memory)
 
 
 @pytest.mark.parametrize("grammar,argv,code", CASES.values(), ids=CASES.keys())
@@ -44,3 +61,16 @@ def test_cap_exit_code(tmp_path, grammar, argv, code):
         assert (done.stdout, done.stderr.count("\n")) == ("", 1)
     else:
         assert json.loads(done.stdout)["verdict"] == "Indeterminate"
+
+
+def test_enumerate_writes_out_a_derivation_as_deep_as_the_cap():
+    # the doc of a derivation and its JSON take two frames per level each:
+    # the deepest one the cap admits is written out within the recursion
+    # limit, here with the test runner's frames beneath it
+    cap = cli.ENUMERATE_DEPTH_CAP
+    ds = sim.enumerate_derivations(branching_family(0.5, sites=1), cap)
+    deepest = max(ds, key=lambda d: max(node.level for node in d.root.nodes()))
+    assert max(node.level for node in deepest.root.nodes()) == cap - 1
+    out = io.StringIO()
+    cli._emit(sim.derivation_docs([deepest]), out)
+    assert json.loads(out.getvalue())[0]["probability"] == 0.5 ** cap

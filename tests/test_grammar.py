@@ -12,7 +12,7 @@ from ptagcheck import cli
 from ptagcheck import grammar as gr
 from ptagcheck import branching as br
 from ptagcheck.consistency import check_consistency
-from ptagcheck.expectation import PROPERNESS_TOL
+from ptagcheck.expectation import PROPERNESS_TOL, start_law
 from conftest import (GRAMMAR4, MASS_EDGE, mass_edge_document, minimal_document, parse,
                       pinned_grammar, random_proper_grammar, verdict_corpus)
 
@@ -581,6 +581,19 @@ def test_bad_foot_count_and_label():
     assert "differs from root label" in foot_diags[1].message
 
 
+def test_bad_foot_site_on_a_foot_node():
+    # a foot leaf takes no "site" in a document, so the tree is built by hand
+    leaf = gr.TreeNode(gr.ANCHOR, "b", (), None, "1")
+    foot = gr.TreeNode(gr.FOOT, "S", (), "F", "2")
+    aux = gr.ElementaryTree("t2", gr.AUXILIARY, gr.TreeNode(gr.INTERIOR, "S", (leaf, foot)))
+    start = parse(minimal_document()).trees[0]
+    g = gr.Grammar("S", frozenset({"S"}), frozenset({"a", "b"}), (start, aux),
+                   {"F": ((None, 1.0),)})
+    assert [d.as_dict() for d in gr.validate(g) if d.code == gr.BAD_FOOT] == [
+        {"severity": gr.ERROR, "code": gr.BAD_FOOT, "tree": "t2", "site": "F",
+         "message": "adjunction site on a foot node"}]
+
+
 def test_no_start_tree():
     doc = {
         "start": "Z",
@@ -588,8 +601,10 @@ def test_no_start_tree():
                    "root": {"label": "S", "children": [{"anchor": "a"}]}}],
         "phi": [],
     }
-    diags = gr.validate(parse(doc))
-    assert gr.NO_START_TREE in [d.code for d in diags]
+    g = parse(doc)
+    assert gr.NO_START_TREE in [d.code for d in gr.validate(g)]
+    with pytest.raises(ValueError, match="no initial tree rooted in 'Z'"):
+        start_law(g)
 
 
 def test_validate_is_deterministic(grammar4):

@@ -132,12 +132,15 @@ def test_equality_and_allclose():
     assert a != c
     assert a.allclose(c, tol=1e-12)
     assert not a.allclose(c, tol=1e-14)
+    assert not a.allclose(poly(3, {(1, 0, 0): 0.5}))  # another number of variables
 
 
 def test_substitution_identity():
     p = poly(3, {(1, 2, 0): 0.3, (0, 0, 1): 0.7})
     identity = [SparsePolynomial.variable(i, 3) for i in range(3)]
     assert p.substitute(identity) == p
+    with pytest.raises(ValueError, match="one replacement polynomial per variable"):
+        p.substitute(identity[:2])
 
 
 def test_repr_shows_exponent_tuples():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -596,13 +597,44 @@ def test_enumerate_budget(grammar4):
 
 
 def test_enumerate_depth_beyond_recursion_limit():
-    # expand takes one frame per level, so a one-site chain 1,200 levels deep
-    # outruns Python's default recursion limit of 1,000
+    # the enumerator fills its levels bottom up without recursing, so a
+    # one-site chain enumerates 1,200 levels deep, past Python's default
+    # recursion limit of 1,000; the floor keeps the 60 derivations that stop
+    # by nil at one of levels 0-59, deepest first
     chain = branching_family(0.5, sites=1)
-    ds = sim.enumerate_derivations(chain, 200)
-    assert len(ds) == 200  # the chain stops by nil at one of levels 0-199
-    with pytest.raises(sim.EnumerationBudgetExceeded, match="max_depth 1200"):
-        sim.enumerate_derivations(chain, 1200)
+    ds = sim.enumerate_derivations(chain, 1200, prob_floor=2**-60)
+    assert [d.probability for d in ds] == [0.5 ** k for k in range(60, 0, -1)]
+    assert [max(node.level for node in d.root.nodes()) for d in ds] == \
+        [*range(59, 0, -1), 0]
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_enumerate_branching_family_closed_form(p, sites):
+    # every site takes nil or adjoins t2 one level down, and t2 has sites, so
+    # none is placed at level d: the start site has n_d = 1 + n_(d-1)^sites
+    # complete expansions and dies by level d with c_d = (1 - p) +
+    # p c_(d-1)^sites, from n_0 = 0 and c_0 = 0, exactly in the grammar's own
+    # float probabilities; u is the unit roundoff of a double
+    g = branching_family(p, sites)
+    u = Fraction(2) ** -53
+    n, c = 0, Fraction(0)
+    for d in range(1, 5):
+        n, c = 1 + n ** sites, Fraction(1 - p) + Fraction(p) * c ** sites
+        ds = sim.enumerate_derivations(g, d)
+        assert len(ds) == n
+        # a derivation with f choices multiplies f factors, rounding f - 1
+        # times (the start weight is 1.0), and summing n terms rounds n - 1
+        # times more: relative error at most gamma_(n + f) < 2 (n + f) u
+        f = max(sum(len(node.children) for node in x.root.nodes()) for x in ds)
+        total = sum(x.probability for x in ds)
+        assert abs(Fraction(total) - c) <= 2 * (n + f) * u * c
+        # a Kleene step rounds sites + 1 times on values of at most 1 (sites - 1
+        # products, the factor p, the nil mass), and each later step scales an
+        # error by at most the slope p * sites of the offspring function
+        slope = max(1, Fraction(p) * sites)
+        death = br.death_by_level(g, d)
+        assert abs(Fraction(death) - c) <= 2 * (sites + 1) * d * slope ** (d - 1) * u
 
 
 def test_enumerate_zero_prob_choices_excluded(grammar2):
@@ -809,6 +841,12 @@ def test_estimate_rejects_max_depth_below_one(grammar4):
     # a sample that may not draw would be neither terminated nor censored
     with pytest.raises(ValueError, match="max_depth must be >= 1"):
         sim.estimate_termination(grammar4, 100, 0)
+    for call in (lambda: sim.sample_derivation(grammar4, seed=0, max_depth=0),
+                 lambda: sim.enumerate_derivations(grammar4, 0)):
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            call()
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sim.estimate_termination(grammar4, 0, 5)
 
 
 def test_negative_budgets_are_rejected(grammar4):
