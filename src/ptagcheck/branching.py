@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import LabelledMatrix, SiteIndex, start_law
-from .polynomials import SparsePolynomial, TermCapExceeded  # noqa: F401  (raised by level_gf)
+from .expectation import LabelledMatrix, SiteIndex, _check_dense, start_law
+from .polynomials import SparsePolynomial, TermCapExceeded, _shift  # noqa: F401  (raised by level_gf)
 
 DEFAULT_TERM_CAP = 100_000
 
@@ -47,14 +47,23 @@ def adjunction_gf(g, site_id):
     idx = g.index
     if site_id not in idx.position:
         raise KeyError(f"unknown site {site_id!r}")
-    poly = SparsePolynomial.zero(len(idx))
+    k = len(idx)
+    coeffs, degree = {}, 0
     for target, prob in g.phi[site_id]:
-        if target is None:
-            poly = poly + SparsePolynomial.constant(prob, len(idx))
+        key = 0
+        if target is not None:
+            for n in g.tree(target).sites:
+                key |= 1 << _shift(idx[n.site_id], k)
+            if key:
+                degree = 1
+        # poly + constant(prob) or + monomial(prob, sites) in place: the same
+        # keys, order and bits, a sum that reaches zero pruned where it does
+        total = coeffs.get(key, 0.0) + float(prob)
+        if total != 0.0:
+            coeffs[key] = total
         else:
-            positions = [idx[n.site_id] for n in g.tree(target).sites]
-            poly = poly + SparsePolynomial.monomial(prob, positions, len(idx))
-    return poly
+            coeffs.pop(key, None)
+    return SparsePolynomial._of(k, coeffs, degree)
 
 
 def level_gf(g, n, term_cap=DEFAULT_TERM_CAP):
@@ -93,15 +102,18 @@ def m_from_partials(g):
     Independent of the P @ N construction: m[i][j] = d g_i / d s_j at
     s = (1, ..., 1).  Each g_i is differentiated only by the variables that
     occur in it: the partial by any other is the zero polynomial, so its
-    entry keeps the 0.0 the matrix starts with.
+    entry keeps the 0.0 the matrix starts with.  Raises DenseCapExceeded,
+    as build_M does, before any polynomial work when k * k passes
+    DENSE_CELL_CAP.
     """
     idx = g.index
     k = len(idx)
+    _check_dense(k, k)
     ones = [1.0] * k
     values = np.zeros((k, k))
     for i, site in enumerate(idx.ids):
         poly = adjunction_gf(g, site)
-        for j in {j for exponents, _ in poly.terms for j in exponents}:
+        for j in poly.variables():
             values[i, j] = poly.partial(j).evaluate(ones)
     return LabelledMatrix(values, idx.ids)
 

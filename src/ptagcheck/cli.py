@@ -200,7 +200,7 @@ def _dispatch(args, g, out, err):
             else:
                 poly = branching.level_gf(g, args.level, term_cap=args.term_cap)
         except KeyError as exc:
-            err.write(f"unknown site: {exc}\n")
+            err.write(f"{exc.args[0]}\n")
             return EX_USAGE
         except branching.TermCapExceeded as exc:
             err.write(f"TERM_CAP_EXCEEDED: {exc}\n")

@@ -34,7 +34,9 @@ def _count(value, what):
 
 def _shift(position, nvars):
     """The bit offset of a variable's digit, variable 0 the most significant."""
-    if not 0 <= _count(position, "position") < nvars:
+    if type(position) is not int:
+        position = _count(position, "position")
+    if not 0 <= position < nvars:
         raise ValueError(f"position {position!r} out of range for {nvars} variables")
     return DIGIT_BITS * (nvars - 1 - position)
 
@@ -144,6 +146,13 @@ class SparsePolynomial:
         rows.sort(key=lambda row: row[:2], reverse=True)
         return [(powers, c) for _, _, powers, c in rows]
 
+    def variables(self):
+        """Positions of the variables that occur in some term, ascending."""
+        used = 0
+        for e in self._coeffs:
+            used |= e
+        return list(_powers(used, self.nvars))
+
     @property
     def constant_term(self):
         return self._coeffs.get(0, 0.0)
@@ -194,8 +203,9 @@ class SparsePolynomial:
                 f"a product of degree up to {degree} reaches the cap 2**{DIGIT_BITS}")
         coeffs = {}
         get = coeffs.get
+        right = list(other._coeffs.items())
         for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+            for e2, c2 in right:
                 e = e1 + e2
                 coeffs[e] = get(e, 0.0) + c1 * c2
         return SparsePolynomial._of(self.nvars, coeffs, degree)
@@ -203,8 +213,10 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def evaluate(self, values):
-        """The value at ``values``, each term's factors multiplied in
-        ascending variable order."""
+        """The value at ``values``, one per variable, each term's factors
+        multiplied in ascending variable order."""
+        if len(values) != self.nvars:
+            raise ValueError(f"need {self.nvars} values, got {len(values)}")
         top = self.nvars - 1
         total = 0.0
         for e, c in self._coeffs.items():
@@ -233,10 +245,11 @@ class SparsePolynomial:
     def substitute(self, replacements, term_cap=None):
         """Simultaneous substitution of one polynomial per variable.
 
-        Each term multiplies in its variables' powers in ascending variable
-        order; a variable's power p is the cached power p - 1 times its
-        replacement.  Raises TermCapExceeded as soon as any intermediate
-        product holds more than term_cap terms.
+        Each term starts from its first variable's power scaled by its
+        coefficient and multiplies in the other variables' powers in
+        ascending variable order; a variable's power p is the cached power
+        p - 1 times its replacement.  Raises TermCapExceeded as soon as any
+        intermediate product holds more than term_cap terms.
         """
         if len(replacements) != self.nvars:
             raise ValueError("need one replacement polynomial per variable")
@@ -250,8 +263,14 @@ class SparsePolynomial:
 
         coeffs, degree = {}, 0
         for e, c in self._coeffs.items():
-            term = SparsePolynomial.constant(c, self.nvars)
-            for position, power in _powers(e, self.nvars).items():
+            factors = iter(_powers(e, self.nvars).items())
+            if e:
+                # scaled, not multiplied by constant(c): v * c has the bits
+                # of 0.0 + c * v
+                term = _capped(powered(*next(factors)) * float(c), term_cap)
+            else:
+                term = SparsePolynomial.constant(c, self.nvars)
+            for position, power in factors:
                 term = _capped(term * powered(position, power), term_cap)
             # result + term in place: the same sums, zeros pruned as they arise
             for key, value in term._coeffs.items():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ptagcheck import branching as br
+from ptagcheck import expectation
 from ptagcheck import simulate as sim
 from ptagcheck.consistency import check_consistency
 from ptagcheck.expectation import PROPERNESS_TOL, SiteIndex, build_M, build_N, build_P, start_law
@@ -299,6 +300,14 @@ def test_m_from_partials_matches_reference_bit_for_bit():
     grammars += [random_proper_grammar(seed) for seed in range(200)]
     for g in grammars:
         assert br.m_from_partials(g).values.tobytes() == reference_m_from_partials(g).tobytes()
+
+
+def test_m_from_partials_dense_cap(monkeypatch, grammar4):
+    # grammar4's M has 25 cells; the cap fires before any site function is built
+    monkeypatch.setattr(expectation, "DENSE_CELL_CAP", 20)
+    monkeypatch.setattr(br, "adjunction_gf", None)
+    with pytest.raises(expectation.DenseCapExceeded, match="a 5 x 5 dense matrix"):
+        br.m_from_partials(grammar4)
 
 
 # (grammar, level) -> (terms, sha256 of [(exponents, coefficient.hex())] in

@@ -189,8 +189,7 @@ def test_gf_term_cap_exit():
 
 
 def test_gf_unknown_site_exit64():
-    code, _, _ = run(["gf", str(GRAMMAR4), "--site", "ZZ"])
-    assert code == 64
+    assert run(["gf", str(GRAMMAR4), "--site", "ZZ"]) == (64, "", "unknown site 'ZZ'\n")
 
 
 def test_extinction_output():

@@ -2,12 +2,13 @@ import random
 import struct
 from operator import add
 
+import numpy as np
 import pytest
 
 from ptagcheck import branching as br
 from ptagcheck.expectation import start_law
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
-from conftest import pinned_grammar
+from conftest import minimal_document, parse, pinned_grammar
 
 
 def poly(nvars, coeffs):
@@ -177,6 +178,19 @@ def test_malformed_exponents_refused(name):
         MALFORMED[name]()
 
 
+def test_numpy_integer_positions_act_as_ints():
+    # a numpy int64 shift count wraps: 1 << np.int64(128) would alias s1 of five
+    # variables to the constant monomial
+    p = SparsePolynomial.monomial(0.5, [0, 3], 5) + SparsePolynomial.variable(1, 5)
+    for position in (np.int64(0), np.int32(1), np.uint8(3)):
+        assert SparsePolynomial.variable(position, 5) == SparsePolynomial.variable(int(position), 5)
+        assert dense_items(p.partial(position)) == dense_items(p.partial(int(position)))
+    assert SparsePolynomial.monomial(0.5, np.array([0, 3]), 5) == SparsePolynomial.monomial(
+        0.5, [0, 3], 5)
+    with pytest.raises(ValueError):
+        SparsePolynomial.variable(np.int64(5), 5)
+
+
 @pytest.mark.parametrize("position,nvars", [(0, 1), (1, 2), (0, 2)])
 def test_degree_cap_raises_before_a_carry(position, nvars):
     p = SparsePolynomial.variable(position, nvars)
@@ -294,6 +308,16 @@ def ref_substitute(a, replacements, nvars, term_cap=None):
     return result
 
 
+def ref_adjunction_gf(g, site):
+    idx = g.index
+    k = len(idx)
+    f = {}
+    for target, prob in g.phi[site]:
+        f = ref_add(f, ref_constant(prob, k) if target is None else ref_monomial(
+            prob, [idx[node.site_id] for node in g.tree(target).sites], k))
+    return f
+
+
 def ref_level_gf(g, n):
     idx = g.index
     k = len(idx)
@@ -301,13 +325,7 @@ def ref_level_gf(g, n):
     for t, w in zip(*start_law(g)):
         result = ref_add(result, ref_monomial(
             w, range(idx.tree_start[t], idx.tree_start[t + 1]), k))
-    gfs = []
-    for site in idx.ids:
-        f = {}
-        for target, prob in g.phi[site]:
-            f = ref_add(f, ref_constant(prob, k) if target is None else ref_monomial(
-                prob, [idx[node.site_id] for node in g.tree(target).sites], k))
-        gfs.append(f)
+    gfs = [ref_adjunction_gf(g, site) for site in idx.ids]
     for _ in range(n):
         result = ref_substitute(result, gfs, k)
     return result
@@ -389,3 +407,72 @@ LEVEL_CASES = ([("grammar2", n) for n in range(5)] + [("grammar4", n) for n in r
 def test_level_gf_matches_dense_tuple_reference(name, level):
     g = pinned_grammar(name)
     assert dense_items(br.level_gf(g, level)) == ref_items(ref_level_gf(g, level))
+
+
+def hand_gf_grammar(entries):
+    """Site A1 of t1 rewrites by ``entries`` [(tree, prob)]: t2 holds the
+    sites A2 and A3, and t3 no site, so it shares nil's constant key."""
+    def aux(tree_id, children):
+        return {"id": tree_id, "type": "auxiliary",
+                "root": {"label": "A", "children": children + [{"foot": "A"}]}}
+
+    return parse({
+        "start": "S",
+        "trees": [
+            {"id": "t1", "type": "initial", "root": {"label": "S", "children": [
+                {"label": "A", "site": "A1", "children": [{"anchor": "a"}]}]}},
+            aux("t2", [{"label": "A", "site": "A2", "children": [{"anchor": "b"}]},
+                       {"label": "A", "site": "A3", "children": [{"anchor": "c"}]}]),
+            aux("t3", [{"anchor": "d"}]),
+        ],
+        "phi": [{"site": "A1", "tree": tree, "prob": prob} for tree, prob in entries]
+               + [{"site": "A2", "tree": None, "prob": 1.0}],
+    })
+
+
+def all_nil_grammar():
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    return parse(doc)
+
+
+ADJUNCTION_CASES = {name: lambda name=name: pinned_grammar(name)
+                    for name in dict.fromkeys(name for name, _ in LEVEL_CASES)}
+ADJUNCTION_CASES.update({
+    # a first entry of probability 0 must not take the key's place in the order
+    "zero_prob_entry": lambda: hand_gf_grammar([("t2", 0.0), (None, 0.3), ("t2", 0.7)]),
+    "zero_prob_siteless": lambda: hand_gf_grammar([("t3", 0.0), ("t2", 0.4), (None, 0.6)]),
+    "siteless_shares_nil_key": lambda: hand_gf_grammar(
+        [("t3", 0.25), ("t2", 0.25), (None, 0.5), ("t3", 0.125)]),
+    # parsed but invalid: a sum that cancels to zero midway is pruned there
+    "cancelled_entry": lambda: hand_gf_grammar(
+        [("t2", 0.5), ("t2", -0.5), (None, 0.3), ("t2", 0.7)]),
+    "all_nil_site": all_nil_grammar,
+})
+
+
+@pytest.mark.parametrize("name", list(ADJUNCTION_CASES))
+def test_adjunction_gf_matches_dense_tuple_reference(name):
+    g = ADJUNCTION_CASES[name]()
+    for site in g.index.ids:
+        assert dense_items(br.adjunction_gf(g, site)) == ref_items(ref_adjunction_gf(g, site))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_variables_match_terms(seed):
+    # a and b as in test_arithmetic_matches_dense_tuple_reference
+    rng = random.Random(seed)
+    nvars = 130 if seed == 0 else rng.randint(1, 130)
+    a = random_dense(rng, nvars, rng.randint(1, 12), 4)
+    b = random_dense(rng, nvars, rng.randint(0, 12), 4)
+    for p in (SparsePolynomial(nvars, a), SparsePolynomial(nvars, b)):
+        assert p.variables() == sorted({j for exponents, _ in p.terms for j in exponents})
+    assert SparsePolynomial(nvars, {}).variables() == []
+
+
+def test_evaluate_needs_one_value_per_variable():
+    f = br.adjunction_gf(pinned_grammar("grammar4"), "A1")
+    assert f.nvars == 5 and f.evaluate([1.0] * 5) == 1.0
+    for count in (0, 4, 6, 7):
+        with pytest.raises(ValueError, match=f"need 5 values, got {count}"):
+            f.evaluate([1.0] * count)
