@@ -5,8 +5,8 @@ from .branching import (ExtinctionVector, adjunction_gf, constant_split,
                         start_termination)
 from .consistency import (ConsistencyReport, InvalidGrammarError,
                           check_consistency)
-from .expectation import (DenseCapExceeded, LabelledMatrix, SiteIndex, build_M,
-                          build_N, build_P, matrix_json_doc, matrix_tsv, start_law)
+from .expectation import (DenseCapExceeded, LabelledMatrix, SiteIndex, build_M, build_N,
+                          build_P, matrix_json_doc, matrix_tsv, start_law, start_mixture)
 from .grammar import (Diagnostic, ElementaryTree, Grammar, GrammarError,
                       GrammarParseError, TreeNode, detect_empty_yield_loops,
                       detect_unreachable, from_document, load_grammar,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectation import LabelledMatrix, SiteIndex, _check_dense, start_law
+from .expectation import LabelledMatrix, SiteIndex, _check_dense, start_law, start_mixture
 from .polynomials import SparsePolynomial, TermCapExceeded, _shift  # noqa: F401  (raised by level_gf)
 
 DEFAULT_TERM_CAP = 100_000
@@ -195,22 +195,20 @@ def extinction(g, tol=1e-12, max_iter=10**6):
 def death_by_level(g, n):
     """Probability a derivation has finished by level n.
 
-    Numeric counterpart of constant_split(level_gf(g, n))[1]: the start
-    law's mixture, over the start trees, of the product over each tree's
-    sites of the n-fold iterate of the offspring functions at zero.  phi
-    breaking the SiteIndex input contract raises ValueError.
+    Numeric counterpart of constant_split(level_gf(g, n))[1]: the
+    start_mixture of the n-fold iterate of the offspring functions at zero.
+    phi breaking the SiteIndex input contract raises ValueError.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     idx = g.index.checked()
-    positions, probs = start_law(g)
     _, rows = _kleene_buffer(idx)
     while True:
         steps = min(len(rows) - 1, n)
         _kleene_block(idx, rows, steps)
         n -= steps
         if not n:
-            return float(probs @ idx.tree_prod(rows[steps][1])[positions])
+            return start_mixture(g, rows[steps][1])
         rows.reverse()
 
 

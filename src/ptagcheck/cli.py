@@ -27,8 +27,8 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a system call
-# the deepest --max-depth enumerate writes out: a derivation's doc and its JSON take two
-# frames a level each, and about 496 levels fit the default recursion limit (3.10-3.13)
+# the deepest --max-depth enumerate writes out: the JSON encoder takes two frames a level
+# of a derivation, and about 496 levels fit the default recursion limit (3.10-3.13)
 ENUMERATE_DEPTH_CAP = 400
 
 
@@ -218,10 +218,7 @@ def _dispatch(args, g, out, err):
             return code
         ev = branching.extinction(g, tol=args.tol, max_iter=args.max_iter)
         starts = branching.start_termination(g, ev)
-        combined = None
-        if weights is not None:
-            positions, probs = expectation.start_law(g, weights)
-            combined = float(probs @ ev.site_index.tree_prod(ev.q)[positions])
+        combined = None if weights is None else expectation.start_mixture(g, ev.q, weights)
         _emit({"q": ev.as_dict(), "iterations": ev.iterations,
                "residual": ev.residual, "converged": ev.converged,
                "start_trees": starts, "combined": combined}, out)

@@ -7,8 +7,8 @@ incidence.  Rows and columns follow the canonical site order: tree
 declaration order, preorder within each tree.  SiteIndex lays the phi table
 out in that order.  Grammar.index builds it once per grammar; the matrices,
 the extinction iteration and the Monte Carlo all read it there, and it alone
-decides which phi values a numeric path accepts.  start_law, beside it,
-gives the chance that each start tree begins a derivation.
+decides which phi values a numeric path accepts.  start_law gives each start
+tree's chance to begin a derivation, and start_mixture mixes by that law.
 """
 
 from __future__ import annotations
@@ -177,6 +177,12 @@ def start_law(g, start_weights=None):
     if total <= 0.0:
         raise ValueError("start weights assign no mass to any start tree")
     return positions, weights / total
+
+
+def start_mixture(g, q, start_weights=None):
+    """The start law's mixture of the products of q over each start tree's sites."""
+    positions, probs = start_law(g, start_weights)
+    return float(probs @ g.index.tree_prod(q)[positions])
 
 
 @dataclass

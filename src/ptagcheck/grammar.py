@@ -514,6 +514,11 @@ def _site_diagnostics(diags, tree_id, node, entries, mass, shapes):
                 ERROR, BAD_PROB,
                 f"probability {prob!r} outside [0, 1] for target "
                 f"{target_id!r}", tree_id=tree_id, site_id=site))
+        if target_id in seen_targets:  # nil included
+            diags.append(Diagnostic(
+                ERROR, BAD_PROB, f"target {target_id!r} listed twice",
+                tree_id=tree_id, site_id=site))
+        seen_targets.add(target_id)
         if target_id is None:
             if substitution:
                 diags.append(Diagnostic(
@@ -521,11 +526,6 @@ def _site_diagnostics(diags, tree_id, node, entries, mass, shapes):
                     "substitution site cannot stay unfilled (nil target)",
                     tree_id=tree_id, site_id=site))
             continue
-        if target_id in seen_targets:
-            diags.append(Diagnostic(
-                ERROR, BAD_PROB, f"target {target_id!r} listed twice",
-                tree_id=tree_id, site_id=site))
-        seen_targets.add(target_id)
         kind, label = shapes[target_id]
         if kind != want_kind:
             diags.append(Diagnostic(

@@ -33,9 +33,7 @@ DEFAULT_FRONTIER_CAP = 10_000
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Exhaustive enumeration outgrew its node cap.  Its depth has no cap in
-    the library; ``ptagcheck enumerate`` refuses a --max-depth past
-    cli.ENUMERATE_DEPTH_CAP, the deepest output it writes."""
+    """Exhaustive enumeration outgrew its node cap."""
 
 
 @dataclass(slots=True)
@@ -69,7 +67,7 @@ class Derivation:
     probability: float
 
     def as_dict(self):
-        return _derivation_doc(self.root, None, None)
+        return _derivation_doc(self.root, None)
 
 
 @_collector_paused
@@ -82,23 +80,30 @@ def derivation_docs(derivations):
     as_dict() forms.  The docs form no reference cycles.
     """
     shared = {}
-    return [dict(_derivation_doc(d.root, None, shared), probability=d.probability)
+    return [dict(_derivation_doc(d.root, shared), probability=d.probability)
             for d in derivations]
 
 
-def _derivation_doc(node, at, shared):
-    """Doc of node placed at site at (None for the root); shared, unless
-    None, maps id(children dict) to its doc."""
-    children = node.children
-    if children is not None:
-        doc = shared.get(id(children)) if shared is not None else None
-        if doc is None:
-            doc = {site: "nil" if child is None else _derivation_doc(child, site, shared)
-                   for site, child in children.items()}
+def _derivation_doc(root, shared):
+    """Doc of the derivation under root; shared, unless None, maps
+    id(children dict) to its doc.  Built top down with a stack of the docs
+    whose children are still derivation nodes, so nothing recurses per level."""
+    top = {"tree": root.tree_id, "at": None, "children": root.children}
+    stack = [top]
+    while stack:
+        doc = stack.pop()
+        if (children := doc["children"]) is None:
+            continue
+        built = shared.get(id(children)) if shared is not None else None
+        if built is None:
+            built = {site: "nil" if child is None else
+                     {"tree": child.tree_id, "at": site, "children": child.children}
+                     for site, child in children.items()}
+            stack += [sub for sub in built.values() if sub != "nil"]
             if shared is not None:
-                shared[id(children)] = doc
-        children = doc
-    return {"tree": node.tree_id, "at": at, "children": children}
+                shared[id(children)] = built
+        doc["children"] = built
+    return top
 
 
 @dataclass
@@ -236,36 +241,48 @@ def derived_tree(d, g):
     Adjoining a tree at a node excises the subtree under that node, places
     the adjoined tree at the node's position and reattaches the excised
     subtree at its foot; substitution replaces the substitution leaf with
-    the initial tree's root.  The tree is built by one recursive graft from
-    the start tree down, each node once and with its Gorn address.
+    the initial tree's root.  The tree is built top down with a stack, each
+    node once and with its Gorn address, so nothing recurses per level.
     The grammar must pass ``validate`` (every auxiliary tree has exactly one
     foot); on a grammar with ``BAD_FOOT`` errors the result is undefined.
     """
     if not d.complete:
         raise ValueError("cannot derive a tree from an incomplete derivation")
-    return _graft(g.tree(d.root.tree_id).root, d.root.children, None, g, "")
+    node, chosen, foot = _placed(g.tree(d.root.tree_id).root, d.root.children, None, g)
+    top = gr.TreeNode(node.kind, node.label, (), node.site_id, "")
+    stack = [(top, node, chosen, foot)]
+    while stack:
+        out, node, chosen, foot = stack.pop()
+        prefix = f"{out.address}." if out.address else ""
+        kids = []
+        for i, child in enumerate(node.children, 1):
+            child, child_chosen, child_foot = _placed(child, chosen, foot, g)
+            kid = gr.TreeNode(child.kind, child.label, (), child.site_id, f"{prefix}{i}")
+            kids.append(kid)
+            stack.append((kid, child, child_chosen, child_foot))
+        out.children = tuple(kids)
+    return top
 
 
-def _graft(node, chosen, foot, g, address):
-    """The TreeNode at address of node with its subtree derived.
+def _placed(node, chosen, foot, g):
+    """What the derived tree holds where node stands: (node, chosen, foot)
+    of node itself, of the root of the tree adjoined or substituted there
+    (again and again), or, at a foot, of the excised node.
 
     chosen maps the site ids of node's elementary tree to the derivation
     node placed there (None for nil).  foot, unless None, is the excised
     (node, chosen, foot) that the tree's foot leaf becomes: a node that
-    takes an adjunction is itself grafted at the adjoined tree's foot,
+    takes an adjunction is itself placed at the adjoined tree's foot,
     without that adjunction.  A substituted tree has no foot to fill.
     """
-    if node.kind == gr.FOOT and foot is not None:
-        node, chosen, foot = foot
-    else:
+    while True:
+        if node.kind == gr.FOOT and foot is not None:
+            return foot
         child = chosen.get(node.site_id) if chosen else None
-        if child is not None:
-            below = None if node.kind == gr.SUBSTITUTION else (node, chosen, foot)
-            return _graft(g.tree(child.tree_id).root, child.children, below, g, address)
-    prefix = f"{address}." if address else ""
-    children = tuple([_graft(child, chosen, foot, g, f"{prefix}{i}")
-                      for i, child in enumerate(node.children, 1)])
-    return gr.TreeNode(node.kind, node.label, children, node.site_id, address)
+        if child is None:
+            return node, chosen, foot
+        foot = None if node.kind == gr.SUBSTITUTION else (node, chosen, foot)
+        node, chosen = g.tree(child.tree_id).root, child.children
 
 
 def yield_string(t):
@@ -418,11 +435,11 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     Memory is rows born x live samples, not trees x samples.  A sample
     leaves as soon as it terminates or is censored.  Each site of a born
     tree makes one multinomial over that row's nonzero samples, in
-    ascending order, and the draws land in the next level's rows: the
-    sorted union of the targets of the trees that expanded.  The random
-    draws are those of keeping every tree and sample in every multinomial:
-    a row with n = 0 draws no random numbers, so leaving it out changes no
-    other row's draws.
+    ascending order, by its law in the index (positive entries, then nil,
+    over the site's mass), and the draws land in the next level's rows:
+    what the expanded trees rewrite to in ``rewrite_graph``, sorted.  A row
+    with n = 0 or an entry with p = 0 draws no random numbers, so the draws
+    are those of keeping every tree, sample and entry in every multinomial.
 
     mean_depth and mean_yield_length are over terminated samples (NaN when
     none terminate).  Identical inputs give identical stats.  phi breaking
@@ -442,19 +459,18 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
                          f"{most_sites} sites of the largest tree it could reach 2^63")
     rng = np.random.default_rng(seed)
     positions, start_probs = start_law(g, start_weights)
-    entry_start = index.entry_start
-    entry_of = entry_start[index.tree_start]  # tree t's entries: entry_of[t]:entry_of[t + 1]
-    laws = {}  # tree -> [(target tree indices, pvals with a trailing nil bucket)] per site
+    graph = index.rewrite_graph
+    laws = {}  # tree -> [(target tree indices, pvals ending in nil)] per site
 
     def site_laws(t):
         if t not in laws:
-            out = laws[t] = []
+            laws[t] = []
             for j in range(index.tree_start[t], index.tree_start[t + 1]):
-                entries = slice(entry_start[j], entry_start[j + 1])
-                probs = index.prob[entries].tolist()
-                nil = max(0.0, 1.0 - sum(probs))
-                pvals = np.array(probs + [nil])
-                out.append((index.tree[entries].tolist(), pvals / pvals.sum()))
+                entries = slice(index.entry_start[j], index.entry_start[j + 1])
+                targets, probs = index.tree[entries], index.prob[entries]
+                positive = probs > 0.0  # a zero-probability entry rewrites nothing
+                laws[t].append((targets[positive].tolist(),
+                                np.append(probs[positive], index.nil[j]) / index.mass[j]))
         return laws[t]
 
     def births(rows, born):
@@ -462,8 +478,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         the caller's rebinding frees the old array."""
         expanding = np.flatnonzero(site_count[rows]).tolist()
         trees = rows[expanding].tolist()
-        targets = np.concatenate([index.tree[entry_of[t]:entry_of[t + 1]] for t in trees])
-        next_rows = np.flatnonzero(np.bincount(targets, minlength=len(index.tree_ids)))
+        next_rows = np.array(sorted({k for t in trees for k in graph[t]}), dtype=np.intp)
         next_born = np.zeros((len(next_rows), born.shape[1]), dtype=np.int64)
         row_of = dict(zip(next_rows.tolist(), range(len(next_rows))))
         for r, t in zip(expanding, trees):

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -414,3 +417,18 @@ def test_dense_cap_reported_like_the_other_caps(monkeypatch):
         code, out, err = run(["matrix", "--which", which, str(GRAMMAR4)])
         assert (code, out) == (2, "")
         assert err == f"DENSE_CAP_EXCEEDED: a {shape} dense matrix has more than 14 cells\n"
+
+
+def test_cli_loads_no_third_party_module_but_numpy():
+    # numpy is the one runtime dependency (pyproject.toml), so importing the
+    # CLI in a fresh interpreter loads nothing else from outside the
+    # standard library, whatever else is installed; what the interpreter's
+    # start-up loaded (site hooks) is not the import's
+    script = ("import sys; before = set(sys.modules); import ptagcheck.cli; "
+              "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    loaded = set(done.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "ptagcheck"}

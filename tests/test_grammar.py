@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import io
@@ -13,6 +14,7 @@ from ptagcheck import grammar as gr
 from ptagcheck import branching as br
 from ptagcheck.consistency import check_consistency
 from ptagcheck.expectation import PROPERNESS_TOL, start_law
+from ptagcheck.simulate import enumerate_derivations
 from conftest import (GRAMMAR4, MASS_EDGE, mass_edge_document, minimal_document, parse,
                       pinned_grammar, random_proper_grammar, verdict_corpus)
 
@@ -539,8 +541,11 @@ def test_bad_prob_out_of_range():
     doc["trees"][0]["root"]["site"] = "A"
     doc["phi"] = [{"site": "A", "tree": None, "prob": 1.5},
                   {"site": "A", "tree": None, "prob": -0.5}]
-    codes = [d.code for d in gr.validate(parse(doc))]
-    assert codes.count(gr.BAD_PROB) == 2
+    messages = [d.message for d in gr.validate(parse(doc)) if d.code == gr.BAD_PROB]
+    # both are out of range, and the second nil entry repeats a target
+    assert messages == ["probability 1.5 outside [0, 1] for target None",
+                        "probability -0.5 outside [0, 1] for target None",
+                        "target None listed twice"]
 
 
 def test_duplicate_phi_target():
@@ -557,6 +562,17 @@ def test_duplicate_phi_target():
     diags = gr.validate(parse(doc))
     assert [d.code for d in diags] == [gr.BAD_PROB]
     assert "twice" in diags[0].message
+
+
+def test_repeated_nil_entry_is_flagged(grammar4):
+    # nil split into two entries is one outcome listed twice: the enumerator
+    # lists the derivation that takes it once per entry
+    phi = dict(grammar4.phi, A1=(("t2", 0.8), (None, 0.1), (None, 0.1)))
+    g = dataclasses.replace(grammar4, phi=phi)
+    assert [(d.code, d.site_id, d.message) for d in gr.validate(g)] == [
+        (gr.BAD_PROB, "A1", "target None listed twice")]
+    assert [(d.as_dict(), d.probability) for d in enumerate_derivations(g, 1)] == [
+        ({"tree": "t1", "at": None, "children": {"A1": "nil"}}, 0.1)] * 2
 
 
 def test_bad_foot_count_and_label():

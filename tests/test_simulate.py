@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -608,6 +610,22 @@ def test_enumerate_depth_beyond_recursion_limit():
         [*range(59, 0, -1), 0]
 
 
+def test_deep_derivation_written_out_and_derived():
+    # as_dict, derivation_docs and derived_tree build top down without
+    # recursing, so the deepest derivation of the enumeration above, 600
+    # levels deep, is written out and derived past the recursion limit
+    chain = branching_family(0.5, sites=1)
+    deepest = sim.enumerate_derivations(chain, 1200, prob_floor=2**-600)[0]
+    assert max(node.level for node in deepest.root.nodes()) == 599
+    for doc in (deepest.as_dict(), sim.derivation_docs([deepest])[0]):
+        placed = []
+        while isinstance(doc, dict):
+            placed.append((doc["tree"], doc["at"]))
+            (doc,) = doc["children"].values()
+        assert (placed, doc) == ([("t1", None), ("t2", "A1"), *[("t2", "B1")] * 598], "nil")
+    assert sim.yield_string(sim.derived_tree(deepest, chain)) == ["b"] * 599 + ["a"]
+
+
 @pytest.mark.parametrize("sites", [1, 2, 3])
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 def test_enumerate_branching_family_closed_form(p, sites):
@@ -1096,3 +1114,39 @@ def test_multinomial_draws_nothing_for_empty_rows():
         assert (draws[[0, 2]] == 0).all()
         assert (draws[[1, 3]] == without.multinomial([5, 7], p)).all()
         assert with_empty.random() == without.random()
+
+
+def with_zero_entries(g, seed):
+    """g with up to two zero-probability entries spliced at random places
+    into each site's entries, aimed at trees the site may take but does not
+    list, so that validate finds the same as on g."""
+    rng = random.Random(seed)
+    phi = {}
+    for tree in g.trees:
+        for node in tree.sites:
+            entries = list(g.phi[node.site_id])
+            listed = {target for target, _ in entries}
+            shape = ("initial" if node.kind == gr.SUBSTITUTION else "auxiliary", node.label)
+            free = [t.tree_id for t in g.trees
+                    if (t.kind, t.root.label) == shape and t.tree_id not in listed]
+            for target in rng.sample(free, min(len(free), 2)):
+                entries.insert(rng.randrange(len(entries) + 1), (target, 0.0))
+            phi[node.site_id] = tuple(entries)
+    return dataclasses.replace(g, phi=phi)
+
+
+def test_estimate_ignores_zero_probability_entries():
+    # a zero-probability entry draws nothing and rewrites nothing, so the
+    # stats equal those of the same grammar without such entries
+    spliced = with_sites = 0
+    for seed in range(20):
+        g = random_proper_grammar(seed)
+        zeros = with_zero_entries(g, seed)
+        assert zeros.diagnostics == g.diagnostics
+        zero = zeros.index.prob == 0.0
+        spliced += int(zero.sum())
+        with_sites += np.count_nonzero(zeros.index.sizes[zeros.index.tree[zero]])
+        for samples, max_depth, run_seed in ((3000, 30, seed), (500, 200, seed + 7)):
+            assert repr(sim.estimate_termination(zeros, samples, max_depth, seed=run_seed)) \
+                == repr(sim.estimate_termination(g, samples, max_depth, seed=run_seed))
+    assert (spliced, with_sites) == (52, 45)
