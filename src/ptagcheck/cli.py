@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every command reads a grammar document and writes machine-readable output
-(JSON, or TSV where requested) to stdout; human diagnostics go to stderr.
+(JSON, or TSV where requested) to stdout.  A failure writes one line to
+stderr and nothing to stdout; only validation errors are listed on stdout too.
 
 Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors or a
 cap hit (gf's term cap, enumerate's node cap or a --max-depth past
@@ -32,13 +33,20 @@ EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a sys
 ENUMERATE_DEPTH_CAP = 400
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """_Failure(exit code, line) ends a command; run writes the line to stderr."""
+
+
+# the library exceptions that end a command: exit code and stderr prefix
+_FAILURES = {expectation.DenseCapExceeded: (EX_INVALID, "DENSE_CAP_EXCEEDED: "),
+             branching.TermCapExceeded: (EX_INVALID, "TERM_CAP_EXCEEDED: "),
+             simulate.EnumerationBudgetExceeded: (EX_INVALID, ""),
+             ValueError: (EX_USAGE, "usage error: ")}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)  # run reports a ValueError as a usage error
 
 
 def _build_parser():
@@ -97,84 +105,61 @@ def _emit(doc, out):
     out.write(text + "\n")
 
 
-def _load(path, err):
-    try:
-        g = gr.load_grammar(path)
-    except OSError as exc:
-        err.write(f"cannot read {path}: {exc.strerror or exc}\n")
-        return None, EX_NOINPUT
-    except gr.GrammarParseError as exc:
-        err.write(f"malformed grammar document: {exc}\n")
-        return None, EX_DATAERR
-    return g, EX_OK
-
-
-def _load_validated(path, out, err):
-    g, code = _load(path, err)
-    if g is None:
-        return None, code
-    errors = [d for d in g.diagnostics if d.severity == gr.ERROR]
-    if errors:
-        _emit([d.as_dict() for d in errors], out)
-        err.write(f"grammar has {len(errors)} validation error(s)\n")
-        return None, EX_INVALID
-    return g, EX_OK
-
-
-def _load_weights(path, g, err):
-    if path is None:
-        return None, EX_OK
+def _read(path, parse, what, malformed):
+    """parse of the bytes of the file at path; exit 66 if it cannot be
+    read, 65 if parse raises one of the malformed exceptions."""
     try:
         with open(path, "rb") as handle:
-            weights = json.load(handle)
+            return parse(handle.read())
     except OSError as exc:
-        err.write(f"cannot read {path}: {exc.strerror or exc}\n")
-        return None, EX_NOINPUT
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
-        err.write(f"malformed start weights: {exc}\n")
-        return None, EX_DATAERR
+        raise _Failure(EX_NOINPUT, f"cannot read {path}: {exc.strerror or exc}") from None
+    except malformed as exc:
+        raise _Failure(EX_DATAERR, f"malformed {what}: {exc}") from None
+
+
+def _start_weights(path, g):
+    """The start weights in the file at path, a law start_law accepts for g;
+    None without a path."""
+    if path is None:
+        return None
+    weights = _read(path, json.loads, "start weights",  # bad JSON or UTF-8, or too deep
+                    (ValueError, RecursionError))
     try:
+        if weights is None:  # start_law reads None as no weights at all
+            raise ValueError("got null")
         expectation.start_law(g, weights)
     except ValueError as exc:
-        err.write(f"start weights must be a JSON object of finite nonnegative numbers"
-                  f" with mass on a start tree: {exc}\n")
-        return None, EX_DATAERR
-    return weights, EX_OK
+        raise _Failure(EX_DATAERR, "start weights must be a JSON object of finite nonnegative "
+                       f"numbers with mass on a start tree: {exc}") from None
+    return weights
 
 
 def run(argv, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        err.write(f"usage error: {exc}\n")
-        return EX_USAGE
+        return _run(argv, out or sys.stdout)
+    except _Failure as exc:
+        code, line = exc.args
+    except tuple(_FAILURES) as exc:
+        code, prefix = _FAILURES[next(kind for kind in _FAILURES if isinstance(exc, kind))]
+        line = f"{prefix}{exc}"
+    err = err or sys.stderr
+    err.write(f"{line}\n")
+    return code
 
+
+def _run(argv, out):
+    args = _build_parser().parse_args(argv)
+    g = _read(args.grammar, gr.parse_grammar, "grammar document", gr.GrammarParseError)
     if args.command == "validate":
-        g, code = _load(args.grammar, err)
-        if g is None:
-            return code
         diags = gr.validate(g)
         _emit([d.as_dict() for d in diags], out)
-        if any(d.severity == gr.ERROR for d in diags):
-            return EX_INVALID
-        return EX_OK
+        return EX_INVALID if any(d.severity == gr.ERROR for d in diags) else EX_OK
 
-    g, code = _load_validated(args.grammar, out, err)
-    if g is None:
-        return code
-    try:
-        return _dispatch(args, g, out, err)
-    except ValueError as exc:
-        err.write(f"usage error: {exc}\n")
-        return EX_USAGE
-    except expectation.DenseCapExceeded as exc:  # matrix and check
-        err.write(f"DENSE_CAP_EXCEEDED: {exc}\n")
-        return EX_INVALID
+    errors = [d for d in g.diagnostics if d.severity == gr.ERROR]
+    if errors:
+        _emit([d.as_dict() for d in errors], out)
+        raise _Failure(EX_INVALID, f"grammar has {len(errors)} validation error(s)")
 
-
-def _dispatch(args, g, out, err):
     if args.command == "matrix":
         matrix = {"P": expectation.build_P, "N": expectation.build_N,
                   "M": expectation.build_M}[args.which](g)
@@ -194,17 +179,13 @@ def _dispatch(args, g, out, err):
 
     if args.command == "gf":
         idx = g.index
-        try:
-            if args.site is not None:
+        if args.site is None:
+            poly = branching.level_gf(g, args.level, term_cap=args.term_cap)
+        else:
+            try:
                 poly = branching.adjunction_gf(g, args.site)
-            else:
-                poly = branching.level_gf(g, args.level, term_cap=args.term_cap)
-        except KeyError as exc:
-            err.write(f"{exc.args[0]}\n")
-            return EX_USAGE
-        except branching.TermCapExceeded as exc:
-            err.write(f"TERM_CAP_EXCEEDED: {exc}\n")
-            return EX_INVALID
+            except KeyError as exc:  # an unknown site
+                raise _Failure(EX_USAGE, exc.args[0]) from None
         _emit({"text": poly.format(idx.ids), "constant": poly.constant_term,
                "terms": [{"coefficient": coefficient,
                           "exponents": {idx.ids[i]: p
@@ -213,9 +194,7 @@ def _dispatch(args, g, out, err):
         return EX_OK
 
     if args.command == "extinction":
-        weights, code = _load_weights(args.start_weights, g, err)
-        if code != EX_OK:
-            return code
+        weights = _start_weights(args.start_weights, g)
         ev = branching.extinction(g, tol=args.tol, max_iter=args.max_iter)
         starts = branching.start_termination(g, ev)
         combined = None if weights is None else expectation.start_mixture(g, ev.q, weights)
@@ -225,27 +204,18 @@ def _dispatch(args, g, out, err):
         return EX_OK
 
     if args.command == "simulate":
-        weights, code = _load_weights(args.start_weights, g, err)
-        if code != EX_OK:
-            return code
         stats = simulate.estimate_termination(
             g, args.samples, args.max_depth, seed=args.seed,
-            start_weights=weights)
+            start_weights=_start_weights(args.start_weights, g))
         _emit(stats.as_dict(), out)
         return EX_OK
 
     if args.command == "enumerate":
         if args.max_depth > ENUMERATE_DEPTH_CAP:
-            err.write(f"max_depth {args.max_depth} is past the {ENUMERATE_DEPTH_CAP} "
-                      "levels that enumerate writes out\n")
-            return EX_INVALID
-        try:
-            derivations = simulate.enumerate_derivations(
-                g, args.max_depth, prob_floor=args.prob_floor,
-                node_cap=args.node_cap)
-        except simulate.EnumerationBudgetExceeded as exc:
-            err.write(f"{exc}\n")
-            return EX_INVALID
+            raise _Failure(EX_INVALID, f"max_depth {args.max_depth} is past the "
+                           f"{ENUMERATE_DEPTH_CAP} levels that enumerate writes out")
+        derivations = simulate.enumerate_derivations(
+            g, args.max_depth, prob_floor=args.prob_floor, node_cap=args.node_cap)
         _emit(simulate.derivation_docs(derivations), out)
         return EX_OK
 

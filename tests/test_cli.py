@@ -131,6 +131,18 @@ def test_missing_file_exit66():
     assert "cannot read" in err
 
 
+def test_validate_missing_file_exit66():
+    assert run(["validate", "/no/such/file.json"]) == (
+        66, "", "cannot read /no/such/file.json: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["extinction", "simulate"])
+def test_missing_start_weights_exit66(tmp_path, command):
+    weights = tmp_path / "w.json"
+    assert run([command, str(GRAMMAR4), "--start-weights", str(weights)]) == (
+        66, "", f"cannot read {weights}: No such file or directory\n")
+
+
 def phi_document(**entry):
     """minimal_document() with site A on its root and one phi entry for it."""
     doc = minimal_document()
@@ -228,6 +240,7 @@ def weights_param(t2, t1="1.0", id=None):
     pytest.param(b"[1, 2]", "finite nonnegative numbers", id="list"),
     pytest.param(b'{"t1": "\xe9"}', "malformed start weights", id="not-utf8"),
     pytest.param(b"[" * 2000 + b"]" * 2000, "malformed start weights", id="nested-2000"),
+    pytest.param(b"null", "finite nonnegative numbers", id="null"),
 ])
 def test_bad_start_weights_exit65(tmp_path, command, body, message):
     # random_proper_grammar(0) has the start trees t1 and t2
@@ -364,6 +377,13 @@ def test_enumerate_output_is_the_as_dict_forms(tmp_path):
         expected = json.dumps([dict(d.as_dict(), probability=d.probability)
                                for d in ds], indent=2) + "\n"
         assert (code, out) == (0, expected), (path.name, depth)
+
+
+def test_enumerate_depth_past_cap_exit2():
+    depth = cli.ENUMERATE_DEPTH_CAP + 1
+    assert run(["enumerate", str(GRAMMAR4), "--max-depth", str(depth)]) == (
+        2, "", f"max_depth {depth} is past the {cli.ENUMERATE_DEPTH_CAP} levels that "
+               "enumerate writes out\n")
 
 
 def test_enumerate_node_cap_exit():

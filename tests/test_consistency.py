@@ -231,6 +231,37 @@ def test_critical_branching_family_is_consistent():
     assert cons.check_consistency(branching_family(0.5)).verdict == cons.CONSISTENT
 
 
+def one_site_deficit_grammar():
+    """One start tree t1 whose one site X rewrites to t1 with probability
+    0.9999999999 and to nothing else: proper within PROPERNESS_TOL, yet no
+    derivation ever finishes."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["children"].append({"subst": "S", "site": "X"})
+    doc["phi"] = [{"site": "X", "tree": "t1", "prob": 0.9999999999}]
+    return parse(doc)
+
+
+# random_proper_grammar seeds (0-1999) whose start termination is exactly 0,
+# yet whose max row sum falls below 1 after 53-62 squarings by rounding alone
+ZERO_TERMINATION_SEEDS = (83, 219, 299, 344, 384, 422, 431, 473, 494, 613, 641, 682, 752,
+                          943, 1162, 1215, 1359, 1423, 1693)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: check says Consistent where no "
+                   "derivation finishes, with no structural test for sites that cannot "
+                   "terminate and no rounding bound on the squarings")
+@pytest.mark.parametrize("grammar", [
+    *(pytest.param(lambda seed=seed: random_proper_grammar(seed), id=f"seed-{seed}")
+      for seed in ZERO_TERMINATION_SEEDS),
+    pytest.param(one_site_deficit_grammar, id="one-site-deficit"),
+])
+def test_not_consistent_when_start_termination_is_zero(grammar):
+    g = grammar()
+    assert not [d for d in gr.validate(g) if d.severity == gr.ERROR]
+    assert set(br.start_termination(g, br.extinction(g)).values()) == {0.0}
+    assert cons.check_consistency(g).verdict != cons.CONSISTENT
+
+
 def test_report_is_deterministic(grammar4):
     a = cons.check_consistency(grammar4)
     b = cons.check_consistency(grammar4)
