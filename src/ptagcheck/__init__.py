@@ -3,8 +3,7 @@
 from .branching import (ExtinctionVector, adjunction_gf, constant_split,
                         death_by_level, extinction, level_gf, m_from_partials,
                         start_termination)
-from .consistency import (ConsistencyReport, InvalidGrammarError,
-                          check_consistency)
+from .consistency import ConsistencyReport, check_consistency
 from .expectation import (DenseCapExceeded, LabelledMatrix, SiteIndex, build_M, build_N,
                           build_P, matrix_json_doc, matrix_tsv, start_law, start_mixture)
 from .grammar import (Diagnostic, ElementaryTree, Grammar, GrammarError,

@@ -2,19 +2,22 @@
 
 Every command reads a grammar document and writes machine-readable output
 (JSON, or TSV where requested) to stdout.  A failure writes one line to
-stderr and nothing to stdout; only validation errors are listed on stdout too.
+stderr and nothing to stdout; only validation errors are listed on stdout too,
+and a broken pipe comes after what stdout took.
 
-Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors or a
+Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors, a
 cap hit (gf's term cap, enumerate's node cap or a --max-depth past
 ENUMERATE_DEPTH_CAP, or the dense cap of matrix and check,
-expectation.DENSE_CELL_CAP cells), 3 indeterminate, 64 usage error, 65
-malformed grammar document, 66 unreadable input.
+expectation.DENSE_CELL_CAP cells) or out of memory, 3 indeterminate, 64
+usage error, 65 malformed grammar document or start weights, 66 unreadable
+input, 74 output that cannot be written (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import branching, consistency, expectation, simulate
@@ -27,6 +30,7 @@ EX_INDETERMINATE = 3
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EX_IOERR = 74
 EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a system call
 # the deepest --max-depth enumerate writes out: the JSON encoder takes two frames a level
 # of a derivation, and about 496 levels fit the default recursion limit (3.10-3.13)
@@ -41,6 +45,8 @@ class _Failure(Exception):
 _FAILURES = {expectation.DenseCapExceeded: (EX_INVALID, "DENSE_CAP_EXCEEDED: "),
              branching.TermCapExceeded: (EX_INVALID, "TERM_CAP_EXCEEDED: "),
              simulate.EnumerationBudgetExceeded: (EX_INVALID, ""),
+             MemoryError: (EX_INVALID, "OUT_OF_MEMORY: "),
+             BrokenPipeError: (EX_IOERR, "cannot write output: "),
              ValueError: (EX_USAGE, "usage error: ")}
 
 
@@ -122,21 +128,23 @@ def _start_weights(path, g):
     None without a path."""
     if path is None:
         return None
-    weights = _read(path, json.loads, "start weights",  # bad JSON or UTF-8, or too deep
-                    (ValueError, RecursionError))
-    try:
+
+    def parse(data):
+        weights = json.loads(data)
         if weights is None:  # start_law reads None as no weights at all
-            raise ValueError("got null")
+            raise ValueError("expected a JSON object, got null")
         expectation.start_law(g, weights)
-    except ValueError as exc:
-        raise _Failure(EX_DATAERR, "start weights must be a JSON object of finite nonnegative "
-                       f"numbers with mass on a start tree: {exc}") from None
-    return weights
+        return weights
+    # bad JSON or UTF-8, too deep, or no law start_law accepts
+    return _read(path, parse, "start weights", (ValueError, RecursionError))
 
 
 def run(argv, out=None, err=None):
+    out = out or sys.stdout
     try:
-        return _run(argv, out or sys.stdout)
+        code = _run(argv, out)
+        out.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
     except _Failure as exc:
         code, line = exc.args
     except tuple(_FAILURES) as exc:
@@ -223,7 +231,10 @@ def _run(argv, out):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == EX_IOERR:  # else the flush at exit meets the closed pipe and reports it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grammar as gr
 from .expectation import build_M
 
 SCALE_HIGH = 1e100
@@ -34,15 +33,6 @@ SCALE_HIGH = 1e100
 CONSISTENT = "Consistent"
 INCONSISTENT = "Inconsistent"
 INDETERMINATE = "Indeterminate"
-
-
-class InvalidGrammarError(ValueError):
-    """Raised when an operation requires a grammar free of validation errors."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = diagnostics
-        codes = ", ".join(d.code for d in diagnostics)
-        super().__init__(f"grammar has validation errors: {codes}")
 
 
 @dataclass
@@ -62,25 +52,22 @@ class ConsistencyReport:
 
 
 def check_consistency(g, max_squarings=64, tol=1e-9):
-    """Decide consistency of a validated grammar.
+    """Decide consistency of a grammar whose phi passes SiteIndex.checked().
 
-    Rejects grammars with error-severity diagnostics.  Tests M^(2^k) for
-    k = 0, 1, ... and returns at the first decisive power.  The max row sum
-    of a power gives its trace entry, the Consistent test and the Gelfand
-    estimate (max row sum)^(1/2^k); its min row sum and diagonal give the
-    lower bounds.  After max_squarings squarings, or at an earlier power
-    whose max row sum passes SCALE_HIGH, the verdict is Indeterminate.  A
-    negative max_squarings and a negative or NaN tol raise ValueError; a
-    grammar whose dense M would exceed expectation.DENSE_CELL_CAP cells
-    raises DenseCapExceeded.
+    Tests M^(2^k) for k = 0, 1, ... and returns at the first decisive power.
+    The max row sum of a power gives its trace entry, the Consistent test and
+    the Gelfand estimate (max row sum)^(1/2^k); its min row sum and diagonal
+    give the lower bounds.  After max_squarings squarings, or at an earlier
+    power whose max row sum passes SCALE_HIGH, the verdict is Indeterminate.
+    A negative max_squarings, a negative or NaN tol and phi that fails
+    checked() raise ValueError; a grammar whose dense M would exceed
+    expectation.DENSE_CELL_CAP cells raises DenseCapExceeded.
     """
     if max_squarings < 0:
         raise ValueError("max_squarings must be >= 0")
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
-    errors = [d for d in g.diagnostics if d.severity == gr.ERROR]
-    if errors:
-        raise InvalidGrammarError(errors)
+    g.index.checked()
 
     power = build_M(g).values
     trace = []

@@ -18,7 +18,7 @@ import pytest
 from ptagcheck import cli
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import REPO, branching_family, critical_chain
+from conftest import GRAMMAR4, REPO, branching_family, critical_chain, doubling_grammar
 
 MEMORY_LIMIT = 1 << 30  # bytes of address space per child
 
@@ -32,6 +32,11 @@ CASES = {
     "enumerate-depth-cap+1": (lambda: branching_family(0.5, sites=1),
                               ["enumerate", "--max-depth", str(cli.ENUMERATE_DEPTH_CAP + 1)],
                               cli.EX_INVALID),
+    "simulate-10**12-samples": (lambda: gr.load_grammar(GRAMMAR4),
+                                ["simulate", "--samples", str(10**12)], cli.EX_INVALID),
+    "simulate-8-class-chain": (lambda: critical_chain(8, 2), ["simulate"], cli.EX_OK),
+    "simulate-supercritical": (lambda: branching_family(0.9), ["simulate"], cli.EX_OK),
+    "simulate-doubling": (doubling_grammar, ["simulate"], cli.EX_OK),
 }
 
 
@@ -39,15 +44,20 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_cli(command, path, *options):
+def cli_child(command, path, *options):
+    """The argv and the Popen keywords of a limited CLI child."""
     paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     # OpenBLAS reserves a buffer per thread, which on a many-core machine
     # alone could pass the limit
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
                OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "ptagcheck.cli", command, str(path), *options],
-                          capture_output=True, text=True, timeout=60, env=env,
-                          preexec_fn=limit_memory)
+    argv = [sys.executable, "-m", "ptagcheck.cli", command, str(path), *options]
+    return argv, {"text": True, "env": env, "preexec_fn": limit_memory}
+
+
+def run_cli(command, path, *options):
+    argv, keywords = cli_child(command, path, *options)
+    return subprocess.run(argv, capture_output=True, timeout=60, **keywords)
 
 
 @pytest.mark.parametrize("grammar,argv,code", CASES.values(), ids=CASES.keys())
@@ -59,6 +69,8 @@ def test_cap_exit_code(tmp_path, grammar, argv, code):
     assert "Traceback" not in done.stderr
     if code == cli.EX_INVALID:  # a cap hit: one line on stderr, nothing on stdout
         assert (done.stdout, done.stderr.count("\n")) == ("", 1)
+    elif code == cli.EX_OK:  # simulate, with its default samples
+        assert json.loads(done.stdout)["samples"] == 10_000
     else:
         assert json.loads(done.stdout)["verdict"] == "Indeterminate"
 
@@ -74,3 +86,16 @@ def test_enumerate_writes_out_a_derivation_as_deep_as_the_cap():
     out = io.StringIO()
     cli._emit(sim.derivation_docs([deepest]), out)
     assert json.loads(out.getvalue())[0]["probability"] == 0.5 ** cap
+
+
+def test_closed_output_pipe_exits_74():
+    # enumerate's 0.3 MB outgrow the pipe's buffer, so the child is still
+    # writing when its reader goes away
+    argv, keywords = cli_child("enumerate", GRAMMAR4, "--max-depth", "4")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          **keywords) as child:
+        assert child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == cli.EX_IOERR
+    assert err == "cannot write output: [Errno 32] Broken pipe\n"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
+from ptagcheck import simulate as sim
 from ptagcheck.expectation import build_M
-from conftest import (branching_family, critical_chain, minimal_document, parse,
+from conftest import (GRAMMAR4, branching_family, critical_chain, minimal_document, parse,
                       pinned_grammar, random_proper_grammar, spectral_radius)
 
 M4_POW4_EXPECTED = np.array([
@@ -88,9 +90,75 @@ def test_check_rejects_invalid_grammar():
     doc = minimal_document()
     doc["trees"][0]["root"]["site"] = "R"
     doc["phi"] = [{"site": "R", "tree": None, "prob": 0.4}]
-    with pytest.raises(cons.InvalidGrammarError) as info:
+    with pytest.raises(ValueError, match=r"^site 'R' .* \(its entries sum to 0\.4\)"):
         cons.check_consistency(parse(doc))
-    assert any(d.code == gr.IMPROPER_SITE for d in info.value.diagnostics)
+
+
+def relabel_t2_foot(doc):
+    doc["trees"][1]["root"]["children"][1]["children"][0]["foot"] = "B"
+
+
+def relabel_t3_root_and_foot(doc):
+    root = doc["trees"][2]["root"]
+    root["label"] = root["children"][0]["foot"] = "C"
+
+
+def drop_t2_anchors(doc):
+    doc["trees"][1]["root"]["children"][0]["children"] = [{"epsilon": True}]
+
+
+def set_a1_first_prob(prob):
+    def change(doc):
+        doc["phi"][0]["prob"] = prob
+    return change
+
+
+# grammar4 variants: three that only validate's structural checks refuse
+# (False), and three whose phi breaks the input contract at site A1 (True)
+CONTRACT_VARIANTS = {
+    gr.BAD_FOOT: (relabel_t2_foot, False),
+    gr.LABEL_MISMATCH: (relabel_t3_root_and_foot, False),
+    gr.EMPTY_YIELD_LOOP: (drop_t2_anchors, False),
+    gr.IMPROPER_SITE: (set_a1_first_prob(0.4), True),
+    "negative": (set_a1_first_prob(-0.8), True),
+    "nan": (set_a1_first_prob(math.nan), True),
+}
+NUMERIC_METHODS = {
+    "check": cons.check_consistency,
+    "extinction": br.extinction,
+    "death_by_level": lambda g: br.death_by_level(g, 3),
+    "estimate_termination": lambda g: sim.estimate_termination(g, 100, 20),
+    "sample_derivation": sim.sample_derivation,
+    "enumerate_derivations": lambda g: sim.enumerate_derivations(g, 2),
+}
+
+
+def refusal(method, g):
+    """The message of the ValueError method(g) raises, None if it returns."""
+    try:
+        method(g)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("change,bad_phi", CONTRACT_VARIANTS.values(),
+                         ids=CONTRACT_VARIANTS.keys())
+def test_numeric_methods_share_one_input_contract(change, bad_phi):
+    # every numeric method reads SiteIndex.checked(), not validate's
+    # findings: all run on a structural break, and all refuse a phi break
+    # with checked()'s message
+    doc = json.loads(GRAMMAR4.read_text())
+    change(doc)
+    g = parse(doc)
+    assert any(d.severity == gr.ERROR for d in g.diagnostics)
+    expected = refusal(lambda g: g.index.checked(), g)
+    if bad_phi:
+        assert expected.startswith("site 'A1' ")
+    else:
+        assert expected is None
+    assert {name: refusal(method, g) for name, method in NUMERIC_METHODS.items()} == (
+        dict.fromkeys(NUMERIC_METHODS, expected))
 
 
 def test_check_rejects_negative_max_squarings(grammar4):
