@@ -126,27 +126,30 @@ BLOCK_CELLS = 8192
 MAX_BLOCK = 16
 
 
-def _kleene_buffer(idx):
-    """(buf, rows): buf's row 0 holds q_0 = 0 and its other rows room for one
-    block of iterates, every row ending in the 1.0 that idx.bounds reads;
-    rows pairs each row with its first k entries, as views made once."""
+def _kleene(idx, steps):
+    """Run steps >= 0 Kleene steps q_r+1 = min(g(q_r), 1) from q_0 = 0.
+
+    After each block of n steps, yield a view of n + 1 rows, valid until the
+    next block: the iterate before the block (q_0 alone for steps = 0), then
+    the block's n iterates, every row ending in the 1.0 that idx.bounds
+    reads.  Between blocks the buffer is reversed, not copied."""
     k = len(idx)
     buf = np.zeros((1 + max(2, min(MAX_BLOCK, BLOCK_CELLS // (k + 1))), k + 1))
     buf[:, k] = 1.0
-    return buf, [(row, row[:k]) for row in buf]
-
-
-def _kleene_block(idx, rows, n):
-    """Write rows 1 .. n from row 0 by q_r+1 = min(g(q_r), 1).
-
-    A full block leaves its last iterate in the last row, which is row 0
-    once buf and rows are reversed, so the next block runs with no copy."""
-    k = len(idx)
-    for (ext, _), (_, nxt) in zip(rows, rows[1:n + 1]):
-        spawned = np.multiply.reduceat(ext, idx.bounds)[idx.entry_slot]
-        spawned *= idx.prob
-        np.add(idx.nil, np.bincount(idx.site, spawned, minlength=k), out=nxt)
-        np.minimum(nxt, 1.0, out=nxt)
+    rows = [(row, row[:k]) for row in buf]
+    while True:
+        n = min(len(buf) - 1, steps)
+        for (ext, _), (_, nxt) in zip(rows, rows[1:n + 1]):
+            spawned = np.multiply.reduceat(ext, idx.bounds)[idx.entry_slot]
+            spawned *= idx.prob
+            np.add(idx.nil, np.bincount(idx.site, spawned, minlength=k), out=nxt)
+            np.minimum(nxt, 1.0, out=nxt)
+        yield buf[:n + 1]
+        steps -= n
+        if not steps:
+            return
+        buf = buf[::-1]
+        rows.reverse()
 
 
 def extinction(g, tol=1e-12, max_iter=10**6):
@@ -173,23 +176,16 @@ def extinction(g, tol=1e-12, max_iter=10**6):
     k = len(idx)
     if not k:
         return ExtinctionVector(np.zeros(0), idx, 0, 0.0, True)
-    buf, rows = _kleene_buffer(idx)
-    change = np.empty((len(buf) - 1, k + 1))
     done = 0
-    while True:
-        n = min(len(change), max_iter - done)
-        _kleene_block(idx, rows, n)
+    for view in _kleene(idx, max_iter):
         # whole rows: the trailing 1.0s change by 0.0, which is no residual's
         # max since no iterate falls
-        residuals = np.maximum.reduce(np.subtract(buf[1:n + 1], buf[:n], out=change[:n]), axis=1)
+        residuals = np.maximum.reduce(view[1:] - view[:-1], axis=1)
         for row, residual in enumerate(residuals.tolist(), 1):
             if residual < tol:
-                return ExtinctionVector(rows[row][1].copy(), idx, done + row, residual, True)
-        done += n
-        if done == max_iter:
-            return ExtinctionVector(rows[n][1].copy(), idx, max_iter, residual, False)
-        buf = buf[::-1]
-        rows.reverse()
+                return ExtinctionVector(view[row, :k].copy(), idx, done + row, residual, True)
+        done += len(residuals)
+    return ExtinctionVector(view[-1, :k].copy(), idx, max_iter, residual, False)
 
 
 def death_by_level(g, n):
@@ -202,14 +198,9 @@ def death_by_level(g, n):
     if n < 0:
         raise ValueError("level must be >= 0")
     idx = g.index.checked()
-    _, rows = _kleene_buffer(idx)
-    while True:
-        steps = min(len(rows) - 1, n)
-        _kleene_block(idx, rows, steps)
-        n -= steps
-        if not n:
-            return start_mixture(g, rows[steps][1])
-        rows.reverse()
+    for view in _kleene(idx, n):
+        pass
+    return start_mixture(g, view[-1, :-1])
 
 
 def start_termination(g, ev):

@@ -186,6 +186,8 @@ def _run(argv, out):
                 consistency.INDETERMINATE: EX_INDETERMINATE}[report.verdict]
 
     if args.command == "gf":
+        if args.term_cap < 0:  # adjunction_gf takes no cap, so check it for both modes
+            raise ValueError("term_cap must be >= 0")
         idx = g.index
         if args.site is None:
             poly = branching.level_gf(g, args.level, term_cap=args.term_cap)

@@ -75,9 +75,7 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     for k in range(max_squarings + 1):
         sums = power.sum(axis=1)
         top, bottom = (float(sums.max()), float(sums.min())) if sums.size else (0.0, 0.0)
-        # exp(log(top)) differs from top in the last bit on some powers; the
-        # reported trace has always carried the round trip's bits
-        trace.append((k, math.exp(math.log(top)) if top else 0.0))
+        trace.append((k, top))
         for bound in (np.diagonal(power).max(initial=0.0), bottom):
             if bound > 0.0:  # rho >= bound^(1/2^k)
                 best_lower = max(best_lower, _root(bound, k))

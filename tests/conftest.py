@@ -325,6 +325,24 @@ def critical_chain(classes, period):
         start, *(tree(i, j) for i in range(1, classes + 1) for j in range(period))]})
 
 
+def finishing_sites(g):
+    """T, the least set of sites with positive nil mass, or with a positive
+    entry to a tree whose sites are all in T: the sites from which some
+    derivation finishes.  The productive-symbol test for CFGs, read from
+    g.phi and g.trees alone as an oracle for the numeric paths."""
+    sites = {t.tree_id: [n.site_id for n in t.sites] for t in g.trees}
+    finishing, grew = set(), True
+    while grew:
+        grew = False
+        for site, entries in g.phi.items():
+            if site not in finishing and any(
+                    prob > 0 and (target is None or finishing.issuperset(sites[target]))
+                    for target, prob in entries):
+                finishing.add(site)
+                grew = True
+    return finishing
+
+
 def spectral_radius(m):
     """Largest eigenvalue modulus of m by numpy, 0.0 for an empty matrix.
 

@@ -871,7 +871,7 @@ def test_kleene_matches_reference_bit_for_bit():
     assert len(edges["nil_only"].index.prob) == 0
     assert br.extinction(edges["block_end"]).iterations == 2 * BLOCK
     for name, g in kleene_oracle_grammars():
-        assert len(br._kleene_buffer(g.index)[0]) == BLOCK + 1, name
+        assert len(next(br._kleene(g.index, 10**6))) == BLOCK + 1, name
         for setting in KLEENE_SETTINGS:
             assert_kleene_matches_reference(g, setting, name)
         # death_by_level runs whole and partial blocks too
@@ -889,7 +889,7 @@ def assert_kleene_matches_reference(g, setting, name):
 def test_kleene_in_two_step_blocks_matches_reference():
     # from 2,730 sites a block is two steps, the fewest there are
     g = synth_grammar(1, 5000)
-    assert len(br._kleene_buffer(g.index)[0]) == 3
+    assert len(next(br._kleene(g.index, 10**6))) == 3
     for setting in ({}, {"tol": 0.0, "max_iter": 3}, {"max_iter": 1}, {"max_iter": 2}):
         assert_kleene_matches_reference(g, setting, "synth5000")
     for n in (0, 1, 3, 4):

@@ -207,6 +207,13 @@ def test_gf_unknown_site_exit64():
     assert run(["gf", str(GRAMMAR4), "--site", "ZZ"]) == (64, "", "unknown site 'ZZ'\n")
 
 
+@pytest.mark.parametrize("mode", [["--site", "A1"], ["--level", "2"]])
+def test_gf_negative_term_cap_exit64_in_both_modes(mode):
+    # adjunction_gf takes no cap, yet --site refuses a negative one as --level does
+    assert run(["gf", str(GRAMMAR4), *mode, "--term-cap", "-1"]) == (
+        64, "", "usage error: term_cap must be >= 0\n")
+
+
 def test_extinction_output():
     code, out, _ = run(["extinction", str(GRAMMAR2)])
     assert code == 0

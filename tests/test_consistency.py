@@ -9,8 +9,9 @@ from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
 from ptagcheck.expectation import build_M
-from conftest import (GRAMMAR4, branching_family, critical_chain, minimal_document, parse,
-                      pinned_grammar, random_proper_grammar, spectral_radius)
+from conftest import (GRAMMAR4, branching_family, critical_chain, finishing_sites,
+                      minimal_document, parse, pinned_grammar, random_proper_grammar,
+                      spectral_radius)
 
 M4_POW4_EXPECTED = np.array([
     [0, 0.1728, 0.1728, 0.1728, 0.0688],
@@ -238,7 +239,7 @@ def test_trace_matches_matrix_power_row_sums(grammar4):
         report = cons.check_consistency(g, max_squarings=max_squarings)
         for k, top in report.max_row_sum_trace:
             direct = np.linalg.matrix_power(m, 2 ** k).sum(axis=1).max()
-            assert top == pytest.approx(direct, rel=1e-9)
+            assert top == direct, (k, top, direct)
         assert report.rho_estimate == pytest.approx(top ** 0.5 ** k, rel=1e-12)
         assert k == report.squarings_used
 
@@ -328,6 +329,20 @@ def test_not_consistent_when_start_termination_is_zero(grammar):
     assert not [d for d in gr.validate(g) if d.severity == gr.ERROR]
     assert set(br.start_termination(g, br.extinction(g)).values()) == {0.0}
     assert cons.check_consistency(g).verdict != cons.CONSISTENT
+
+
+def test_kleene_is_exactly_zero_on_sites_that_never_finish():
+    # tol 0.0 runs all k + 1 steps, since no residual is negative; q_r is
+    # positive on exactly the sites that r rounds of T's closure reach, and
+    # the closure is complete within k rounds
+    grammars = [*(random_proper_grammar(seed) for seed in range(200)),
+                *(critical_chain(c, p) for c in (1, 2, 3) for p in (1, 2, 3)),
+                one_site_deficit_grammar(), branching_family(0.5)]
+    for g in grammars:
+        q = br.extinction(g, tol=0.0, max_iter=len(g.index) + 1).q
+        finishing = finishing_sites(g)
+        assert [site for site, value in zip(g.index.ids, q.tolist())
+                if not (value > 0.0 if site in finishing else value == 0.0)] == []
 
 
 def test_report_is_deterministic(grammar4):
