@@ -130,7 +130,8 @@ def _start_weights(path, g):
         return None
 
     def parse(data):
-        weights = json.loads(data)
+        # strict UTF-8 as for a grammar: json.loads would take UTF-16 or a BOM
+        weights = json.loads(data.decode("utf-8"))
         if weights is None:  # start_law reads None as no weights at all
             raise ValueError("expected a JSON object, got null")
         expectation.start_law(g, weights)

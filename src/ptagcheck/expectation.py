@@ -190,7 +190,7 @@ class LabelledMatrix:
     """A matrix with its row labels; cols=None means square over the rows.
 
     P is sites x trees, N trees x sites and M sites x sites.  The builders
-    raise DenseCapExceeded rather than allocate more than DENSE_CELL_CAP
+    raise DenseCapExceeded rather than return more than DENSE_CELL_CAP
     cells.
     """
 
@@ -231,9 +231,16 @@ def build_N(g):
 
 
 def build_M(g):
-    """P scattered through the owner of each site; bitwise equal to P @ N."""
-    _check_dense(len(g.index), len(g.index))
-    return LabelledMatrix(build_P(g).values[:, g.index.owner], g.index.ids)
+    """P @ N, bitwise, without the sites x trees P, so only M meets the cap.
+
+    The entries are summed into one column per tree with sites and one for
+    all trees without (the slots of idx.bounds), in P's order, and each
+    site's column is its owner's."""
+    idx = g.index
+    _check_dense(len(idx), len(idx))
+    slots = np.zeros((len(idx), len(idx.bounds)))
+    np.add.at(slots, (idx.site, idx.entry_slot), idx.prob)
+    return LabelledMatrix(slots[:, idx.tree_slot[idx.owner]], idx.ids)
 
 
 # ---------------------------------------------------------------------------

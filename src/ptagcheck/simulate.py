@@ -432,8 +432,10 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     live sample bore at the last level (their tree ids ascending in
     ``rows``) and one column per live sample, holding how many of that
     tree it bore, which is the pending count of each of the tree's sites.
-    Memory is rows born x live samples, not trees x samples.  A sample
-    leaves as soon as it terminates or is censored.  Each site of a born
+    Memory is rows born x live samples, not trees x samples: the start draw
+    is dropped once level 0 is built, and a sample that terminates or is
+    censored leaves at once, adding only to four int totals (the two counts
+    and the depth and yield sums of the terminated).  Each site of a born
     tree makes one multinomial over that row's nonzero samples, in
     ascending order, by its law in the index (positive entries, then nil,
     over the site's mass), and the draws land in the next level's rows:
@@ -441,9 +443,11 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     with n = 0 or an entry with p = 0 draws no random numbers, so the draws
     are those of keeping every tree, sample and entry in every multinomial.
 
-    mean_depth and mean_yield_length are over terminated samples (NaN when
-    none terminate).  Identical inputs give identical stats.  phi breaking
-    the SiteIndex input contract raises ValueError.
+    mean_depth and mean_yield_length, over terminated samples (NaN when
+    none terminate), are an int sum over a count, rounded once: the bits of
+    a float64 mean while the sum is below 2^53.  Identical inputs give
+    identical stats.  phi breaking the SiteIndex input contract raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -494,19 +498,18 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
                     next_born[row_of[target]][samples_with] += draws[:, column]
         return next_rows, next_born
 
-    start_tree_idx = positions[rng.choice(len(positions), size=samples, p=start_probs)]
-    depth = np.zeros(samples, dtype=np.int64)
+    start = positions[rng.choice(len(positions), size=samples, p=start_probs)]
     anchors = index.anchors.astype(np.int64)  # so each level's product stays int64
-    yields = anchors[start_tree_idx]
-    censored = np.zeros(samples, dtype=bool)
-    terminated = site_count[start_tree_idx] == 0
-
-    live = np.flatnonzero(~terminated)
-    rows = np.flatnonzero(np.bincount(start_tree_idx[live], minlength=len(index.tree_ids)))
-    born = (rows[:, None] == start_tree_idx[live]).astype(np.int64)
-    live_yields = yields[live]
+    siteless = site_count[start] == 0  # these terminate at depth 0
+    n_term, n_cens, depth_sum = int(siteless.sum()), 0, 0
+    yield_sum = int(anchors[start[siteless]].sum())
+    start = start[~siteless]
+    rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
+    born = (rows[:, None] == start).astype(np.int64)
+    live_yields = anchors[start]
+    del start, siteless  # nothing as long as the samples outlives level 0
     for level in range(1, max_depth + 1):
-        if not live.size:
+        if not live_yields.size:
             break
         rows, born = births(rows, born)
         live_yields += anchors[rows] @ born
@@ -518,21 +521,18 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         over = has_births & (pending > cap)
         # no births: died at level - 1; births without sites: done at level
         done = np.flatnonzero(~over & (pending == 0))
-        left = live[done]
-        depth[left] = level - 1 + has_births[done]
-        yields[left] = live_yields[done]
-        terminated[left] = True
-        censored[live[over]] = True
+        n_term += len(done)
+        n_cens += int(np.count_nonzero(over))
+        depth_sum += int((level - 1 + has_births[done]).sum())
+        yield_sum += int(live_yields[done].sum())
         # compress keeps born C-contiguous, so each row stays a plain view
         keep = ~over & (pending > 0)
-        live, born, live_yields = live[keep], born.compress(keep, axis=1), live_yields[keep]
+        born, live_yields = born.compress(keep, axis=1), live_yields[keep]
         alive = born.any(axis=1)
         if not alive.all():
             rows, born = rows[alive], born[alive]
 
-    n_term = int(terminated.sum())
-    n_cens = int(censored.sum())
-    mean_depth = float(depth[terminated].mean()) if n_term else math.nan
-    mean_yield = float(yields[terminated].mean()) if n_term else math.nan
+    mean_depth = depth_sum / n_term if n_term else math.nan
+    mean_yield = yield_sum / n_term if n_term else math.nan
     return SimulationStats(samples, n_term, n_cens, n_term / samples,
                            mean_depth, mean_yield, seed)

@@ -260,6 +260,13 @@ def decode_error(body):
     weights_param('"0.5"', NOT_REAL, id="1.0-string"),
     pytest.param(b"[1, 2]", NOT_REAL, id="list"),
     pytest.param(b'{"t1": "\xe9"}', decode_error(b'{"t1": "\xe9"}'), id="not-utf8"),
+    # json.loads would decode these bytes; the grammar reader refuses them too
+    pytest.param('{"t1": 1}'.encode("utf-16"),
+                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                 id="utf-16"),
+    pytest.param(b'\xef\xbb\xbf{"t1": 1}',
+                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+                 id="utf-8-bom"),
     pytest.param(b"[" * 2000 + b"]" * 2000, decode_error(b"[" * 2000 + b"]" * 2000),
                  id="nested-2000"),
     pytest.param(b"null", "expected a JSON object, got null", id="null"),

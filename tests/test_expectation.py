@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ptagcheck import consistency as cons
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from conftest import (GRAMMAR4, minimal_document, parse, random_proper_grammar,
@@ -95,6 +96,22 @@ def test_M_is_P_times_N(grammar4, grammar2):
         n = ex.build_N(g)
         m = ex.build_M(g)
         assert (m.values == p.values @ n.values).all()
+
+
+def test_M_needs_only_its_own_cells_under_the_cap(monkeypatch):
+    # 20 initial trees without sites make P 5 x 23, but M stays 5 x 5
+    doc = json.loads(GRAMMAR4.read_text())
+    doc["trees"] += [{"id": f"leaf{j}", "type": "initial",
+                      "root": {"label": "S", "children": [{"anchor": f"leaf{j}"}]}}
+                     for j in range(20)]
+    g = parse(doc)
+    product = ex.build_P(g).values @ ex.build_N(g).values
+    assert ex.build_P(g).values.shape == (5, 23)
+    monkeypatch.setattr(ex, "DENSE_CELL_CAP", 25)
+    assert (ex.build_M(g).values == product).all()
+    assert cons.check_consistency(g).verdict == cons.CONSISTENT
+    with pytest.raises(ex.DenseCapExceeded, match="a 5 x 23 dense matrix"):
+        ex.build_P(g)
 
 
 def direct_expectation(g):

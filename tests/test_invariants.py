@@ -37,6 +37,18 @@ EPS = 2.0 ** -53         # unit roundoff of a double
 # per step, which the iteration damps.  The largest move seen is 1.4e-15
 # in q and 1.1e-16 in C_n, on random seeds 0-49 and the verdict corpus.
 SPLIT_BOUND = 64 * EPS   # 7.1e-15
+# How far q and C_n may fall when adjunction entries are scaled (see
+# scaled): in exact arithmetic they cannot fall, but where the exact gain
+# (1 - alpha)·sum(p·(1 - product)) is below an ulp of a site's value, the
+# rounding of its new nil and scaled entries can leave the step an ulp or
+# two lower, which the iteration damps.  The largest fall seen is 2 EPS in q
+# and 1 EPS in C_n, on random seeds 0-49 and the verdict corpus.
+SCALE_BOUND = 16 * EPS   # 1.8e-15
+# How far eigvals' rho of the scaled M may miss its exact bounds, relative
+# to rho: eigvals is backward stable, so each computed rho is that of a
+# matrix within a small multiple of k·eps of M, and these Perron roots are
+# well conditioned.  The largest miss seen is 24 EPS (5.3e-15).
+RHO_BOUND = 1e-12
 
 
 class Baseline:
@@ -164,6 +176,25 @@ def with_clone(doc, g, seed):
     return doc
 
 
+def scaled(doc, g, alpha):
+    """doc with each non-nil phi entry of an adjunction site scaled by
+    alpha and the mass taken added to the site's nil entry, made when it
+    has none.  A substitution site cannot take nil, so its entries stay."""
+    adjunction = {node.site_id for t in g.trees for node in t.sites
+                  if node.kind != gr.SUBSTITUTION}
+    doc = copy.deepcopy(doc)
+    moved = {}
+    for e in doc["phi"]:
+        if e["site"] in adjunction and e["tree"] is not None:
+            moved[e["site"]] = moved.get(e["site"], 0.0) + (e["prob"] - alpha * e["prob"])
+            e["prob"] *= alpha
+    for e in doc["phi"]:
+        if e["tree"] is None and e["site"] in moved:
+            e["prob"] += moved.pop(e["site"])
+    doc["phi"] += [{"site": site, "tree": None, "prob": m} for site, m in moved.items()]
+    return doc
+
+
 def mixture_bound(g):
     """How far two orders of summing the start law's mixture may differ:
     each is within (k - 1)·eps of the exact sum of k terms, at most 1."""
@@ -255,3 +286,33 @@ def test_cloning_a_tree_and_splitting_its_entries_changes_nothing():
             split = enumerated(g)
             assert split is not None and math.fsum(split) == math.fsum(base.enumerated), name
     assert cloned >= 80  # 89 of the 98 grammars have a tree to clone
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_scaling_adjunction_entries(alpha):
+    exact = 0  # grammars without substitution sites and with rho > 0
+    for name, base in baselines():
+        g = gr.from_document(scaled(base.doc, base.g, alpha))
+        assert [(d.code, d.tree_id, d.site_id) for d in g.diagnostics] == [
+            (d.code, d.tree_id, d.site_id) for d in base.g.diagnostics], name
+        # alpha·M <= M' <= M entry by entry, up to the rounding of the
+        # scaled entries, and so for the Perron roots; with no substitution
+        # site every entry is scaled, and M' = alpha·M
+        rho = spectral_radius(build_M(g).values)
+        assert alpha * base.rho * (1 - RHO_BOUND) <= rho <= base.rho * (1 + RHO_BOUND), name
+        if not any(node.kind == gr.SUBSTITUTION for t in g.trees for node in t.sites):
+            assert abs(rho - alpha * base.rho) <= RHO_BOUND * alpha * base.rho, name
+            exact += base.rho > 0
+        if abs(rho - 1.0) >= BOUNDARY:
+            assert cons.check_consistency(g).verdict == (
+                cons.CONSISTENT if rho < 1.0 else cons.INCONSISTENT), name
+        # each offspring function only rises on [0, 1]^k: the mass moved to
+        # nil is at least what it added through a product of q's at most 1.
+        # So every Kleene iterate rises.  q is compared after the steps the
+        # original took, since the scaled grammar often converges sooner
+        # and its q then stops further below its own fixed point.
+        q = br.extinction(g, tol=0.0, max_iter=max(1, base.q.iterations))
+        assert (q.q >= base.q.q - SCALE_BOUND).all(), name
+        for n, c in zip(DEPTHS, base.death):
+            assert br.death_by_level(g, n) >= c - SCALE_BOUND, (name, n)
+    assert exact >= 1  # random49

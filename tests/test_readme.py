@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 from conftest import REPO
 
@@ -11,3 +14,25 @@ def test_readme_python_blocks_run(monkeypatch):
     monkeypatch.chdir(REPO)
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_shell_examples_run():
+    # each "$ ptagcheck ..." line of the Command line section, run from the
+    # repository root; the lines shown under one, but "...", are lines of its
+    # stdout, and its exit code is 0 unless a comment names another
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.MULTILINE | re.DOTALL)[1]
+    commands = re.findall(r"^\$ ptagcheck (.*)\n((?:(?!\$).*\S.*\n)*)", block, re.MULTILINE)
+    assert len(commands) == 9
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for line, shown in commands:
+        argv, _, comment = line.partition("#")
+        expected = re.search(r"exit code (\d+)", comment)
+        done = subprocess.run([sys.executable, "-m", "ptagcheck.cli", *argv.split()],
+                              capture_output=True, text=True, timeout=60, env=env,
+                              cwd=REPO)
+        assert done.returncode == (int(expected[1]) if expected else 0), line
+        assert done.stdout.strip(), line
+        printed = {out.strip() for out in done.stdout.splitlines()}
+        assert {s.strip() for s in shown.splitlines()} - {"..."} <= printed, line
