@@ -7,10 +7,11 @@ and a broken pipe comes after what stdout took.
 
 Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors, a
 cap hit (gf's term cap, enumerate's node cap or a --max-depth past
-ENUMERATE_DEPTH_CAP, or the dense cap of matrix and check,
-expectation.DENSE_CELL_CAP cells) or out of memory, 3 indeterminate, 64
-usage error, 65 malformed grammar document or start weights, 66 unreadable
-input, 74 output that cannot be written (a broken pipe).
+ENUMERATE_DEPTH_CAP, simulate's --samples past SIMULATE_SAMPLES_CAP, or the
+dense cap of matrix and check, expectation.DENSE_CELL_CAP cells) or out of
+memory, 3 indeterminate, 64 usage error, 65 malformed grammar document or
+start weights, 66 unreadable input, 74 output that cannot be written (a
+broken pipe).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a sys
 # the deepest --max-depth enumerate writes out: the JSON encoder takes two frames a level
 # of a derivation, and about 496 levels fit the default recursion limit (3.10-3.13)
 ENUMERATE_DEPTH_CAP = 400
+# the most --samples simulate runs: memory stays bounded by the sample block,
+# but the time grows with the samples (about a minute for 10^8 on grammar4.json)
+SIMULATE_SAMPLES_CAP = 10**8
 
 
 class _Failure(Exception):
@@ -215,6 +219,9 @@ def _run(argv, out):
         return EX_OK
 
     if args.command == "simulate":
+        if args.samples > SIMULATE_SAMPLES_CAP:
+            raise _Failure(EX_INVALID, f"samples {args.samples} is past the cap of "
+                           f"{SIMULATE_SAMPLES_CAP} that simulate runs")
         stats = simulate.estimate_termination(
             g, args.samples, args.max_depth, seed=args.seed,
             start_weights=_start_weights(args.start_weights, g))

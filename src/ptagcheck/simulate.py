@@ -30,6 +30,9 @@ from .grammar import _collector_paused
 RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
 DEFAULT_FRONTIER_CAP = 10_000
+# estimate_termination's samples per block; at least the CLI's default --samples,
+# so a default simulate run is one block
+SAMPLE_BLOCK = 2**15
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -414,28 +417,37 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
                          frontier_cap=DEFAULT_FRONTIER_CAP):
     """Monte Carlo estimate of the termination (extinction) probability.
 
-    Simulates the tree-count process of all samples in lockstep: per level
-    and site, one vectorized multinomial resolves every pending instance,
-    which is distributionally identical to sampling whole derivations one
-    by one but stays fast for 10^6 samples.  A sample terminates when a
-    level produces no trees, or when its last level holds only trees
-    without sites (also at max_depth: the enumerator's convention, so the
-    rate estimates C_(max_depth)); it is censored when trees with sites
-    reach max_depth or its pending-site count exceeds frontier_cap.  Past
-    the cap the chance of ever dying out is below q_max^frontier_cap,
-    vanishingly small, so the censoring bias is far under sampling noise.
-    A sample's pending count is at most frontier_cap times the most sites
-    of one tree, so a cap for which that product could reach 2^63 (where
-    the int64 counts wrap) raises ValueError, as does a negative one.
+    Simulates the tree-count process of a block of samples in lockstep: per
+    level and site, one vectorized multinomial resolves every pending
+    instance, which is distributionally identical to sampling whole
+    derivations one by one but stays fast for 10^6 samples.  A sample
+    terminates when a level produces no trees, or when its last level holds
+    only trees without sites (also at max_depth: the enumerator's
+    convention, so the rate estimates C_(max_depth)); it is censored when
+    trees with sites reach max_depth or its pending-site count exceeds
+    frontier_cap.  Past the cap the chance of ever dying out is below
+    q_max^frontier_cap, vanishingly small, so the censoring bias is far
+    under sampling noise.  A sample's pending count is at most frontier_cap
+    times the most sites of one tree, so a cap for which that product could
+    reach 2^63 (where the int64 counts wrap) raises ValueError, as does a
+    negative one.
 
-    Only what is alive keeps state: ``born`` has one row per tree that some
-    live sample bore at the last level (their tree ids ascending in
-    ``rows``) and one column per live sample, holding how many of that
-    tree it bore, which is the pending count of each of the tree's sites.
-    Memory is rows born x live samples, not trees x samples: the start draw
-    is dropped once level 0 is built, and a sample that terminates or is
-    censored leaves at once, adding only to four int totals (the two counts
-    and the depth and yield sums of the terminated).  Each site of a born
+    The samples run in consecutive blocks of SAMPLE_BLOCK, all drawn from
+    the one Generator: each block draws its own start trees, runs the level
+    loop until its samples have all left, and adds to four int totals (the
+    two counts and the depth and yield sums of the terminated).  No array
+    outlives its block, so memory is bounded by the block, not by samples.
+    A run of at most one block draws what one lockstep run of all samples
+    would; a longer run draws in another order, from the same distribution,
+    since the samples are i.i.d.
+
+    Within a block only what is alive keeps state: ``born`` has one row per
+    tree that some live sample bore at the last level (their tree ids
+    ascending in ``rows``) and one column per live sample, holding how many
+    of that tree it bore, which is the pending count of each of the tree's
+    sites.  Memory is rows born x live samples of one block, not trees x
+    samples: the start draw is dropped once level 0 is built, and a sample
+    that terminates or is censored leaves at once.  Each site of a born
     tree makes one multinomial over that row's nonzero samples, in
     ascending order, by its law in the index (positive entries, then nil,
     over the site's mass), and the draws land in the next level's rows:
@@ -498,40 +510,47 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
                     next_born[row_of[target]][samples_with] += draws[:, column]
         return next_rows, next_born
 
-    start = positions[rng.choice(len(positions), size=samples, p=start_probs)]
     anchors = index.anchors.astype(np.int64)  # so each level's product stays int64
-    siteless = site_count[start] == 0  # these terminate at depth 0
-    n_term, n_cens, depth_sum = int(siteless.sum()), 0, 0
-    yield_sum = int(anchors[start[siteless]].sum())
-    start = start[~siteless]
-    rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
-    born = (rows[:, None] == start).astype(np.int64)
-    live_yields = anchors[start]
-    del start, siteless  # nothing as long as the samples outlives level 0
-    for level in range(1, max_depth + 1):
-        if not live_yields.size:
-            break
-        rows, born = births(rows, born)
-        live_yields += anchors[rows] @ born
-        pending = site_count[rows] @ born
-        has_births = born.any(axis=0)
-        # pending sites past the cap censor, at max_depth every one does;
-        # a sample without births has died whatever the cap
-        cap = frontier_cap if level < max_depth else 0
-        over = has_births & (pending > cap)
-        # no births: died at level - 1; births without sites: done at level
-        done = np.flatnonzero(~over & (pending == 0))
-        n_term += len(done)
-        n_cens += int(np.count_nonzero(over))
-        depth_sum += int((level - 1 + has_births[done]).sum())
-        yield_sum += int(live_yields[done].sum())
-        # compress keeps born C-contiguous, so each row stays a plain view
-        keep = ~over & (pending > 0)
-        born, live_yields = born.compress(keep, axis=1), live_yields[keep]
-        alive = born.any(axis=1)
-        if not alive.all():
-            rows, born = rows[alive], born[alive]
 
+    def block_totals(size):
+        """(terminated, censored, depth sum, yield sum) of size fresh samples."""
+        start = positions[rng.choice(len(positions), size=size, p=start_probs)]
+        siteless = site_count[start] == 0  # these terminate at depth 0
+        n_term, n_cens, depth_sum = int(siteless.sum()), 0, 0
+        yield_sum = int(anchors[start[siteless]].sum())
+        start = start[~siteless]
+        rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
+        born = (rows[:, None] == start).astype(np.int64)
+        live_yields = anchors[start]
+        del start, siteless  # nothing as long as the samples outlives level 0
+        for level in range(1, max_depth + 1):
+            if not live_yields.size:
+                break
+            rows, born = births(rows, born)
+            live_yields += anchors[rows] @ born
+            pending = site_count[rows] @ born
+            has_births = born.any(axis=0)
+            # pending sites past the cap censor, at max_depth every one does;
+            # a sample without births has died whatever the cap
+            cap = frontier_cap if level < max_depth else 0
+            over = has_births & (pending > cap)
+            # no births: died at level - 1; births without sites: done at level
+            done = np.flatnonzero(~over & (pending == 0))
+            n_term += len(done)
+            n_cens += int(np.count_nonzero(over))
+            depth_sum += int((level - 1 + has_births[done]).sum())
+            yield_sum += int(live_yields[done].sum())
+            # compress keeps born C-contiguous, so each row stays a plain view
+            keep = ~over & (pending > 0)
+            born, live_yields = born.compress(keep, axis=1), live_yields[keep]
+            alive = born.any(axis=1)
+            if not alive.all():
+                rows, born = rows[alive], born[alive]
+        return n_term, n_cens, depth_sum, yield_sum
+
+    blocks = (block_totals(min(SAMPLE_BLOCK, samples - first))
+              for first in range(0, samples, SAMPLE_BLOCK))
+    n_term, n_cens, depth_sum, yield_sum = map(sum, zip(*blocks))
     mean_depth = depth_sum / n_term if n_term else math.nan
     mean_yield = yield_sum / n_term if n_term else math.nan
     return SimulationStats(samples, n_term, n_cens, n_term / samples,

@@ -413,6 +413,28 @@ def test_enumerate_depth_past_cap_exit2():
                "enumerate writes out\n")
 
 
+def test_simulate_samples_past_cap_exit2(monkeypatch):
+    # refused before a sample is drawn: the run would take days, not memory
+    monkeypatch.setattr(simulate, "estimate_termination", None)
+    samples = cli.SIMULATE_SAMPLES_CAP + 1
+    assert run(["simulate", str(GRAMMAR4), "--samples", str(samples)]) == (
+        2, "", f"samples {samples} is past the cap of {cli.SIMULATE_SAMPLES_CAP} that "
+               "simulate runs\n")
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (simulate, "estimate_termination", ["simulate", str(GRAMMAR4)]),
+    (consistency, "check_consistency", ["check", str(GRAMMAR4)]),
+    (simulate, "enumerate_derivations", ["enumerate", str(GRAMMAR4)])])
+def test_out_of_memory_exit2(monkeypatch, module, name, argv):
+    # a MemoryError from the library, with numpy's message or none, is a cap hit
+    for message in ("Unable to allocate 7.45 GiB for an array", ""):
+        def exhausted(*args, message=message, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(module, name, exhausted)
+        assert run(argv) == (2, "", f"OUT_OF_MEMORY: {message}\n")
+
+
 def test_enumerate_node_cap_exit():
     code, _, err = run(["enumerate", str(GRAMMAR4), "--max-depth", "6",
                         "--node-cap", "50"])

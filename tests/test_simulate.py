@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ptagcheck import branching as br
+from ptagcheck import cli
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
@@ -909,6 +910,52 @@ def test_estimate_memory_stays_below_one_dense_array():
     assert peak < dense
 
 
+def totals(stats):
+    """(terminated, censored, depth sum, yield sum) of stats: each mean times
+    the count, exact while a sum stays far below 2^53."""
+    def total(mean):
+        return round(mean * stats.terminated) if stats.terminated else 0
+    return (stats.terminated, stats.censored, total(stats.mean_depth),
+            total(stats.mean_yield_length))
+
+
+@pytest.mark.parametrize("name,max_depth", [("grammar4", 200), ("grammar2", 3)])
+def test_estimate_runs_in_sample_blocks(name, max_depth):
+    # a run longer than a block is its blocks run one after another on the
+    # one Generator, the last one short
+    g = pinned_grammar(name)
+    whole = sim.estimate_termination(g, 2 * sim.SAMPLE_BLOCK + 123, max_depth,
+                                     seed=np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    parts = [totals(sim.estimate_termination(g, n, max_depth, seed=rng))
+             for n in (sim.SAMPLE_BLOCK, sim.SAMPLE_BLOCK, 123)]
+    assert totals(whole) == tuple(map(sum, zip(*parts)))
+    assert 0 < whole.terminated and (0 < whole.censored) == (name == "grammar2")
+
+
+def test_estimate_memory_is_bounded_by_the_block():
+    # 2.0 MB traced for one block and for four; 8.0 MB for four when all the
+    # samples ran in lockstep.  A first small run leaves out what the first
+    # call allocates once
+    g = pinned_grammar("grammar4")
+    sim.estimate_termination(g, 100, 200, seed=0)
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            sim.estimate_termination(g, blocks * sim.SAMPLE_BLOCK, 200, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_cli_default_samples_fit_one_block():
+    # so a default simulate run draws what one lockstep run of its samples does
+    args = cli._build_parser().parse_args(["simulate", str(GRAMMAR4)])
+    assert sim.SAMPLE_BLOCK >= args.samples
+
+
 @pytest.mark.parametrize("entries", [[("t2", -0.1), (None, 1.1)], [("t2", math.nan)],
                                      [("t2", 0.5), (None, math.inf)]],
                          ids=["negative", "nan", "inf"])
@@ -1028,7 +1075,8 @@ ESTIMATE_CASES = [
     ("random0", 3000, 40, 0, {"start_weights": {"t1": 1.0, "t2": 3.0}}),
     ("syn130", 2000, 200, 1, {}),
     # grammar2 almost never terminates: the cases above leave every sample
-    # censored, this one terminates 37
+    # censored, this one terminates 45; its seven sample blocks pin the order
+    # in which a run longer than SAMPLE_BLOCK draws
     ("grammar2", 200_000, 40, 2, {}),
 ]
 
@@ -1084,7 +1132,7 @@ ESTIMATE_DIGESTS = [
     "8dc259b99cc44597a6d5b4492cefde346ccd42de48f0ae598c4687c368372084",
     "890e2fab169974dc963962814d1c5363e5a1a7f92c28463d32eea8944d4eed47",
     "212c58dfeca0eff36c1b7b48b093f1489e210f2f033b53055c5e14e1f558d08d",
-    "ab652049efeef1d7112586d6cf63676316ce8bafddc540b867cb48ab20947935",
+    "204e8ab89eeb1809af26b8ce173f91a5df056928b98417cdf1149daf5accd4cd",
 ]
 
 
