@@ -75,7 +75,8 @@ def _build_parser():
     p.add_argument("--which", choices=("P", "N", "M"), default="M")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p = command("check", "decide consistency by the row-sum squaring test")
+    p = command("check", "decide consistency by the row-sum squaring test and "
+                "whether every reachable tree can finish")
     p.add_argument("--max-squarings", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-9)
 

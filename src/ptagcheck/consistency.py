@@ -5,13 +5,21 @@ matrix is below one, which holds exactly when some power M^n has every row
 sum below one.  The checker squares M (so only powers 2^k are visited: once a
 power passes, every later one does), stopping with one of three verdicts:
 
-  Consistent     some M^(2^k) had all row sums < 1
+  Consistent     some M^(2^k) had all row sums < 1, and every reachable
+                 tree can finish
   Inconsistent   a spectral-radius lower bound exceeded 1 + tol, using
                  rho >= diag(M^n)_ii^(1/n) and, when every row sum is
-                 positive, rho >= (min row sum)^(1/n)
+                 positive, rho >= (min row sum)^(1/n); or a tree that a
+                 derivation from the start trees can place cannot finish
   Indeterminate  the squaring budget ran out, or a power's max row sum
                  passed SCALE_HIGH first (covers the rho = 1 boundary,
                  which is deliberately not decided)
+
+The structural rule is exact where the squaring is not: rounding can bring a
+power's row sums below 1 although no derivation finishes.  A tree finishes
+when some derivation from it does (SiteIndex.finishes, the productive-symbol
+test of context-free grammars), and a derivation that places one that cannot
+never ends.
 
 Powers are never rescaled.  A power whose row sums are at most
 SCALE_HIGH = 1e100 squares to one whose row sums are at most 1e200, far
@@ -59,6 +67,9 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     the Gelfand estimate (max row sum)^(1/2^k); its min row sum and diagonal
     give the lower bounds.  After max_squarings squarings, or at an earlier
     power whose max row sum passes SCALE_HIGH, the verdict is Indeterminate.
+    Whatever the powers say, the verdict is Inconsistent when a reachable
+    tree cannot finish (SiteIndex.reachable and finishes); the report keeps
+    the trace and estimates of the powers.
     A negative max_squarings, a negative or NaN tol and phi that fails
     checked() raise ValueError; a grammar whose dense M would exceed
     expectation.DENSE_CELL_CAP cells raises DenseCapExceeded.
@@ -67,8 +78,8 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
         raise ValueError("max_squarings must be >= 0")
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
-    g.index.checked()
-
+    index = g.index.checked()
+    stuck = bool((index.reachable & ~index.finishes).any())
     power = build_M(g).values
     trace = []
     best_lower = 0.0
@@ -83,7 +94,8 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
                    else INDETERMINATE if top > SCALE_HIGH or k == max_squarings else None)
         if verdict:
             rho = _root(top, k) if top else 0.0
-            return ConsistencyReport(verdict, k, trace, rho, best_lower, tol)
+            return ConsistencyReport(INCONSISTENT if stuck else verdict, k, trace, rho,
+                                     best_lower, tol)
         power = power @ power
 
 

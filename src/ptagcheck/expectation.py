@@ -43,7 +43,8 @@ class SiteIndex:
     slices of the trees with sites start, then k, which reduce q plus a
     trailing 1.0 to those trees' products and a last 1.0; and tree_slot and
     entry_slot, the slot there of each tree and of each phi entry's tree
-    (the last for a tree without sites).  rewrite_graph is built on first use.
+    (the last for a tree without sites).  rewrite_graph, reachable and
+    finishes are built on first use.
     bad_site is the first site, in canonical order, with a phi entry (nil
     included) that is negative, NaN or infinite, or whose mass is further
     than PROPERNESS_TOL from 1, or None when there is none.
@@ -125,6 +126,45 @@ class SiteIndex:
         ends = np.append(0, np.cumsum(live))[self.entry_start[self.tree_start]].tolist()
         targets = self.tree[live].tolist()
         return tuple(tuple(targets[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
+    def reachable(self):
+        """Read-only, per tree: whether a derivation from a start tree can
+        place it, along rewrite_graph."""
+        graph, seen = self.rewrite_graph, [False] * len(self.tree_ids)
+        work = self.starts.tolist()
+        while work:
+            if not seen[j := work.pop()]:
+                seen[j] = True
+                work += graph[j]
+        reachable = np.array(seen, dtype=bool)
+        reachable.flags.writeable = False
+        return reachable
+
+    @cached_property
+    def finishes(self):
+        """Read-only, per tree: whether some derivation from it finishes, that
+        is, whether all its sites are in T, the least set of sites with positive
+        nil mass or a positive entry to a tree that finishes.  One worklist:
+        each positive entry is queued once, when its target tree finishes."""
+        live = self.prob > 0.0
+        sources = [[] for _ in self.tree_ids]  # per tree, the sites with a positive entry to it
+        for i, t in zip(self.site[live].tolist(), self.tree[live].tolist()):
+            sources[t].append(i)
+        owner, missing, in_t = self.owner.tolist(), self.sizes.tolist(), [False] * len(self)
+        work = np.flatnonzero(self.nil > 0.0).tolist()
+        for t, n in enumerate(missing):
+            if not n:
+                work += sources[t]
+        while work:
+            if not in_t[i := work.pop()]:
+                in_t[i] = True
+                missing[t := owner[i]] -= 1
+                if not missing[t]:
+                    work += sources[t]
+        finishes = np.array(missing) == 0
+        finishes.flags.writeable = False
+        return finishes
 
     def __len__(self):
         return len(self.ids)

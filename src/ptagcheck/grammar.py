@@ -544,18 +544,10 @@ def _site_diagnostics(diags, tree_id, node, entries, mass, shapes):
 def detect_unreachable(g):
     """Tree ids never used in a derivation started from a start tree.
 
-    Edges follow positive-probability phi entries only; zero-probability
-    entries are kept in the model but carry no reachability.
+    Edges follow positive-probability phi entries only (g.index.reachable);
+    zero-probability entries are kept in the model but carry no reachability.
     """
-    edges = g.index.rewrite_graph
-    frontier = g.index.starts.tolist()
-    reachable = set(frontier)
-    while frontier:
-        for k in edges[frontier.pop()]:
-            if k not in reachable:
-                reachable.add(k)
-                frontier.append(k)
-    return [t.tree_id for j, t in enumerate(g.trees) if j not in reachable]
+    return [t.tree_id for t, live in zip(g.trees, g.index.reachable.tolist()) if not live]
 
 
 def detect_empty_yield_loops(g):

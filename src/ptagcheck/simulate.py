@@ -20,6 +20,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .grammar import _collector_paused
 
 RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
-DEFAULT_FRONTIER_CAP = 10_000
+# pending sites past which estimate_termination censors a sample
+FRONTIER_CAP = 10_000
 # estimate_termination's samples per block; at least the CLI's default --samples,
 # so a default simulate run is one block
 SAMPLE_BLOCK = 2**15
@@ -117,7 +119,7 @@ class SimulationStats:
     termination_rate: float
     mean_depth: float
     mean_yield_length: float
-    seed: int
+    seed: int | None  # an int seed as given, else None (a Generator is no JSON)
     generator: str = RNG_ALGORITHM
 
     def as_dict(self):
@@ -331,13 +333,14 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     SiteIndex input contract raises ValueError.
 
     The trees placed at each level are collected first, from the start
-    trees down; then the expansions of each (tree, level) are built once,
-    from level max_depth up, from those of the level below, and shared.
-    Nothing recurses per level.  node_cap bounds the partial expansions:
-    one per kept pair of (choices so far, next option) as the sites of a
-    tree are resolved one by one, counted once per (tree, level).  More
-    than node_cap of them raises EnumerationBudgetExceeded.  On grammar4
-    at depth 5 the result holds
+    trees down to the first level where none can finish
+    (SiteIndex.finishes); then the expansions of each (tree, level) are
+    built once, from level max_depth up, from those of the level below, and
+    shared.  Nothing recurses per level.  node_cap bounds the partial
+    expansions: one per kept pair of (choices so far, next option) as the
+    sites of a tree are resolved one by one, counted once per (tree,
+    level).  More than node_cap of them raises EnumerationBudgetExceeded.
+    On grammar4 at depth 5 the result holds
     238,145 derivations (129 MB traced); the call takes about 0.55 s and
     peaks at 140 MB, because the expansions are freed before the result is
     wrapped (Python 3.11, 2-core shared machine).
@@ -353,10 +356,11 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     if node_cap < 0:
         raise ValueError("node_cap must be >= 0")
     index = g.index.checked()
-    graph, sizes = index.rewrite_graph, index.sizes.tolist()
+    graph, sizes, finishes = index.rewrite_graph, index.sizes.tolist(), index.finishes.tolist()
     positions, start_probs = start_law(g)
     placed = [dict.fromkeys(positions.tolist())]  # tree positions per level
-    while placed[-1] and len(placed) <= max_depth:
+    # no complete derivation places a tree at a level where none can finish
+    while any(finishes[j] for j in placed[-1]) and len(placed) <= max_depth:
         deepest = len(placed) == max_depth
         placed.append(dict.fromkeys(k for j in placed[-1] for k in graph[j]
                                     if not (deepest and sizes[k])))
@@ -413,8 +417,7 @@ def _expand(g, tree, level, below, prob_floor, node_cap, spent):
 # ---------------------------------------------------------------------------
 # termination estimation
 
-def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
-                         frontier_cap=DEFAULT_FRONTIER_CAP):
+def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     """Monte Carlo estimate of the termination (extinction) probability.
 
     Simulates the tree-count process of a block of samples in lockstep: per
@@ -425,12 +428,9 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     only trees without sites (also at max_depth: the enumerator's
     convention, so the rate estimates C_(max_depth)); it is censored when
     trees with sites reach max_depth or its pending-site count exceeds
-    frontier_cap.  Past the cap the chance of ever dying out is below
-    q_max^frontier_cap, vanishingly small, so the censoring bias is far
-    under sampling noise.  A sample's pending count is at most frontier_cap
-    times the most sites of one tree, so a cap for which that product could
-    reach 2^63 (where the int64 counts wrap) raises ValueError, as does a
-    negative one.
+    FRONTIER_CAP.  Past the cap the chance of ever dying out is below
+    q_max^FRONTIER_CAP, vanishingly small, so the censoring bias is far
+    under sampling noise.
 
     The samples run in consecutive blocks of SAMPLE_BLOCK, all drawn from
     the one Generator: each block draws its own start trees, runs the level
@@ -465,14 +465,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
         raise ValueError("samples must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    if frontier_cap < 0:
-        raise ValueError("frontier_cap must be >= 0")
     index = g.index.checked()
     site_count = index.sizes
-    most_sites = max(1, int(site_count.max(initial=0)))
-    if frontier_cap * most_sites >= 2**63:
-        raise ValueError(f"frontier_cap must be <= {(2**63 - 1) // most_sites}: times the "
-                         f"{most_sites} sites of the largest tree it could reach 2^63")
     rng = np.random.default_rng(seed)
     positions, start_probs = start_law(g, start_weights)
     graph = index.rewrite_graph
@@ -532,7 +526,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
             has_births = born.any(axis=0)
             # pending sites past the cap censor, at max_depth every one does;
             # a sample without births has died whatever the cap
-            cap = frontier_cap if level < max_depth else 0
+            cap = FRONTIER_CAP if level < max_depth else 0
             over = has_births & (pending > cap)
             # no births: died at level - 1; births without sites: done at level
             done = np.flatnonzero(~over & (pending == 0))
@@ -553,5 +547,5 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None,
     n_term, n_cens, depth_sum, yield_sum = map(sum, zip(*blocks))
     mean_depth = depth_sum / n_term if n_term else math.nan
     mean_yield = yield_sum / n_term if n_term else math.nan
-    return SimulationStats(samples, n_term, n_cens, n_term / samples,
-                           mean_depth, mean_yield, seed)
+    return SimulationStats(samples, n_term, n_cens, n_term / samples, mean_depth, mean_yield,
+                           int(seed) if isinstance(seed, Integral) else None)

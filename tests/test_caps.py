@@ -26,7 +26,8 @@ MEMORY_LIMIT = 1 << 30  # bytes of address space per child
 CASES = {
     "check-5000-squarings": (lambda: branching_family(0.5),
                              ["check", "--max-squarings", "5000"], cli.EX_INDETERMINATE),
-    "check-8-class-chain": (lambda: critical_chain(8, 2), ["check"], cli.EX_INDETERMINATE),
+    # no derivation of the chain finishes: Inconsistent once the squarings stop
+    "check-8-class-chain": (lambda: critical_chain(8, 2), ["check"], cli.EX_INCONSISTENT),
     "enumerate-depth-1200": (lambda: branching_family(0.5, sites=1),
                              ["enumerate", "--max-depth", "1200"], cli.EX_INVALID),
     "enumerate-depth-cap+1": (lambda: branching_family(0.5, sites=1),
@@ -72,7 +73,8 @@ def test_cap_exit_code(tmp_path, grammar, argv, code):
     elif code == cli.EX_OK:  # simulate, with its default samples
         assert json.loads(done.stdout)["samples"] == 10_000
     else:
-        assert json.loads(done.stdout)["verdict"] == "Indeterminate"
+        verdict = {cli.EX_INCONSISTENT: "Inconsistent", cli.EX_INDETERMINATE: "Indeterminate"}
+        assert json.loads(done.stdout)["verdict"] == verdict[code]
 
 
 def test_enumerate_writes_out_a_derivation_as_deep_as_the_cap():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,54 @@ def test_site_index_order(grammar4):
     assert idx.ids == ("A1", "A2", "B1", "A3", "B2")
     assert idx["B1"] == 2
     assert len(idx) == 5
+
+
+def adjunction_chain(n, loop_at_end=False):
+    """Start tree t0, whose site R adjoins c0, and auxiliary trees c0..c(n-1),
+    each with one site Xi that adjoins the next tree; X(n-1) stays nil, or,
+    with loop_at_end, adjoins c(n-1) again, so that nothing finishes."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["children"] = [
+        {"label": "A", "site": "R", "children": [{"anchor": "a"}]}]
+    doc["trees"] += [{"id": f"c{i}", "type": "auxiliary", "root": {"label": "A", "children": [
+        {"label": "A", "site": f"X{i}", "children": [{"anchor": "a"}]}, {"foot": "A"}]}}
+        for i in range(n)]
+    doc["phi"] = [{"site": "R", "tree": "c0", "prob": 1.0},
+                  *({"site": f"X{i}", "tree": f"c{i + 1}", "prob": 1.0} for i in range(n - 1))]
+    if loop_at_end:
+        doc["phi"].append({"site": f"X{n - 1}", "tree": f"c{n - 1}", "prob": 1.0})
+    return parse(doc)
+
+
+def test_reachable_and_finishes_by_hand(grammar4, grammar2):
+    # grammar4 finishes everywhere; grammar2's t2 rewrites to t2 or nil, so
+    # it finishes too, and its lone start tree reaches every tree
+    for g in (grammar4, grammar2):
+        assert g.index.finishes.all() and g.index.reachable.all()
+    # a chain that ends in a loop finishes nowhere; a fresh tree that no site
+    # lists is unreachable, and, without sites, finishes
+    g = adjunction_chain(3, loop_at_end=True)
+    assert g.index.finishes.tolist() == [False] * 4
+    doc = gr.to_document(g)
+    doc["trees"].append({"id": "u", "type": "auxiliary",
+                         "root": {"label": "A", "children": [{"anchor": "b"}, {"foot": "A"}]}})
+    g = parse(doc)
+    assert g.index.reachable.tolist() == [True] * 4 + [False]
+    assert g.index.finishes.tolist() == [False] * 4 + [True]
+    for layout in (g.index.reachable, g.index.finishes):
+        assert not layout.flags.writeable
+
+
+def test_finishes_is_linear_in_the_entries():
+    # on a chain the least fixed point grows one site per sweep, so a
+    # sweep-until-stable loop would take n sweeps of n sites; the worklist
+    # queues each entry once
+    g = adjunction_chain(10_000)
+    began = time.perf_counter()
+    finishes = g.index.finishes
+    elapsed = time.perf_counter() - began
+    assert finishes.all() and g.index.reachable.all()
+    assert elapsed < 0.5
 
 
 def test_P_grammar4(grammar4):
