@@ -3,7 +3,13 @@
 Every command reads a grammar document and writes machine-readable output
 (JSON, or TSV where requested) to stdout.  A failure writes one line to
 stderr and nothing to stdout; only validation errors are listed on stdout too,
-and a broken pipe comes after what stdout took.
+and a broken pipe comes after what stdout took.  When a tree that a derivation
+from the start trees can place cannot finish, check says Inconsistent whatever
+its powers say, and writes one line to stderr naming the first such tree.
+
+A command imports only the modules it runs, and main ends the process with
+os._exit once stdout and stderr are flushed: no atexit hook runs, and the
+interpreter does not tear numpy down.
 
 Exit codes: 0 consistent/valid, 1 inconsistent, 2 validation errors, a
 cap hit (gf's term cap, enumerate's node cap or a --max-depth past
@@ -21,7 +27,9 @@ import json
 import os
 import sys
 
-from . import branching, consistency, expectation, simulate
+# the modules every command runs; check, gf and extinction, simulate and
+# enumerate import theirs where they run
+from . import expectation
 from . import grammar as gr
 
 EX_OK = 0
@@ -45,10 +53,8 @@ class _Failure(Exception):
     """_Failure(exit code, line) ends a command; run writes the line to stderr."""
 
 
-# the library exceptions that end a command: exit code and stderr prefix
+# the exceptions that end any command: exit code and stderr prefix
 _FAILURES = {expectation.DenseCapExceeded: (EX_INVALID, "DENSE_CAP_EXCEEDED: "),
-             branching.TermCapExceeded: (EX_INVALID, "TERM_CAP_EXCEEDED: "),
-             simulate.EnumerationBudgetExceeded: (EX_INVALID, ""),
              MemoryError: (EX_INVALID, "OUT_OF_MEMORY: "),
              BrokenPipeError: (EX_IOERR, "cannot write output: "),
              ValueError: (EX_USAGE, "usage error: ")}
@@ -84,7 +90,7 @@ def _build_parser():
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--site", help="site id for its adjunction function")
     which.add_argument("--level", type=int, help="level n for G_n")
-    p.add_argument("--term-cap", type=int, default=branching.DEFAULT_TERM_CAP)
+    p.add_argument("--term-cap", type=int)  # default: branching.DEFAULT_TERM_CAP
 
     p = command("extinction", "per-site termination probabilities")
     p.add_argument("--tol", type=float, default=1e-12)
@@ -146,22 +152,22 @@ def _start_weights(path, g):
 
 
 def run(argv, out=None, err=None):
-    out = out or sys.stdout
+    out, err = out or sys.stdout, err or sys.stderr
     try:
-        code = _run(argv, out)
-        out.flush()  # a closed pipe fails here, not in the flush at exit
-        return code
+        try:
+            return _run(argv, out, err)
+        finally:  # on every path: main ends the process without the flush at exit
+            out.flush()  # so a closed pipe fails here
     except _Failure as exc:
         code, line = exc.args
     except tuple(_FAILURES) as exc:
         code, prefix = _FAILURES[next(kind for kind in _FAILURES if isinstance(exc, kind))]
         line = f"{prefix}{exc}"
-    err = err or sys.stderr
     err.write(f"{line}\n")
     return code
 
 
-def _run(argv, out):
+def _run(argv, out, err):
     args = _build_parser().parse_args(argv)
     g = _read(args.grammar, gr.parse_grammar, "grammar document", gr.GrammarParseError)
     if args.command == "validate":
@@ -184,19 +190,30 @@ def _run(argv, out):
         return EX_OK
 
     if args.command == "check":
+        from . import consistency
         report = consistency.check_consistency(
             g, max_squarings=args.max_squarings, tol=args.tol)
         _emit(report.as_dict(), out)
+        idx = g.index
+        stuck = idx.reachable & ~idx.finishes
+        if stuck.any():  # Inconsistent whatever the powers say: name the first
+            err.write(f"Inconsistent: tree {idx.tree_ids[stuck.argmax()]!r} is reachable from "
+                      "the start trees, and no derivation from it finishes\n")
         return {consistency.CONSISTENT: EX_OK,
                 consistency.INCONSISTENT: EX_INCONSISTENT,
                 consistency.INDETERMINATE: EX_INDETERMINATE}[report.verdict]
 
     if args.command == "gf":
-        if args.term_cap < 0:  # adjunction_gf takes no cap, so check it for both modes
+        from . import branching
+        term_cap = branching.DEFAULT_TERM_CAP if args.term_cap is None else args.term_cap
+        if term_cap < 0:  # adjunction_gf takes no cap, so check it for both modes
             raise ValueError("term_cap must be >= 0")
         idx = g.index
         if args.site is None:
-            poly = branching.level_gf(g, args.level, term_cap=args.term_cap)
+            try:
+                poly = branching.level_gf(g, args.level, term_cap=term_cap)
+            except branching.TermCapExceeded as exc:
+                raise _Failure(EX_INVALID, f"TERM_CAP_EXCEEDED: {exc}") from None
         else:
             try:
                 poly = branching.adjunction_gf(g, args.site)
@@ -210,6 +227,7 @@ def _run(argv, out):
         return EX_OK
 
     if args.command == "extinction":
+        from . import branching
         weights = _start_weights(args.start_weights, g)
         ev = branching.extinction(g, tol=args.tol, max_iter=args.max_iter)
         starts = branching.start_termination(g, ev)
@@ -220,6 +238,7 @@ def _run(argv, out):
         return EX_OK
 
     if args.command == "simulate":
+        from . import simulate
         if args.samples > SIMULATE_SAMPLES_CAP:
             raise _Failure(EX_INVALID, f"samples {args.samples} is past the cap of "
                            f"{SIMULATE_SAMPLES_CAP} that simulate runs")
@@ -230,11 +249,15 @@ def _run(argv, out):
         return EX_OK
 
     if args.command == "enumerate":
+        from . import simulate
         if args.max_depth > ENUMERATE_DEPTH_CAP:
             raise _Failure(EX_INVALID, f"max_depth {args.max_depth} is past the "
                            f"{ENUMERATE_DEPTH_CAP} levels that enumerate writes out")
-        derivations = simulate.enumerate_derivations(
-            g, args.max_depth, prob_floor=args.prob_floor, node_cap=args.node_cap)
+        try:
+            derivations = simulate.enumerate_derivations(
+                g, args.max_depth, prob_floor=args.prob_floor, node_cap=args.node_cap)
+        except simulate.EnumerationBudgetExceeded as exc:
+            raise _Failure(EX_INVALID, str(exc)) from None
         _emit(simulate.derivation_docs(derivations), out)
         return EX_OK
 
@@ -242,10 +265,12 @@ def _run(argv, out):
 
 
 def main():
+    # run has flushed stdout, so all that is left is the interpreter's teardown,
+    # numpy's modules and all, and after a closed pipe a second failed flush.  An
+    # exception that run lets through ends the process as usual, with its traceback
     code = run(sys.argv[1:])
-    if code == EX_IOERR:  # else the flush at exit meets the closed pipe and reports it again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -333,14 +333,14 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     SiteIndex input contract raises ValueError.
 
     The trees placed at each level are collected first, from the start
-    trees down to the first level where none can finish
-    (SiteIndex.finishes); then the expansions of each (tree, level) are
-    built once, from level max_depth up, from those of the level below, and
-    shared.  Nothing recurses per level.  node_cap bounds the partial
-    expansions: one per kept pair of (choices so far, next option) as the
-    sites of a tree are resolved one by one, counted once per (tree,
-    level).  More than node_cap of them raises EnumerationBudgetExceeded.
-    On grammar4 at depth 5 the result holds
+    trees down, keeping only the trees that can finish (SiteIndex.finishes):
+    no complete derivation places another.  Then the expansions of each
+    (tree, level) are built once, from level max_depth up, from those of
+    the level below, and shared.  Nothing recurses per level.  node_cap
+    bounds the partial expansions: one per kept pair of (choices so far,
+    next option) as the sites of a tree are resolved one by one, counted
+    once per (tree, level).  More than node_cap of them raises
+    EnumerationBudgetExceeded.  On grammar4 at depth 5 the result holds
     238,145 derivations (129 MB traced); the call takes about 0.55 s and
     peaks at 140 MB, because the expansions are freed before the result is
     wrapped (Python 3.11, 2-core shared machine).
@@ -358,12 +358,13 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     index = g.index.checked()
     graph, sizes, finishes = index.rewrite_graph, index.sizes.tolist(), index.finishes.tolist()
     positions, start_probs = start_law(g)
-    placed = [dict.fromkeys(positions.tolist())]  # tree positions per level
-    # no complete derivation places a tree at a level where none can finish
-    while any(finishes[j] for j in placed[-1]) and len(placed) <= max_depth:
+    # tree positions per level: no complete derivation places a tree that
+    # cannot finish, so none is placed, nor expanded
+    placed = [dict.fromkeys(j for j in positions.tolist() if finishes[j])]
+    while placed[-1] and len(placed) <= max_depth:
         deepest = len(placed) == max_depth
         placed.append(dict.fromkeys(k for j in placed[-1] for k in graph[j]
-                                    if not (deepest and sizes[k])))
+                                    if finishes[k] and not (deepest and sizes[k])))
     nil = [None], [1.0]  # no tree, with probability 1
     below, spent = {None: nil}, 0  # the expansions at the level under the one being built
     for level in reversed(range(len(placed))):
@@ -372,7 +373,8 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
             here[index.tree_ids[j]], spent = _expand(g, g.trees[j], level, below,
                                                      prob_floor, node_cap, spent)
         below = here
-    roots = [(*below[index.tree_ids[t]], w) for t, w in zip(placed[0], start_probs.tolist())]
+    roots = [(*below[index.tree_ids[t]], w)
+             for t, w in zip(positions.tolist(), start_probs.tolist()) if finishes[t]]
     del below  # nothing reads the expansions again: free them before wrapping
     derivations = []
     while roots:  # and free each root's lists once they are wrapped

@@ -10,9 +10,10 @@ import pytest
 from ptagcheck import cli, consistency, expectation
 from ptagcheck import grammar as gr
 from ptagcheck import simulate
-from conftest import (GRAMMAR2, GRAMMAR4, REPO, doubling_grammar, mass_edge_document,
-                      minimal_document, random_proper_grammar,
-                      segment_edge_grammar, two_siteless_start_grammar)
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, branching_family, critical_chain,
+                      doubling_grammar, mass_edge_document, minimal_document,
+                      random_proper_grammar, segment_edge_grammar,
+                      two_siteless_start_grammar)
 
 
 def run(argv):
@@ -66,13 +67,18 @@ def test_validate_clean_grammar():
     assert json.loads(out) == []
 
 
-def test_validate_dirty_grammar(tmp_path):
+def dirty_file(tmp_path):
+    """A grammar file whose site A has nil mass 0.25 and no other entry."""
     doc = minimal_document()
     doc["trees"][0]["root"]["site"] = "A"
     doc["phi"] = [{"site": "A", "tree": None, "prob": 0.25}]
     path = tmp_path / "dirty.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(["validate", str(path)])
+    return str(path)
+
+
+def test_validate_dirty_grammar(tmp_path):
+    code, out, _ = run(["validate", dirty_file(tmp_path)])
     assert code == 2
     diags = json.loads(out)
     assert diags[0]["code"] == "IMPROPER_SITE"
@@ -94,12 +100,7 @@ def test_validate_warnings_only_exit0(tmp_path):
 
 
 def test_analysis_rejects_invalid_grammar(tmp_path):
-    doc = minimal_document()
-    doc["trees"][0]["root"]["site"] = "A"
-    doc["phi"] = [{"site": "A", "tree": None, "prob": 0.25}]
-    path = tmp_path / "dirty.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(["check", str(path)])
+    code, out, err = run(["check", dirty_file(tmp_path)])
     assert code == 2
     assert json.loads(out)[0]["code"] == "IMPROPER_SITE"
     assert "validation error" in err
@@ -488,6 +489,15 @@ def test_dense_cap_reported_like_the_other_caps(monkeypatch):
         assert err == f"DENSE_CAP_EXCEEDED: a {shape} dense matrix has more than 14 cells\n"
 
 
+def child_env():
+    """The environment of a CLI child: src on the path, and stdout
+    block-buffered into a pipe, as it is for a user's pipeline."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def test_cli_loads_no_third_party_module_but_numpy():
     # numpy is the one runtime dependency (pyproject.toml), so importing the
     # CLI in a fresh interpreter loads nothing else from outside the
@@ -495,9 +505,104 @@ def test_cli_loads_no_third_party_module_but_numpy():
     # start-up loaded (site hooks) is not the import's
     script = ("import sys; before = set(sys.modules); import ptagcheck.cli; "
               "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env=env, check=True)
+                          timeout=60, env=child_env(), check=True)
     loaded = set(done.stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "ptagcheck"}
+
+
+# command: its options on grammar4, and the ptagcheck modules loaded after it
+ALWAYS = {"cli", "grammar", "expectation"}
+LOADED = {
+    "validate": ([], ALWAYS),
+    "matrix": ([], ALWAYS),
+    "check": ([], ALWAYS | {"consistency"}),
+    "gf": (["--level", "2"], ALWAYS | {"branching", "polynomials"}),
+    "extinction": ([], ALWAYS | {"branching", "polynomials"}),
+    "simulate": (["--samples", "100"], ALWAYS | {"simulate"}),
+    "enumerate": (["--max-depth", "2"], ALWAYS | {"simulate"}),
+}
+
+
+@pytest.mark.parametrize("command", list(LOADED))
+def test_command_loads_only_the_modules_it_runs(command):
+    options, modules = LOADED[command]
+    script = ("import io, sys; from ptagcheck import cli; "
+              "code = cli.run(sys.argv[1:], out=io.StringIO(), err=io.StringIO()); "
+              "print(code, *sorted(m for m in sys.modules if m.startswith('ptagcheck.')))")
+    done = subprocess.run([sys.executable, "-c", script, command, str(GRAMMAR4), *options],
+                          capture_output=True, text=True, timeout=60, env=child_env(),
+                          check=True)
+    code, *loaded = done.stdout.split()
+    assert code == "0"
+    assert loaded == sorted(f"ptagcheck.{m}" for m in modules)
+
+
+def text_file(tmp_path, text):
+    path = tmp_path / "text.json"
+    path.write_text(text)
+    return str(path)
+
+
+# exit code: the argv of a command that ends with it, given tmp_path
+BUFFERED_CASES = {
+    0: lambda tmp: ["enumerate", str(GRAMMAR4), "--max-depth", "3"],
+    1: lambda tmp: ["check", grammar_file(tmp, critical_chain(8, 2))],  # with a stderr note
+    2: lambda tmp: ["check", dirty_file(tmp)],  # validation errors, listed on stdout
+    3: lambda tmp: ["check", grammar_file(tmp, branching_family(0.5)), "--max-squarings", "3"],
+    64: lambda tmp: ["check", str(GRAMMAR4), "--frobnicate"],
+    65: lambda tmp: ["check", text_file(tmp, "{not json")],
+    66: lambda tmp: ["check", str(tmp / "missing.json")],
+}
+
+
+@pytest.mark.parametrize("code", list(BUFFERED_CASES))
+def test_child_with_buffered_stdout_writes_what_run_writes(tmp_path, code):
+    # main ends the process without the flush at exit, so each path must
+    # have flushed what it wrote to a block-buffered stdout
+    argv = BUFFERED_CASES[code](tmp_path)
+    done = subprocess.run([sys.executable, "-m", "ptagcheck.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert (done.returncode, done.stdout, done.stderr) == run(argv)
+    assert done.returncode == code
+
+
+def test_child_with_buffered_stdout_exits_74_on_a_closed_pipe():
+    # enumerate's 0.3 MB outgrow the pipe's buffer, so the child is still
+    # writing when its reader goes away: the part read is run's, and the
+    # failed flush is reported once
+    argv = ["enumerate", str(GRAMMAR4), "--max-depth", "4"]
+    with subprocess.Popen([sys.executable, "-m", "ptagcheck.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=child_env()) as child:
+        head = child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (cli.EX_IOERR, "cannot write output: [Errno 32] Broken pipe\n")
+    assert len(head) == 100 and run(argv)[1].startswith(head)
+
+
+def test_exception_escaping_run_ends_main_with_its_traceback():
+    # main's os._exit is for the codes run returns: an error run does not
+    # expect still prints its traceback, after what stdout took, and exits 1
+    script = ("import sys; from ptagcheck import cli\n"
+              "def broken(argv, out, err):\n"
+              "    out.write('partial')\n"
+              "    raise RuntimeError('boom')\n"
+              "cli._run = broken; sys.argv[1:] = ['check', 'grammar4.json']; cli.main()")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=child_env(), cwd=REPO)
+    assert (done.returncode, done.stdout) == (1, "partial")
+    assert done.stderr.startswith("Traceback") and done.stderr.endswith("RuntimeError: boom\n")
+
+
+def test_check_names_a_reachable_tree_that_cannot_finish(tmp_path):
+    # the structural rule's Inconsistent says why on stderr; the spectral
+    # one writes nothing there, and stdout is the report either way
+    code, out, err = run(["check", grammar_file(tmp_path, critical_chain(8, 2))])
+    assert (code, json.loads(out)["verdict"]) == (1, "Inconsistent")
+    assert err == ("Inconsistent: tree 't0' is reachable from the start trees, and no "
+                   "derivation from it finishes\n")
+    code, out, err = run(["check", str(GRAMMAR2)])
+    assert (code, json.loads(out)["verdict"], err) == (1, "Inconsistent", "")

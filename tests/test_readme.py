@@ -36,3 +36,20 @@ def test_readme_shell_examples_run():
         assert done.stdout.strip(), line
         printed = {out.strip() for out in done.stdout.splitlines()}
         assert {s.strip() for s in shown.splitlines()} - {"..."} <= printed, line
+
+
+def test_package_loads_its_names_on_first_use():
+    # import ptagcheck loads no submodule; every name the Library section
+    # calls resolves and is listed by dir()
+    section = (REPO / "README.md").read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"\bpt\.(\w+)", section))
+    assert {"load_grammar", "check_consistency", "extinction"} <= names
+    script = ("import sys; import ptagcheck as pt; "
+              "print(*sorted(m for m in sys.modules if m.startswith('ptagcheck.'))); "
+              "names = sys.argv[1:]; listed = dir(pt); "
+              "print(*[n for n in names if n not in listed or getattr(pt, n) is None])")
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script, *sorted(names)], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    assert done.stdout == "\n\n"  # no submodule loaded, no name missing

@@ -624,6 +624,47 @@ def test_enumerate_stops_where_no_placed_tree_finishes():
     assert peak < 1 << 20
 
 
+def test_enumerate_drops_trees_that_cannot_finish():
+    # a tree that cannot finish completes no derivation, so the enumerator
+    # places none: the derivations, list and probability bits, equal those
+    # of the same walk that takes every tree to finish, and the cap is never
+    # spent faster.  At this cap the reference outgrows only seeds 984 and 1213
+    cap, compared = 10_000, 0
+    for seed in range(2000):
+        g = random_proper_grammar(seed)
+        if g.index.finishes.all():
+            continue  # nothing to drop
+        reference = random_proper_grammar(seed)
+        vars(reference.index)["finishes"] = np.ones(len(reference.index.tree_ids), bool)
+        try:
+            want = sim.enumerate_derivations(reference, 4, node_cap=cap)
+        except sim.EnumerationBudgetExceeded:
+            continue
+        got = sim.enumerate_derivations(g, 4, node_cap=cap)
+        assert (len(got), enumeration_digest(got)) == (len(want), enumeration_digest(want))
+        compared += 1
+    assert compared == 783
+
+
+def test_enumerate_spends_no_node_cap_on_trees_that_cannot_finish():
+    # t2 cannot finish, as its site B rewrites only to t2: placed below t1,
+    # it would spend a partial expansion on its site C
+    sited = [{"label": "S", "site": site, "children": [{"anchor": "a"}]} for site in "CB"]
+    g = parse({"start": "S", "trees": [
+        {"id": "t1", "type": "initial", "root": {"label": "S", "site": "A",
+                                                  "children": [{"anchor": "a"}]}},
+        {"id": "t2", "type": "auxiliary",
+         "root": {"label": "S", "children": [*sited, {"foot": "S"}]}}],
+        "phi": [{"site": site, "tree": tree, "prob": prob} for site, tree, prob in
+                (("A", "t2", 0.5), ("A", None, 0.5), ("C", None, 1.0), ("B", "t2", 1.0))]})
+    assert g.index.finishes.tolist() == [True, False]
+    ds = sim.enumerate_derivations(g, 3, node_cap=1)
+    assert [(d.as_dict(), d.probability) for d in ds] == [
+        ({"tree": "t1", "at": None, "children": {"A": "nil"}}, 0.5)]
+    with pytest.raises(sim.EnumerationBudgetExceeded):
+        sim.enumerate_derivations(g, 3, node_cap=0)
+
+
 def test_deep_derivation_written_out_and_derived():
     # as_dict, derivation_docs and derived_tree build top down without
     # recursing, so the deepest derivation of the enumeration above, 600
@@ -786,9 +827,9 @@ SMALLEST_NODE_CAPS = {
     ("grammar4", 4, 0.0): 543,
     ("grammar4", 5, 0.0): 477811,
     ("random0", 3, 0.0): 22,
-    ("random1", 3, 0.0): 1,
+    ("random1", 3, 0.0): 0,
     ("random2", 3, 0.0): 9,
-    ("random3", 3, 0.0): 1,
+    ("random3", 3, 0.0): 0,
     ("random4", 3, 0.0): 4,
     ("random5", 3, 0.0): 6,
     ("random6", 3, 0.0): 24,
@@ -801,9 +842,9 @@ SMALLEST_NODE_CAPS = {
     ("grammar4", 4, 0.0001): 206,
     ("grammar4", 5, 0.0001): 637,
     ("random0", 3, 0.0001): 22,
-    ("random1", 3, 0.0001): 1,
+    ("random1", 3, 0.0001): 0,
     ("random2", 3, 0.0001): 9,
-    ("random3", 3, 0.0001): 1,
+    ("random3", 3, 0.0001): 0,
     ("random4", 3, 0.0001): 4,
     ("random5", 3, 0.0001): 6,
     ("random6", 3, 0.0001): 24,
@@ -818,8 +859,9 @@ def test_enumerate_smallest_node_cap_pinned(name, depth, floor):
     g = pinned_grammar(name)
     needed = SMALLEST_NODE_CAPS[name, depth, floor]
     sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed)
-    with pytest.raises(sim.EnumerationBudgetExceeded):
-        sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed - 1)
+    if needed:  # no cap is below 0
+        with pytest.raises(sim.EnumerationBudgetExceeded):
+            sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed - 1)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
