@@ -14,9 +14,8 @@ _EXPORTS = {
     "expectation": ("DenseCapExceeded", "LabelledMatrix", "SiteIndex", "build_M", "build_N",
                     "build_P", "matrix_json_doc", "matrix_tsv", "start_law", "start_mixture"),
     "grammar": ("Diagnostic", "ElementaryTree", "Grammar", "GrammarError",
-                "GrammarParseError", "TreeNode", "detect_empty_yield_loops",
-                "detect_unreachable", "from_document", "load_grammar", "parse_grammar",
-                "to_document", "validate"),
+                "GrammarParseError", "TreeNode", "detect_empty_yield_loops", "from_document",
+                "load_grammar", "parse_grammar", "to_document", "validate"),
     "polynomials": ("SparsePolynomial", "TermCapExceeded"),
     "simulate": ("Derivation", "DerivationNode", "EnumerationBudgetExceeded",
                  "SimulationStats", "anchor_multiset", "derived_tree",

@@ -5,7 +5,8 @@ Every command reads a grammar document and writes machine-readable output
 stderr and nothing to stdout; only validation errors are listed on stdout too,
 and a broken pipe comes after what stdout took.  When a tree that a derivation
 from the start trees can place cannot finish, check says Inconsistent whatever
-its powers say, and writes one line to stderr naming the first such tree.
+its powers say, and writes one line to stderr naming such a tree on a cycle of
+trees that cannot finish (ConsistencyReport.stuck_tree).
 
 A command imports only the modules it runs, and main ends the process with
 os._exit once stdout and stderr are flushed: no atexit hook runs, and the
@@ -194,10 +195,8 @@ def _run(argv, out, err):
         report = consistency.check_consistency(
             g, max_squarings=args.max_squarings, tol=args.tol)
         _emit(report.as_dict(), out)
-        idx = g.index
-        stuck = idx.reachable & ~idx.finishes
-        if stuck.any():  # Inconsistent whatever the powers say: name the first
-            err.write(f"Inconsistent: tree {idx.tree_ids[stuck.argmax()]!r} is reachable from "
+        if report.stuck_tree is not None:  # Inconsistent whatever the powers say
+            err.write(f"Inconsistent: tree {report.stuck_tree!r} is reachable from "
                       "the start trees, and no derivation from it finishes\n")
         return {consistency.CONSISTENT: EX_OK,
                 consistency.INCONSISTENT: EX_INCONSISTENT,

@@ -19,7 +19,8 @@ The structural rule is exact where the squaring is not: rounding can bring a
 power's row sums below 1 although no derivation finishes.  A tree finishes
 when some derivation from it does (SiteIndex.finishes, the productive-symbol
 test of context-free grammars), and a derivation that places one that cannot
-never ends.
+never ends.  The report names one such tree on a cycle of such trees: the
+trap, not the start tree that leads into it.
 
 Powers are never rescaled.  A power whose row sums are at most
 SCALE_HIGH = 1e100 squares to one whose row sums are at most 1e200, far
@@ -51,6 +52,7 @@ class ConsistencyReport:
     rho_estimate: float
     rho_lower_bound: float
     tolerance: float
+    stuck_tree: str | None = None  # a reachable tree that cannot finish; not in as_dict
 
     def as_dict(self):
         return {"verdict": self.verdict, "squarings": self.squarings_used,
@@ -69,7 +71,7 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     power whose max row sum passes SCALE_HIGH, the verdict is Indeterminate.
     Whatever the powers say, the verdict is Inconsistent when a reachable
     tree cannot finish (SiteIndex.reachable and finishes); the report keeps
-    the trace and estimates of the powers.
+    the trace and estimates of the powers, and stuck_tree names such a tree.
     A negative max_squarings, a negative or NaN tol and phi that fails
     checked() raise ValueError; a grammar whose dense M would exceed
     expectation.DENSE_CELL_CAP cells raises DenseCapExceeded.
@@ -79,7 +81,16 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
     if not tol >= 0.0:
         raise ValueError("tol must be >= 0")
     index = g.index.checked()
-    stuck = bool((index.reachable & ~index.finishes).any())
+    # a reachable tree that cannot finish, named on a cycle of such trees: from the
+    # first, step to the first target that cannot finish until a tree repeats (a
+    # step exists: a site outside T leads only to trees that cannot finish)
+    stuck_tree = None
+    if (stuck := index.reachable & ~index.finishes).any():
+        t, seen = int(stuck.argmax()), set()
+        while t not in seen:
+            seen.add(t)
+            t = next(k for k in index.rewrite_graph[t] if not index.finishes[k])
+        stuck_tree = index.tree_ids[t]
     power = build_M(g).values
     trace = []
     best_lower = 0.0
@@ -94,8 +105,8 @@ def check_consistency(g, max_squarings=64, tol=1e-9):
                    else INDETERMINATE if top > SCALE_HIGH or k == max_squarings else None)
         if verdict:
             rho = _root(top, k) if top else 0.0
-            return ConsistencyReport(INCONSISTENT if stuck else verdict, k, trace, rho,
-                                     best_lower, tol)
+            return ConsistencyReport(verdict if stuck_tree is None else INCONSISTENT, k,
+                                     trace, rho, best_lower, tol, stuck_tree)
         power = power @ power
 
 

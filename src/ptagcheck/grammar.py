@@ -486,10 +486,11 @@ def _diagnose(g):
             _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id],
                               masses[idx[node.site_id]], shapes)
 
-    for tree_id in detect_unreachable(g):
-        diags.append(Diagnostic(WARNING, UNREACHABLE_TREE,
-                                f"tree {tree_id!r} is never used from the start trees",
-                                tree_id=tree_id))
+    for tree, reachable in zip(g.trees, idx.reachable.tolist()):
+        if not reachable:  # no positive-probability path from a start tree
+            diags.append(Diagnostic(WARNING, UNREACHABLE_TREE,
+                                    f"tree {tree.tree_id!r} is never used from the start trees",
+                                    tree_id=tree.tree_id))
     diags.extend(detect_empty_yield_loops(g))
     return tuple(diags)
 
@@ -539,15 +540,6 @@ def _site_diagnostics(diags, tree_id, node, entries, mass, shapes):
                 f"target {target_id!r} has root label {label!r} "
                 f"but the site is labeled {node.label!r}",
                 tree_id=tree_id, site_id=site))
-
-
-def detect_unreachable(g):
-    """Tree ids never used in a derivation started from a start tree.
-
-    Edges follow positive-probability phi entries only (g.index.reachable);
-    zero-probability entries are kept in the model but carry no reachability.
-    """
-    return [t.tree_id for t, live in zip(g.trees, g.index.reachable.tolist()) if not live]
 
 
 def detect_empty_yield_loops(g):

@@ -167,14 +167,6 @@ class SparsePolynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self._coeffs.items())))
 
-    def allclose(self, other, tol=1e-12):
-        if self.nvars != other.nvars:
-            return False
-        for e in self._coeffs.keys() | other._coeffs.keys():
-            if abs(self._coeffs.get(e, 0.0) - other._coeffs.get(e, 0.0)) > tol:
-                return False
-        return True
-
     # -- arithmetic --------------------------------------------------------
 
     def _same_space(self, other):

@@ -511,14 +511,11 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     def block_totals(size):
         """(terminated, censored, depth sum, yield sum) of size fresh samples."""
         start = positions[rng.choice(len(positions), size=size, p=start_probs)]
-        siteless = site_count[start] == 0  # these terminate at depth 0
-        n_term, n_cens, depth_sum = int(siteless.sum()), 0, 0
-        yield_sum = int(anchors[start[siteless]].sum())
-        start = start[~siteless]
+        n_term = n_cens = depth_sum = yield_sum = 0
         rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
         born = (rows[:, None] == start).astype(np.int64)
         live_yields = anchors[start]
-        del start, siteless  # nothing as long as the samples outlives level 0
+        del start  # nothing as long as the samples outlives level 0
         for level in range(1, max_depth + 1):
             if not live_yields.size:
                 break
@@ -530,7 +527,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
             # a sample without births has died whatever the cap
             cap = FRONTIER_CAP if level < max_depth else 0
             over = has_births & (pending > cap)
-            # no births: died at level - 1; births without sites: done at level
+            # no births: died at level - 1 (a start tree without sites at level 1,
+            # so at depth 0); births without sites: done at level
             done = np.flatnonzero(~over & (pending == 0))
             n_term += len(done)
             n_cens += int(np.count_nonzero(over))

@@ -598,11 +598,13 @@ def test_exception_escaping_run_ends_main_with_its_traceback():
 
 
 def test_check_names_a_reachable_tree_that_cannot_finish(tmp_path):
-    # the structural rule's Inconsistent says why on stderr; the spectral
-    # one writes nothing there, and stdout is the report either way
+    # the structural rule's Inconsistent says why on stderr, naming the first
+    # class's cycle that traps derivations, not the start tree t0 that leads
+    # into it; the spectral one writes nothing there, and stdout is the
+    # report either way
     code, out, err = run(["check", grammar_file(tmp_path, critical_chain(8, 2))])
     assert (code, json.loads(out)["verdict"]) == (1, "Inconsistent")
-    assert err == ("Inconsistent: tree 't0' is reachable from the start trees, and no "
+    assert err == ("Inconsistent: tree 'c1_0' is reachable from the start trees, and no "
                    "derivation from it finishes\n")
     code, out, err = run(["check", str(GRAMMAR2)])
     assert (code, json.loads(out)["verdict"], err) == (1, "Inconsistent", "")

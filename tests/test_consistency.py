@@ -350,9 +350,25 @@ def reachable_trees(g):
     return reached
 
 
+def on_a_cycle_within(g, tree_id, trees):
+    """Whether positive entries of g.phi lead from tree_id back to it
+    through the tree ids in trees alone."""
+    sites = {t.tree_id: [n.site_id for n in t.sites] for t in g.trees}
+    work, seen = [tree_id], set()
+    while work:
+        targets = {target for site in sites[work.pop()] for target, prob in g.phi[site]
+                   if prob > 0 and target in trees}
+        if tree_id in targets:
+            return True
+        work += targets - seen
+        seen |= targets
+    return False
+
+
 def test_structural_layer_and_verdicts_follow_the_oracles():
     # finishes and reachable against oracles that read g.phi alone, and an
-    # Inconsistent verdict wherever a reachable tree cannot finish
+    # Inconsistent verdict wherever a reachable tree cannot finish, naming
+    # one that lies on a cycle of reachable trees that cannot finish
     stuck = 0
     for seed in range(2000):
         g = random_proper_grammar(seed)
@@ -360,9 +376,13 @@ def test_structural_layer_and_verdicts_follow_the_oracles():
         finishes = [finishing.issuperset(n.site_id for n in t.sites) for t in g.trees]
         assert g.index.finishes.tolist() == finishes, seed
         assert g.index.reachable.tolist() == [t.tree_id in reached for t in g.trees], seed
-        if any(t.tree_id in reached and not f for t, f in zip(g.trees, finishes)):
+        trapped = {t.tree_id for t, f in zip(g.trees, finishes) if t.tree_id in reached and not f}
+        if trapped:
             stuck += 1
-            assert cons.check_consistency(g).verdict == cons.INCONSISTENT, seed
+            report = cons.check_consistency(g)
+            assert report.verdict == cons.INCONSISTENT, seed
+            assert report.stuck_tree in trapped, seed
+            assert on_a_cycle_within(g, report.stuck_tree, trapped), seed
     assert stuck == 643
 
 

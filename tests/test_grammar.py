@@ -669,13 +669,12 @@ def aux_doc(tree_id, label, anchor=None, site=None):
 def test_unreachable_extra_aux(grammar4):
     doc = json.loads(GRAMMAR4.read_text())
     doc["trees"].append(aux_doc("t4", "S", anchor="a4"))
-    unreachable = gr.detect_unreachable(parse(doc))
-    assert unreachable == ["t4"]
+    assert parse(doc).index.reachable.tolist() == [True, True, True, False]  # t4 is unreachable
 
 
 def test_unreachable_none_in_corpus(grammar4, grammar2):
-    assert gr.detect_unreachable(grammar4) == []
-    assert gr.detect_unreachable(grammar2) == []
+    assert grammar4.index.reachable.all()
+    assert grammar2.index.reachable.all()
 
 
 def test_zero_probability_edges_do_not_reach():
@@ -683,13 +682,13 @@ def test_zero_probability_edges_do_not_reach():
     doc["trees"].append(aux_doc("t4", "S", anchor="a4"))
     doc["phi"].append({"site": "A1", "tree": "t4", "prob": 0.0})
     g = parse(doc)
-    assert gr.detect_unreachable(g) == ["t4"]
+    assert g.index.reachable.tolist() == [True, True, True, False]  # t4 is unreachable
     # the zero entry is retained in the model
     assert ("t4", 0.0) in g.phi["A1"]
 
 
-def test_detect_unreachable_is_pure(grammar4):
-    assert gr.detect_unreachable(grammar4) == gr.detect_unreachable(grammar4)
+def test_reachable_is_built_once(grammar4):
+    assert grammar4.index.reachable is grammar4.index.reachable
 
 
 def test_empty_yield_self_loop():

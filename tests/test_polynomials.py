@@ -125,15 +125,16 @@ def test_format_powers():
     assert p.format(["u", "v"]) == "0.5*s[u]^2*s[v]"
 
 
-def test_equality_and_allclose():
+def test_equality_and_hash():
     a = poly(2, {(1, 0): 0.5})
     b = poly(2, {(1, 0): 0.5})
     c = poly(2, {(1, 0): 0.5 + 1e-13})
     assert a == b
     assert a != c
-    assert a.allclose(c, tol=1e-12)
-    assert not a.allclose(c, tol=1e-14)
-    assert not a.allclose(poly(3, {(1, 0, 0): 0.5}))  # another number of variables
+    assert a != poly(3, {(1, 0, 0): 0.5})  # another number of variables
+    # equal polynomials hash equal, so a set keeps one of them
+    assert hash(a) == hash(b)
+    assert len({a, b, c}) == 2
 
 
 def test_substitution_identity():

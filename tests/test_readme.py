@@ -53,3 +53,18 @@ def test_package_loads_its_names_on_first_use():
     done = subprocess.run([sys.executable, "-c", script, *sorted(names)], capture_output=True,
                           text=True, timeout=60, env=env, check=True)
     assert done.stdout == "\n\n"  # no submodule loaded, no name missing
+
+
+def test_star_import_binds_every_exported_name():
+    # a name left in the export table after its module dropped it would
+    # break the star import, which loads every submodule; a name listed
+    # twice would be exported from only one of its modules
+    script = ("import ptagcheck; ns = {}; exec('from ptagcheck import *', ns); "
+              "listed = [n for names in ptagcheck._EXPORTS.values() for n in names]; "
+              "print(len(listed) - len(set(ptagcheck.__all__)), "
+              "*[n for n in ptagcheck.__all__ if n not in ns])")
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    assert done.stdout == "0\n"  # no duplicate, no name missing

@@ -1127,6 +1127,13 @@ ESTIMATE_CASES = [
     # censored, this one terminates 45; its seven sample blocks pin the order
     # in which a run longer than SAMPLE_BLOCK draws
     ("grammar2", 200_000, 40, 2, {}),
+] + [
+    # start trees without sites, which end at level 1 with depth 0: two of
+    # them, and on random38 beside a start tree with two sites
+    (name, *setting, {})
+    for name in ("two_siteless_start", "random38") for setting in ((3000, 40, 0), (1000, 1, 3))
+] + [
+    ("random38", 3000, 40, 0, {"start_weights": {"t1": 1.0, "t3": 3.0}}),
 ]
 
 ESTIMATE_DIGESTS = [
@@ -1182,6 +1189,11 @@ ESTIMATE_DIGESTS = [
     "890e2fab169974dc963962814d1c5363e5a1a7f92c28463d32eea8944d4eed47",
     "212c58dfeca0eff36c1b7b48b093f1489e210f2f033b53055c5e14e1f558d08d",
     "204e8ab89eeb1809af26b8ce173f91a5df056928b98417cdf1149daf5accd4cd",
+    "328fba882347fe58e6876550e436e5aec25397286c9ed4ef6a883ce5932fcae0",
+    "924ba3ca31108709af25e289ae37b259fb8bf433abad872efd6ec997783110c5",
+    "4861568bd01ced5318ab9422a4d8952f24a44132fd912497a28ea8184dfae4cf",
+    "f9769a8858fc28f5a3ae915d95b318c5639647c9a728e7d9eaf589036c5bc667",
+    "351b142992ee59642be380a95991f4e20f10a82a8466fcd1b5d5e443d353b542",
 ]
 
 
