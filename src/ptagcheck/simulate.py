@@ -423,7 +423,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     """Monte Carlo estimate of the termination (extinction) probability.
 
     Simulates the tree-count process of a block of samples in lockstep: per
-    level and site, one vectorized multinomial resolves every pending
+    level and site, one vectorized draw of its law resolves every pending
     instance, which is distributionally identical to sampling whole
     derivations one by one but stays fast for 10^6 samples.  A sample
     terminates when a level produces no trees, or when its last level holds
@@ -450,12 +450,19 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     sites.  Memory is rows born x live samples of one block, not trees x
     samples: the start draw is dropped once level 0 is built, and a sample
     that terminates or is censored leaves at once.  Each site of a born
-    tree makes one multinomial over that row's nonzero samples, in
-    ascending order, by its law in the index (positive entries, then nil,
-    over the site's mass), and the draws land in the next level's rows:
-    what the expanded trees rewrite to in ``rewrite_graph``, sorted.  A row
-    with n = 0 or an entry with p = 0 draws no random numbers, so the draws
-    are those of keeping every tree, sample and entry in every multinomial.
+    tree draws its law in the index (positive entries, then nil, over the
+    site's mass) over that row's nonzero samples, in ascending order, and
+    the draws land in the next level's rows: what the expanded trees
+    rewrite to in ``rewrite_graph``, sorted.  A law with one positive entry
+    p is one binomial(n, p), the very call numpy's multinomial makes for
+    two outcomes, so it draws the same numbers in the same order; any other
+    law is one multinomial, and a law of nil alone, for which multinomial
+    draws nothing, is skipped.  A row with n = 0 or an entry with p = 0
+    draws no random numbers, so the draws are those of keeping every tree,
+    sample and entry in every multinomial.  Per level one int64 product
+    gives the live samples' yields and pending sites; only at a level that
+    some sample leaves are the leavers counted, the rows of trees without
+    sites read for the depth of those that terminate, and born compressed.
 
     mean_depth and mean_yield_length, over terminated samples (NaN when
     none terminate), are an int sum over a count, rounded once: the bits of
@@ -472,7 +479,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     rng = np.random.default_rng(seed)
     positions, start_probs = start_law(g, start_weights)
     graph = index.rewrite_graph
-    laws = {}  # tree -> [(target tree indices, pvals ending in nil)] per site
+    laws = {}  # tree -> per site, (target, p) for one target, else (targets, pvals)
 
     def site_laws(t):
         if t not in laws:
@@ -481,8 +488,15 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                 entries = slice(index.entry_start[j], index.entry_start[j + 1])
                 targets, probs = index.tree[entries], index.prob[entries]
                 positive = probs > 0.0  # a zero-probability entry rewrites nothing
-                laws[t].append((targets[positive].tolist(),
-                                np.append(probs[positive], index.nil[j]) / index.mass[j]))
+                pvals = np.append(probs[positive], index.nil[j]) / index.mass[j]
+                targets = targets[positive].tolist()
+                if len(targets) == 1:
+                    # multinomial draws a law of two outcomes as the one
+                    # binomial(n, pvals[0]); binomial's check p <= 1 holds,
+                    # since the mass is fl(p + nil) >= p and rounding is monotone
+                    laws[t].append((targets[0], float(pvals[0])))
+                elif targets:  # a law of nil alone draws nothing in multinomial
+                    laws[t].append((targets, pvals))
         return laws[t]
 
     def births(rows, born):
@@ -500,13 +514,17 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                             else ...)
             n = row[samples_with]
             for targets, pvals in site_laws(t):
-                draws = rng.multinomial(n, pvals)
-                # a target a site lists twice gets both of its columns added
-                for column, target in enumerate(targets):
-                    next_born[row_of[target]][samples_with] += draws[:, column]
+                if isinstance(targets, int):
+                    next_born[row_of[targets]][samples_with] += rng.binomial(n, pvals)
+                else:
+                    draws = rng.multinomial(n, pvals)
+                    # a target a site lists twice gets both of its columns added
+                    for column, target in enumerate(targets):
+                        next_born[row_of[target]][samples_with] += draws[:, column]
         return next_rows, next_born
 
-    anchors = index.anchors.astype(np.int64)  # so each level's product stays int64
+    # per tree its anchors and sites, int64 so that each level's product stays int64
+    per_tree = np.stack((index.anchors, site_count)).astype(np.int64)
 
     def block_totals(size):
         """(terminated, censored, depth sum, yield sum) of size fresh samples."""
@@ -514,29 +532,33 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
         n_term = n_cens = depth_sum = yield_sum = 0
         rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
         born = (rows[:, None] == start).astype(np.int64)
-        live_yields = anchors[start]
+        live_yields = per_tree[0, start]
         del start  # nothing as long as the samples outlives level 0
         for level in range(1, max_depth + 1):
             if not live_yields.size:
                 break
             rows, born = births(rows, born)
-            live_yields += anchors[rows] @ born
-            pending = site_count[rows] @ born
-            has_births = born.any(axis=0)
-            # pending sites past the cap censor, at max_depth every one does;
-            # a sample without births has died whatever the cap
+            yields, pending = per_tree[:, rows] @ born
+            live_yields += yields
+            # pending sites past the cap censor, at max_depth every one does
             cap = FRONTIER_CAP if level < max_depth else 0
-            over = has_births & (pending > cap)
-            # no births: died at level - 1 (a start tree without sites at level 1,
-            # so at depth 0); births without sites: done at level
-            done = np.flatnonzero(~over & (pending == 0))
-            n_term += len(done)
-            n_cens += int(np.count_nonzero(over))
-            depth_sum += int((level - 1 + has_births[done]).sum())
-            yield_sum += int(live_yields[done].sum())
-            # compress keeps born C-contiguous, so each row stays a plain view
-            keep = ~over & (pending > 0)
-            born, live_yields = born.compress(keep, axis=1), live_yields[keep]
+            stays = (pending > 0) & (pending <= cap)
+            if not stays.all():
+                leaving = np.flatnonzero(~stays)
+                # a leaver with pending sites passed the cap and is censored; one
+                # without is done: with no births it died at level - 1 (a start
+                # tree without sites at level 1, so at depth 0), with births
+                # without sites at level
+                done = leaving[pending[leaving] == 0]
+                n_term += len(done)
+                n_cens += len(leaving) - len(done)
+                # a done sample's births, if any, are all of trees without sites
+                siteless = np.flatnonzero(site_count[rows] == 0)
+                with_births = born[siteless[:, None], done].any(axis=0)
+                depth_sum += (level - 1) * len(done) + int(np.count_nonzero(with_births))
+                yield_sum += int(live_yields[done].sum())
+                # compress keeps born C-contiguous, so each row stays a plain view
+                born, live_yields = born.compress(stays, axis=1), live_yields[stays]
             alive = born.any(axis=1)
             if not alive.all():
                 rows, born = rows[alive], born[alive]

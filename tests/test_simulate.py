@@ -1225,7 +1225,27 @@ def test_multinomial_draws_nothing_for_empty_rows():
         draws = with_empty.multinomial([0, 5, 0, 7], p)
         assert (draws[[0, 2]] == 0).all()
         assert (draws[[1, 3]] == without.multinomial([5, 7], p)).all()
+        # nor does a law of one outcome, so estimate_termination skips a law of nil alone
+        assert (with_empty.multinomial([5, 7], [1.0]) == [[5], [7]]).all()
         assert with_empty.random() == without.random()
+
+
+@pytest.mark.parametrize("p", [2.0**-40, 0.2, 0.5, 0.98, 0.99, 1.0])
+def test_binomial_draws_what_a_two_outcome_multinomial_draws(p):
+    # estimate_termination draws a law with one positive entry p as
+    # binomial(n, p) and counts on it being bit for bit the multinomial it
+    # replaced: the same counts, the same random numbers consumed (so the
+    # draws after it agree), and nothing drawn for n = 0
+    rng = np.random.default_rng(34)
+    n = np.concatenate([[0, 1, 3, 0], rng.integers(100, 5001, size=40), [0, 1, 3]])
+    rng.shuffle(n)
+    for seed in range(10):
+        binomial, multinomial = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (binomial.binomial(n, p) == multinomial.multinomial(n, [p, 1.0 - p])[:, 0]).all()
+        assert binomial.random() == multinomial.random()
+        zeros, untouched = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert not zeros.binomial(np.zeros(5, dtype=np.int64), p).any()
+        assert zeros.random() == untouched.random()
 
 
 def with_zero_entries(g, seed):
