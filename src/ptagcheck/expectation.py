@@ -21,48 +21,40 @@ from numbers import Real
 
 import numpy as np
 
-# How far the phi mass of a site may stray from 1 through rounding (validate
-# and SiteIndex.bad_site).
+# How far the phi mass of a site may stray from 1 through rounding: the one
+# tolerance of SiteIndex.improper, which bad_site and validate read.
 PROPERNESS_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class SiteIndex:
     """The numeric form of a grammar, read by every numeric path.
 
+    SiteIndex(g) is its one constructor, called once per grammar by
+    Grammar.index: it lays out every array below, marks each read-only and
+    sets bad_site, and the index refuses attribute assignment afterwards.
     Sites follow the canonical order, so tree t owns the contiguous slice
     tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
     parallel arrays site, tree and prob, site by site, each site's in
-    document order; nil is the nil mass of each site, anchors the anchor
-    count of each tree and starts the read-only positions of the start
-    trees (initial trees rooted in the start symbol), in declaration order.
-    The layout is recorded once, read-only: mass, the sum of each site's
-    entries as nil + bincount(site, prob), the one sum that bad_site tests
-    and validate reports; sizes, the site count of each tree; entry_start,
-    so that site j owns the entries entry_start[j]:entry_start[j + 1]; owner, the tree of each site; bounds, where the
-    slices of the trees with sites start, then k, which reduce q plus a
-    trailing 1.0 to those trees' products and a last 1.0; and tree_slot and
-    entry_slot, the slot there of each tree and of each phi entry's tree
-    (the last for a tree without sites).  rewrite_graph, reachable and
-    finishes are built on first use.
-    bad_site is the first site, in canonical order, with a phi entry (nil
-    included) that is negative, NaN or infinite, or whose mass is further
-    than PROPERNESS_TOL from 1, or None when there is none.
+    document order, and positive marks those with prob > 0: a
+    zero-probability entry stays in phi but rewrites nothing.  nil is the
+    nil mass of each site, anchors the anchor count of each tree and starts
+    the positions of the start trees (initial trees rooted in the start
+    symbol), in declaration order.  mass is the sum of each site's entries,
+    nil + bincount(site, prob), the one sum that validate reports, and
+    improper flags each site whose mass is further than PROPERNESS_TOL from
+    1.  sizes is the site count of each tree; entry_start, so that site j
+    owns the entries entry_start[j]:entry_start[j + 1]; owner, the tree of
+    each site; bounds, where the slices of the trees with sites start, then
+    k, which reduce q plus a trailing 1.0 to those trees' products and a
+    last 1.0; and tree_slot and entry_slot, the slot there of each tree and
+    of each phi entry's tree (the last for a tree without sites).
+    rewrite_graph, reachable and finishes are built on first use.
+    bad_site is the first site, in canonical order, that is improper or has
+    a phi entry (nil included) that is negative, NaN or infinite, or None
+    when there is none.
     """
 
-    ids: tuple
-    tree_ids: tuple
-    tree_start: np.ndarray
-    site: np.ndarray
-    tree: np.ndarray
-    prob: np.ndarray
-    nil: np.ndarray
-    anchors: np.ndarray
-    starts: np.ndarray
-    bad_site: str | None = None
-
-    @classmethod
-    def from_grammar(cls, g):
+    def __init__(self, g):
         tree_ids = tuple(t.tree_id for t in g.trees)
         tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
         sizes, anchors, nil, site, tree, prob, nil_site, nil_prob = [], [], [], [], [], [], [], []
@@ -72,59 +64,58 @@ class SiteIndex:
             anchors.append(len(t.anchors))
             for node in t.sites:
                 i = len(nil)
-                mass = 0.0
+                nil_mass = 0.0
                 for target, p in phi[node.site_id]:
                     if target is None:
-                        mass += p
+                        nil_mass += p
                         nil_site.append(i)
                         nil_prob.append(p)
                     else:
                         site.append(i)
                         tree.append(tree_pos[target])
                         prob.append(p)
-                nil.append(mass)
-        # the start trees: the initial trees rooted in the start symbol
-        starts = np.array([j for j, t in enumerate(g.trees)
-                           if t.kind == "initial" and t.root.label == g.start], dtype=np.intp)
-        starts.flags.writeable = False
-        site, prob = np.array(site, dtype=np.intp), np.array(prob, dtype=float)
-        index = cls(tuple(g.site_ids), tree_ids, np.cumsum([0] + sizes), site,
-                    np.array(tree, dtype=np.intp), prob, np.array(nil),
-                    np.array(anchors, dtype=float), starts)
-        # every site mass and every entry is tested at once; bad_site, the
-        # first flagged, is set once here, before the index is shared
-        flagged = abs(index.mass - 1.0) > PROPERNESS_TOL
+                nil.append(nil_mass)
+        ids = tuple(g.site_ids)
+        site, tree = np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp)
+        prob, nil = np.array(prob, dtype=float), np.array(nil)
+        tree_start = np.cumsum([0] + sizes)
+        sizes = np.diff(tree_start)
+        with_sites = np.flatnonzero(sizes)
+        tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
+        mass = np.bincount(site, prob, minlength=len(ids)) + nil
+        improper = abs(mass - 1.0) > PROPERNESS_TOL
+        arrays = dict(
+            tree_start=tree_start, site=site, tree=tree, prob=prob, positive=prob > 0.0,
+            nil=nil, anchors=np.array(anchors, dtype=float), mass=mass, improper=improper,
+            # the start trees: the initial trees rooted in the start symbol
+            starts=np.array([j for j, t in enumerate(g.trees)
+                             if t.kind == "initial" and t.root.label == g.start], dtype=np.intp),
+            sizes=sizes, entry_start=np.searchsorted(site, np.arange(len(ids) + 1)),
+            owner=np.repeat(np.arange(len(tree_ids)), sizes),
+            bounds=np.append(tree_start[with_sites], len(ids)),
+            tree_slot=tree_slot, entry_slot=tree_slot[tree])
+        for array in arrays.values():
+            array.flags.writeable = False
+        # every site mass and every entry is tested at once; bad_site is the first flagged
+        flagged = improper.copy()
         for at, p in ((site, prob), (np.array(nil_site, dtype=np.intp), np.array(nil_prob))):
             flagged[at[~((p >= 0.0) & (p < math.inf))]] = True
         bad = np.flatnonzero(flagged)
-        if bad.size:
-            object.__setattr__(index, "bad_site", index.ids[bad[0]])
-        return index
+        vars(self).update(arrays, ids=ids, tree_ids=tree_ids,
+                          position={s: i for i, s in enumerate(ids)},
+                          bad_site=ids[bad[0]] if bad.size else None)
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", {s: i for i, s in enumerate(self.ids)})
-        sizes = np.diff(self.tree_start)
-        with_sites = np.flatnonzero(sizes)
-        tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
-        for name, layout in (("mass", np.bincount(self.site, self.prob, minlength=len(self))
-                                       + self.nil),
-                             ("sizes", sizes),
-                             ("entry_start", np.searchsorted(self.site, np.arange(len(self) + 1))),
-                             ("owner", np.repeat(np.arange(len(self.tree_ids)), sizes)),
-                             ("bounds", np.append(self.tree_start[with_sites], len(self))),
-                             ("tree_slot", tree_slot),
-                             ("entry_slot", tree_slot[self.tree])):
-            layout.flags.writeable = False
-            object.__setattr__(self, name, layout)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SiteIndex is read-only: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def rewrite_graph(self):
         """Per tree position, the positions of the trees its sites rewrite
-        to, in site order.  Only positive-probability entries count; a
-        zero-probability entry stays in phi but rewrites nothing."""
-        live = self.prob > 0.0
-        ends = np.append(0, np.cumsum(live))[self.entry_start[self.tree_start]].tolist()
-        targets = self.tree[live].tolist()
+        to, in site order, along positive entries only."""
+        ends = np.append(0, np.cumsum(self.positive))[self.entry_start[self.tree_start]].tolist()
+        targets = self.tree[self.positive].tolist()
         return tuple(tuple(targets[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
@@ -147,9 +138,8 @@ class SiteIndex:
         is, whether all its sites are in T, the least set of sites with positive
         nil mass or a positive entry to a tree that finishes.  One worklist:
         each positive entry is queued once, when its target tree finishes."""
-        live = self.prob > 0.0
         sources = [[] for _ in self.tree_ids]  # per tree, the sites with a positive entry to it
-        for i, t in zip(self.site[live].tolist(), self.tree[live].tolist()):
+        for i, t in zip(self.site[self.positive].tolist(), self.tree[self.positive].tolist()):
             sources[t].append(i)
         owner, missing, in_t = self.owner.tolist(), self.sizes.tolist(), [False] * len(self)
         work = np.flatnonzero(self.nil > 0.0).tolist()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from numbers import Real
 
-from .expectation import PROPERNESS_TOL, SiteIndex
+from .expectation import SiteIndex
 
 # node kinds
 INTERIOR = "interior"
@@ -166,7 +166,7 @@ class Grammar:
     @cached_property
     def index(self):
         """The grammar's numeric form, built on first use and then shared."""
-        return SiteIndex.from_grammar(self)
+        return SiteIndex(self)
 
     @cached_property
     def _draw_plan(self):
@@ -453,7 +453,7 @@ def _diagnose(g):
     diags = []
     shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
     idx = g.index
-    masses = idx.mass.tolist()
+    masses, improper = idx.mass.tolist(), idx.improper.tolist()
 
     if not len(idx.starts):
         diags.append(Diagnostic(ERROR, NO_START_TREE,
@@ -483,8 +483,11 @@ def _diagnose(g):
                                     tree_id=tree.tree_id))
 
         for node in tree.sites:
-            _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id],
-                              masses[idx[node.site_id]], shapes)
+            if improper[j := idx[node.site_id]]:
+                diags.append(Diagnostic(
+                    ERROR, IMPROPER_SITE, f"site probabilities sum to {masses[j]:.12g}, expected 1",
+                    tree_id=tree.tree_id, site_id=node.site_id))
+            _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id], shapes)
 
     for tree, reachable in zip(g.trees, idx.reachable.tolist()):
         if not reachable:  # no positive-probability path from a start tree
@@ -495,18 +498,11 @@ def _diagnose(g):
     return tuple(diags)
 
 
-def _site_diagnostics(diags, tree_id, node, entries, mass, shapes):
-    """Append the findings at one site; mass is the site's g.index.mass,
-    and shapes maps each tree id to its (kind, root label)."""
+def _site_diagnostics(diags, tree_id, node, entries, shapes):
+    """Append the findings at one site's phi entries; shapes maps each tree
+    id to its (kind, root label)."""
     site = node.site_id
     substitution = node.kind == SUBSTITUTION
-
-    if abs(mass - 1.0) > PROPERNESS_TOL:
-        diags.append(Diagnostic(
-            ERROR, IMPROPER_SITE,
-            f"site probabilities sum to {mass:.12g}, expected 1",
-            tree_id=tree_id, site_id=site))
-
     want_kind = INITIAL if substitution else AUXILIARY
     seen_targets = set()
     for target_id, prob in entries:

@@ -486,10 +486,9 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
             laws[t] = []
             for j in range(index.tree_start[t], index.tree_start[t + 1]):
                 entries = slice(index.entry_start[j], index.entry_start[j + 1])
-                targets, probs = index.tree[entries], index.prob[entries]
-                positive = probs > 0.0  # a zero-probability entry rewrites nothing
-                pvals = np.append(probs[positive], index.nil[j]) / index.mass[j]
-                targets = targets[positive].tolist()
+                positive = index.positive[entries]  # a zero-probability entry rewrites nothing
+                pvals = np.append(index.prob[entries][positive], index.nil[j]) / index.mass[j]
+                targets = index.tree[entries][positive].tolist()
                 if len(targets) == 1:
                     # multinomial draws a law of two outcomes as the one
                     # binomial(n, pvals[0]); binomial's check p <= 1 holds,

@@ -181,13 +181,9 @@ def tree_prod_oracle(idx, q):
 
 
 def layout_index(sizes):
-    """A SiteIndex holding only a layout: one tree per entry of sizes."""
-    k = sum(sizes)
-    none = np.zeros(0, dtype=np.intp)
-    return SiteIndex(tuple(f"s{i}" for i in range(k)),
-                     tuple(f"t{j}" for j in range(len(sizes))),
-                     np.cumsum([0, *sizes]), none, none, np.zeros(0), np.zeros(k),
-                     np.zeros(len(sizes)), none)
+    """The index of a grammar with one tree per entry of sizes and only nil
+    entries: a layout alone."""
+    return sized_trees_grammar(sizes, ()).index
 
 
 def test_tree_prod_matches_math_prod():
@@ -444,13 +440,13 @@ def test_extinction_rejects_negative_entry_up_front():
 
 def test_numeric_form_built_once(monkeypatch):
     built = []
-    from_grammar = SiteIndex.from_grammar.__func__
+    init = SiteIndex.__init__
 
-    def counting(cls, g):
+    def counting(index, g):
         built.append(g)
-        return from_grammar(cls, g)
+        init(index, g)
 
-    monkeypatch.setattr(SiteIndex, "from_grammar", classmethod(counting))
+    monkeypatch.setattr(SiteIndex, "__init__", counting)
     g = load_grammar(GRAMMAR4)
     check_consistency(g)
     ev = br.extinction(g)

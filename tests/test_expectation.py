@@ -26,10 +26,27 @@ M2_EXPECTED = np.array([
 
 
 def test_site_index_order(grammar4):
-    idx = ex.SiteIndex.from_grammar(grammar4)
+    idx = grammar4.index
     assert idx.ids == ("A1", "A2", "B1", "A3", "B2")
     assert idx["B1"] == 2
     assert len(idx) == 5
+
+
+def test_site_index_is_read_only(grammar4):
+    for g in (grammar4, segment_edge_grammar(), random_proper_grammar(7)):
+        idx = g.index
+        idx.rewrite_graph, idx.reachable, idx.finishes  # the lazy layouts too
+        arrays = {name: a for name, a in vars(idx).items() if isinstance(a, np.ndarray)}
+        assert {"tree_start", "site", "tree", "prob", "positive", "nil", "anchors", "starts",
+                "mass", "improper", "reachable", "finishes"} <= arrays.keys()
+        for array in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        for name in (*vars(idx), "new_layout"):
+            with pytest.raises(AttributeError):
+                setattr(idx, name, None)
+            with pytest.raises(AttributeError):
+                delattr(idx, name)
 
 
 def adjunction_chain(n, loop_at_end=False):

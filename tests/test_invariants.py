@@ -195,6 +195,66 @@ def scaled(doc, g, alpha):
     return doc
 
 
+def with_zero_entry(doc, g, seed):
+    """doc with a zero-probability entry placed first among one site's
+    entries, for a tree that the site could take (the kind and root label it
+    needs) and does not list yet, or None when no site has such a tree."""
+    rng = random.Random(f"zero-entry:{seed}")
+    shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
+    choices = []
+    for tree in g.trees:
+        for node in tree.sites:
+            kind = gr.INITIAL if node.kind == gr.SUBSTITUTION else gr.AUXILIARY
+            listed = {target for target, _ in g.phi[node.site_id]}
+            choices += [(node.site_id, t) for t, shape in shapes.items()
+                        if shape == (kind, node.label) and t not in listed]
+    if not choices:
+        return None
+    site, target = rng.choice(choices)
+    doc = copy.deepcopy(doc)
+    first = next(k for k, e in enumerate(doc["phi"]) if e["site"] == site)
+    doc["phi"].insert(first, {"site": site, "tree": target, "prob": 0.0})
+    return doc
+
+
+def every_output(g):
+    """What each method outputs on g, each as its repr, so that equal means
+    equal bit for bit; the enumerated derivations as nested tuples of their
+    trees instead, since a repr would write each shared subtree out in full."""
+    report = cons.check_consistency(g)
+    q = br.extinction(g)
+    try:
+        shapes = {}
+        derivations = [(tree_shape(d.root, shapes), d.complete, d.probability.hex())
+                       for d in sim.enumerate_derivations(g, ENUM_DEPTH)]
+    except sim.EnumerationBudgetExceeded:
+        derivations = None
+    samples = [sim.sample_derivation(g, seed=seed, max_nodes=500) for seed in range(10)]
+    outputs = {
+        "validate": [d.as_dict() for d in gr.validate(g)],
+        "check": (report.as_dict(), report.stuck_tree),
+        "extinction": (q.q.tobytes(), q.iterations, q.residual, q.converged),
+        "death_by_level": [br.death_by_level(g, n) for n in DEPTHS],
+        "estimate": sim.estimate_termination(g, 3000, 40),
+        "sample": [(d.as_dict(), d.complete, d.probability) for d in samples],
+        "adjunction_gf": [br.adjunction_gf(g, s) for s in g.site_ids],
+    }
+    return {method: repr(value) for method, value in outputs.items()} | {
+        "enumerate": derivations}
+
+
+def tree_shape(node, shapes):
+    """(tree, level, children's shapes) of a derivation node, or None for a
+    nil choice; shapes memoizes the nodes that derivations share."""
+    if node is None:
+        return None
+    if id(node) not in shapes:
+        shapes[id(node)] = (node.tree_id, node.level, None if node.children is None else
+                            tuple((site, tree_shape(child, shapes))
+                                  for site, child in node.children.items()))
+    return shapes[id(node)]
+
+
 def mixture_bound(g):
     """How far two orders of summing the start law's mixture may differ:
     each is within (k - 1)·eps of the exact sum of k terms, at most 1."""
@@ -316,3 +376,17 @@ def test_scaling_adjunction_entries(alpha):
         for n, c in zip(DEPTHS, base.death):
             assert br.death_by_level(g, n) >= c - SCALE_BOUND, (name, n)
     assert exact >= 1  # random49
+
+
+def test_zero_entry_changes_nothing():
+    # an entry of probability 0, even one placed before all the others,
+    # rewrites nothing: the numeric paths skip it through SiteIndex.positive,
+    # and the enumerator and the sampler never pick it
+    changed = 0
+    for name, base in baselines():
+        doc = with_zero_entry(base.doc, base.g, name)
+        if doc is None:
+            continue
+        changed += 1
+        assert every_output(gr.from_document(doc)) == every_output(base.g), name
+    assert changed >= 80  # 84 of the 98 grammars have a tree to add
