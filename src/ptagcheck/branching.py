@@ -80,7 +80,7 @@ def level_gf(g, n, term_cap=DEFAULT_TERM_CAP):
     if term_cap is not None and term_cap < 0:
         raise ValueError("term_cap must be >= 0")
     idx = g.index
-    poly = SparsePolynomial.zero(len(idx))
+    poly = SparsePolynomial.constant(0.0, len(idx))
     for t, w in zip(*start_law(g)):
         poly = poly + SparsePolynomial.monomial(
             w, range(idx.tree_start[t], idx.tree_start[t + 1]), len(idx))
@@ -132,7 +132,7 @@ def _kleene(idx, steps):
     After each block of n steps, yield a view of n + 1 rows, valid until the
     next block: the iterate before the block (q_0 alone for steps = 0), then
     the block's n iterates, every row ending in the 1.0 that idx.bounds
-    reads.  Between blocks the buffer is reversed, not copied."""
+    reads.  Between blocks the last iterate is copied into row 0."""
     k = len(idx)
     buf = np.zeros((1 + max(2, min(MAX_BLOCK, BLOCK_CELLS // (k + 1))), k + 1))
     buf[:, k] = 1.0
@@ -148,8 +148,7 @@ def _kleene(idx, steps):
         steps -= n
         if not steps:
             return
-        buf = buf[::-1]
-        rows.reverse()
+        buf[0] = buf[n]
 
 
 def extinction(g, tol=1e-12, max_iter=10**6):

@@ -220,8 +220,7 @@ def _run(argv, out, err):
                 raise _Failure(EX_USAGE, exc.args[0]) from None
         _emit({"text": poly.format(idx.ids), "constant": poly.constant_term,
                "terms": [{"coefficient": coefficient,
-                          "exponents": {idx.ids[i]: p
-                                        for i, p in sorted(exponents.items())}}
+                          "exponents": {idx.ids[i]: p for i, p in exponents.items()}}
                          for exponents, coefficient in poly.terms]}, out)
         return EX_OK
 

@@ -26,12 +26,19 @@ import numpy as np
 PROPERNESS_TOL = 1e-9
 
 
+def _frozen(array):
+    """array's dtype, shape and bytes as a view of an immutable bytes copy:
+    numpy refuses to make the view, or its base, writeable."""
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+
+
 class SiteIndex:
     """The numeric form of a grammar, read by every numeric path.
 
     SiteIndex(g) is its one constructor, called once per grammar by
-    Grammar.index: it lays out every array below, marks each read-only and
-    sets bad_site, and the index refuses attribute assignment afterwards.
+    Grammar.index: it lays out every array below, freezes each by _frozen,
+    as reachable and finishes are frozen when built, and sets bad_site; the
+    index refuses attribute assignment afterwards.
     Sites follow the canonical order, so tree t owns the contiguous slice
     tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
     parallel arrays site, tree and prob, site by site, each site's in
@@ -94,15 +101,13 @@ class SiteIndex:
             owner=np.repeat(np.arange(len(tree_ids)), sizes),
             bounds=np.append(tree_start[with_sites], len(ids)),
             tree_slot=tree_slot, entry_slot=tree_slot[tree])
-        for array in arrays.values():
-            array.flags.writeable = False
         # every site mass and every entry is tested at once; bad_site is the first flagged
         flagged = improper.copy()
         for at, p in ((site, prob), (np.array(nil_site, dtype=np.intp), np.array(nil_prob))):
             flagged[at[~((p >= 0.0) & (p < math.inf))]] = True
         bad = np.flatnonzero(flagged)
-        vars(self).update(arrays, ids=ids, tree_ids=tree_ids,
-                          position={s: i for i, s in enumerate(ids)},
+        vars(self).update({name: _frozen(a) for name, a in arrays.items()},
+                          ids=ids, tree_ids=tree_ids, position={s: i for i, s in enumerate(ids)},
                           bad_site=ids[bad[0]] if bad.size else None)
 
     def __setattr__(self, name, value=None):
@@ -128,9 +133,7 @@ class SiteIndex:
             if not seen[j := work.pop()]:
                 seen[j] = True
                 work += graph[j]
-        reachable = np.array(seen, dtype=bool)
-        reachable.flags.writeable = False
-        return reachable
+        return _frozen(np.array(seen, dtype=bool))
 
     @cached_property
     def finishes(self):
@@ -152,9 +155,7 @@ class SiteIndex:
                 missing[t := owner[i]] -= 1
                 if not missing[t]:
                     work += sources[t]
-        finishes = np.array(missing) == 0
-        finishes.flags.writeable = False
-        return finishes
+        return _frozen(np.array(missing) == 0)
 
     def __len__(self):
         return len(self.ids)
@@ -291,5 +292,5 @@ def matrix_json_doc(matrix):
     doc = {"order": list(matrix.rows)}
     if matrix.cols is not None:
         doc["cols"] = list(matrix.cols)
-    doc["rows"] = [list(map(float, row)) for row in matrix.values]
+    doc["rows"] = matrix.values.tolist()
     return doc

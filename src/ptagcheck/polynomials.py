@@ -106,17 +106,8 @@ class SparsePolynomial:
         return poly
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, value, nvars):
         return cls._of(_count(nvars, "nvars"), {0: float(value)} if value else {}, 0)
-
-    @classmethod
-    def variable(cls, position, nvars):
-        nvars = _count(nvars, "nvars")
-        return cls._of(nvars, {1 << _shift(position, nvars): 1.0}, 1)
 
     @classmethod
     def monomial(cls, coefficient, positions, nvars):
@@ -138,7 +129,7 @@ class SparsePolynomial:
     @property
     def terms(self):
         """(exponents, coefficient) pairs in canonical (descending graded lex)
-        order; exponents is a sparse {position: power} map."""
+        order; exponents is a sparse {position: power} map, positions ascending."""
         rows = []
         for e, c in self._coeffs.items():
             powers = _powers(e, self.nvars)

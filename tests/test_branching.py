@@ -77,7 +77,7 @@ def test_adjunction_gf_normalization_random():
 
 def test_level_gf_zero_is_start_variable(grammar4):
     g0 = br.level_gf(grammar4, 0)
-    assert g0 == SparsePolynomial.variable(0, 5)  # A1 is the first site
+    assert g0 == SparsePolynomial.monomial(1.0, [0], 5)  # A1 is the first site
     # a start tree with two sites starts from the product of both variables
     g0 = br.level_gf(two_site_start_grammar(), 0)
     assert g0 == SparsePolynomial.monomial(1.0, [0, 1], 4)

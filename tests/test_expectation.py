@@ -33,7 +33,13 @@ def test_site_index_order(grammar4):
 
 
 def test_site_index_is_read_only(grammar4):
-    for g in (grammar4, segment_edge_grammar(), random_proper_grammar(7)):
+    # minimal_document() has no sites; nil_only has one site and no non-nil entry
+    nil_only = minimal_document()
+    nil_only["trees"][0]["root"]["children"] = [
+        {"label": "A", "site": "R", "children": [{"anchor": "a"}]}]
+    nil_only["phi"] = [{"site": "R", "tree": None, "prob": 1.0}]
+    for g in (grammar4, segment_edge_grammar(), random_proper_grammar(7),
+              parse(minimal_document()), parse(nil_only)):
         idx = g.index
         idx.rewrite_graph, idx.reachable, idx.finishes  # the lazy layouts too
         arrays = {name: a for name, a in vars(idx).items() if isinstance(a, np.ndarray)}
@@ -42,6 +48,12 @@ def test_site_index_is_read_only(grammar4):
         for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+            # the flag cannot be set back, on the array or on an array it views
+            for frozen in (array, array.base):
+                if isinstance(frozen, np.ndarray):
+                    with pytest.raises(ValueError):
+                        frozen.flags.writeable = True
+                    assert not frozen.flags.writeable
         for name in (*vars(idx), "new_layout"):
             with pytest.raises(AttributeError):
                 setattr(idx, name, None)

@@ -423,7 +423,8 @@ def test_parse_restores_collector_state(tmp_path, enabled):
     failures = [lambda: gr.parse_grammar(bad_json.read_bytes()),
                 lambda: gr.load_grammar(bad_json),
                 lambda: gr.parse_grammar(json.dumps(duplicate_site)),
-                lambda: gr.from_document(duplicate_site)]
+                lambda: gr.from_document(duplicate_site),
+                lambda: gr.from_document(nested_document(5000))]
     before = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()

@@ -19,7 +19,7 @@ def test_constant_and_variable():
     c = SparsePolynomial.constant(0.25, 3)
     assert c.constant_term == 0.25
     assert c.evaluate([9, 9, 9]) == 0.25
-    v = SparsePolynomial.variable(1, 3)
+    v = SparsePolynomial.monomial(1.0, [1], 3)
     assert v.evaluate([5, 7, 11]) == 7
     assert v.constant_term == 0.0
 
@@ -42,8 +42,8 @@ def test_addition_and_scalar_multiplication():
 
 
 def test_product_collects_exponents():
-    x = SparsePolynomial.variable(0, 2)
-    y = SparsePolynomial.variable(1, 2)
+    x = SparsePolynomial.monomial(1.0, [0], 2)
+    y = SparsePolynomial.monomial(1.0, [1], 2)
     p = (x + y) * (x + y)
     assert p.coefficient((2, 0)) == 1.0
     assert p.coefficient((1, 1)) == 2.0
@@ -87,8 +87,8 @@ def test_partial_of_constant_is_zero():
 def test_substitute_simultaneous():
     # p(x, y) = x*y; substitute x <- x + 1, y <- y + 1 simultaneously
     p = poly(2, {(1, 1): 1.0})
-    x1 = SparsePolynomial.variable(0, 2) + SparsePolynomial.constant(1.0, 2)
-    y1 = SparsePolynomial.variable(1, 2) + SparsePolynomial.constant(1.0, 2)
+    x1 = SparsePolynomial.monomial(1.0, [0], 2) + SparsePolynomial.constant(1.0, 2)
+    y1 = SparsePolynomial.monomial(1.0, [1], 2) + SparsePolynomial.constant(1.0, 2)
     q = p.substitute([x1, y1])
     assert q.coefficient((1, 1)) == 1.0
     assert q.coefficient((1, 0)) == 1.0
@@ -98,7 +98,7 @@ def test_substitute_simultaneous():
 
 def test_substitute_powers_cached_correctly():
     p = poly(1, {(3,): 2.0})
-    r = SparsePolynomial.variable(0, 1) + SparsePolynomial.constant(1.0, 1)
+    r = SparsePolynomial.monomial(1.0, [0], 1) + SparsePolynomial.constant(1.0, 1)
     q = p.substitute([r])
     # 2(x+1)^3 = 2x^3 + 6x^2 + 6x + 2
     assert [q.coefficient((e,)) for e in (3, 2, 1, 0)] == [2.0, 6.0, 6.0, 2.0]
@@ -106,9 +106,9 @@ def test_substitute_powers_cached_correctly():
 
 def test_substitute_term_cap():
     nvars = 6
-    big = SparsePolynomial.zero(nvars)
+    big = SparsePolynomial.constant(0.0, nvars)
     for i in range(nvars):
-        big = big + SparsePolynomial.variable(i, nvars)
+        big = big + SparsePolynomial.monomial(1.0, [i], nvars)
     p = poly(nvars, {tuple([3] + [0] * (nvars - 1)): 1.0})
     with pytest.raises(TermCapExceeded):
         p.substitute([big] * nvars, term_cap=10)
@@ -139,7 +139,7 @@ def test_equality_and_hash():
 
 def test_substitution_identity():
     p = poly(3, {(1, 2, 0): 0.3, (0, 0, 1): 0.7})
-    identity = [SparsePolynomial.variable(i, 3) for i in range(3)]
+    identity = [SparsePolynomial.monomial(1.0, [i], 3) for i in range(3)]
     assert p.substitute(identity) == p
     with pytest.raises(ValueError, match="one replacement polynomial per variable"):
         p.substitute(identity[:2])
@@ -151,9 +151,9 @@ def test_repr_shows_exponent_tuples():
 
 
 MALFORMED = {
-    "variable_negative": lambda: SparsePolynomial.variable(-1, 3),
-    "variable_past_end": lambda: SparsePolynomial.variable(3, 3),
-    "variable_float": lambda: SparsePolynomial.variable(1.0, 3),
+    "variable_negative": lambda: SparsePolynomial.monomial(1.0, [-1], 3),
+    "variable_past_end": lambda: SparsePolynomial.monomial(1.0, [3], 3),
+    "variable_float": lambda: SparsePolynomial.monomial(1.0, [1.0], 3),
     "short_exponents": lambda: poly(2, {(1,): 1.0}),
     "long_exponents": lambda: poly(2, {(1, 0, 0): 1.0}),
     "negative_power": lambda: poly(2, {(-1, 0): 1.0}),
@@ -163,12 +163,14 @@ MALFORMED = {
     "negative_nvars": lambda: SparsePolynomial(-1),
     "monomial_negative": lambda: SparsePolynomial.monomial(1.0, [0, -1], 3),
     "monomial_past_end": lambda: SparsePolynomial.monomial(1.0, [3], 3),
-    "partial_negative": lambda: SparsePolynomial.variable(0, 2).partial(-1),
-    "partial_past_end": lambda: SparsePolynomial.variable(0, 2).partial(2),
-    "coefficient_short": lambda: SparsePolynomial.variable(0, 2).coefficient((1,)),
-    "coefficient_negative": lambda: SparsePolynomial.variable(0, 2).coefficient((-1, 2)),
-    "product_across_spaces": lambda: SparsePolynomial.variable(0, 2) * SparsePolynomial.variable(0, 3),
-    "sum_across_spaces": lambda: SparsePolynomial.variable(0, 2) + SparsePolynomial.variable(0, 3),
+    "partial_negative": lambda: SparsePolynomial.monomial(1.0, [0], 2).partial(-1),
+    "partial_past_end": lambda: SparsePolynomial.monomial(1.0, [0], 2).partial(2),
+    "coefficient_short": lambda: SparsePolynomial.monomial(1.0, [0], 2).coefficient((1,)),
+    "coefficient_negative": lambda: SparsePolynomial.monomial(1.0, [0], 2).coefficient((-1, 2)),
+    "product_across_spaces": lambda: (SparsePolynomial.monomial(1.0, [0], 2)
+                                      * SparsePolynomial.monomial(1.0, [0], 3)),
+    "sum_across_spaces": lambda: (SparsePolynomial.monomial(1.0, [0], 2)
+                                  + SparsePolynomial.monomial(1.0, [0], 3)),
 }
 
 
@@ -182,19 +184,20 @@ def test_malformed_exponents_refused(name):
 def test_numpy_integer_positions_act_as_ints():
     # a numpy int64 shift count wraps: 1 << np.int64(128) would alias s1 of five
     # variables to the constant monomial
-    p = SparsePolynomial.monomial(0.5, [0, 3], 5) + SparsePolynomial.variable(1, 5)
+    p = SparsePolynomial.monomial(0.5, [0, 3], 5) + SparsePolynomial.monomial(1.0, [1], 5)
     for position in (np.int64(0), np.int32(1), np.uint8(3)):
-        assert SparsePolynomial.variable(position, 5) == SparsePolynomial.variable(int(position), 5)
+        assert SparsePolynomial.monomial(1.0, [position], 5) == SparsePolynomial.monomial(
+            1.0, [int(position)], 5)
         assert dense_items(p.partial(position)) == dense_items(p.partial(int(position)))
     assert SparsePolynomial.monomial(0.5, np.array([0, 3]), 5) == SparsePolynomial.monomial(
         0.5, [0, 3], 5)
     with pytest.raises(ValueError):
-        SparsePolynomial.variable(np.int64(5), 5)
+        SparsePolynomial.monomial(1.0, [np.int64(5)], 5)
 
 
 @pytest.mark.parametrize("position,nvars", [(0, 1), (1, 2), (0, 2)])
 def test_degree_cap_raises_before_a_carry(position, nvars):
-    p = SparsePolynomial.variable(position, nvars)
+    p = SparsePolynomial.monomial(1.0, [position], nvars)
     for _ in range(31):
         p = p * p
     exponents = [0] * nvars
@@ -408,6 +411,18 @@ LEVEL_CASES = ([("grammar2", n) for n in range(5)] + [("grammar4", n) for n in r
 def test_level_gf_matches_dense_tuple_reference(name, level):
     g = pinned_grammar(name)
     assert dense_items(br.level_gf(g, level)) == ref_items(ref_level_gf(g, level))
+
+
+def test_terms_list_positions_ascending():
+    # the gf command writes each term's exponents in the order terms gives
+    # them, so its site order rests on this
+    others = ("segment_edge", "two_site_start", "two_siteless_start", "duplicate_target")
+    products = 0
+    for name, level in [*LEVEL_CASES, *((name, 2) for name in others)]:
+        for exponents, _ in br.level_gf(pinned_grammar(name), level).terms:
+            assert list(exponents) == sorted(exponents)
+            products += len(exponents) > 1
+    assert products > 1000
 
 
 def hand_gf_grammar(entries):

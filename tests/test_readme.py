@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import ptagcheck
 from conftest import REPO
 
 
@@ -53,6 +54,10 @@ def test_package_loads_its_names_on_first_use():
     done = subprocess.run([sys.executable, "-c", script, *sorted(names)], capture_output=True,
                           text=True, timeout=60, env=env, check=True)
     assert done.stdout == "\n\n"  # no submodule loaded, no name missing
+
+
+def test_dir_lists_every_exported_name():
+    assert set(ptagcheck.__all__) <= set(dir(ptagcheck))
 
 
 def test_star_import_binds_every_exported_name():
