@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expectation import LabelledMatrix, SiteIndex, _check_dense, start_law, start_mixture
-from .polynomials import SparsePolynomial, TermCapExceeded, _shift  # noqa: F401  (raised by level_gf)
+from .polynomials import SparsePolynomial, _shift
 
 DEFAULT_TERM_CAP = 100_000
 

@@ -204,6 +204,7 @@ def _run(argv, out, err):
 
     if args.command == "gf":
         from . import branching
+        from .polynomials import TermCapExceeded
         term_cap = branching.DEFAULT_TERM_CAP if args.term_cap is None else args.term_cap
         if term_cap < 0:  # adjunction_gf takes no cap, so check it for both modes
             raise ValueError("term_cap must be >= 0")
@@ -211,7 +212,7 @@ def _run(argv, out, err):
         if args.site is None:
             try:
                 poly = branching.level_gf(g, args.level, term_cap=term_cap)
-            except branching.TermCapExceeded as exc:
+            except TermCapExceeded as exc:
                 raise _Failure(EX_INVALID, f"TERM_CAP_EXCEEDED: {exc}") from None
         else:
             try:

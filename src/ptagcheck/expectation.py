@@ -6,9 +6,10 @@ substitution) probabilities per site and tree, and N is the 0/1 site-in-tree
 incidence.  Rows and columns follow the canonical site order: tree
 declaration order, preorder within each tree.  SiteIndex lays the phi table
 out in that order.  Grammar.index builds it once per grammar; the matrices,
-the extinction iteration and the Monte Carlo all read it there, and it alone
-decides which phi values a numeric path accepts.  start_law gives each start
-tree's chance to begin a derivation, and start_mixture mixes by that law.
+the extinction iteration, the Monte Carlo, the sampler and the enumerator
+all read it there, and it alone decides which phi values a numeric path
+accepts.  start_law gives each start tree's chance to begin a derivation,
+and start_mixture mixes by that law.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from numbers import Real
+from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,17 +36,30 @@ def _frozen(array):
     return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
 
 
+def _inverse_cdf(choices):
+    """(sums, outcomes): a uniform u draws outcomes[bisect_right(sums, u)]
+    from choices, tuples whose item 1 is their prob, by inverse CDF over
+    those with prob > 0, whose running sums are sums.  outcomes repeats the
+    last one, so a u past every sum, a shortfall of the mass below 1, picks
+    the last choice of positive probability; any other u picks what a scan
+    of all choices would, since a zero prob moves no sum."""
+    kept = [choice for choice in choices if choice[1] > 0.0]
+    return tuple(accumulate(map(itemgetter(1), kept))), (*kept, *kept[-1:])
+
+
 class SiteIndex:
     """The numeric form of a grammar, read by every numeric path.
 
     SiteIndex(g) is its one constructor, called once per grammar by
-    Grammar.index: it lays out every array below, freezes each by _frozen,
-    as reachable and finishes are frozen when built, and sets bad_site; the
-    index refuses attribute assignment afterwards.
+    Grammar.index: it walks phi once, lays out every array below, freezes
+    each by _frozen, as reachable and finishes are frozen when built, and
+    sets bad_site; the index refuses attribute assignment afterwards, and
+    position (site id to place in ids) is a read-only mapping.
     Sites follow the canonical order, so tree t owns the contiguous slice
-    tree_start[t]:tree_start[t + 1].  The non-nil phi entries are the
-    parallel arrays site, tree and prob, site by site, each site's in
-    document order, and positive marks those with prob > 0: a
+    tree_start[t]:tree_start[t + 1].  phi_site, phi_tree and phi_prob record
+    every phi entry, nil included (phi_tree -1), site by site, each site's
+    in document order.  The non-nil entries are the parallel arrays site,
+    tree and prob, and positive marks those with prob > 0: a
     zero-probability entry stays in phi but rewrites nothing.  nil is the
     nil mass of each site, anchors the anchor count of each tree and starts
     the positions of the start trees (initial trees rooted in the start
@@ -55,45 +72,34 @@ class SiteIndex:
     k, which reduce q plus a trailing 1.0 to those trees' products and a
     last 1.0; and tree_slot and entry_slot, the slot there of each tree and
     of each phi entry's tree (the last for a tree without sites).
-    rewrite_graph, reachable and finishes are built on first use.
+    rewrite_graph, reachable, finishes and draw_table are built on first use.
     bad_site is the first site, in canonical order, that is improper or has
     a phi entry (nil included) that is negative, NaN or infinite, or None
     when there is none.
     """
 
     def __init__(self, g):
-        tree_ids = tuple(t.tree_id for t in g.trees)
-        tree_pos = {tid: j for j, tid in enumerate(tree_ids)}
-        sizes, anchors, nil, site, tree, prob, nil_site, nil_prob = [], [], [], [], [], [], [], []
-        phi = g.phi
-        for t in g.trees:  # one pass, in canonical site order
-            sizes.append(len(t.sites))
-            anchors.append(len(t.anchors))
-            for node in t.sites:
-                i = len(nil)
-                nil_mass = 0.0
-                for target, p in phi[node.site_id]:
-                    if target is None:
-                        nil_mass += p
-                        nil_site.append(i)
-                        nil_prob.append(p)
-                    else:
-                        site.append(i)
-                        tree.append(tree_pos[target])
-                        prob.append(p)
-                nil.append(nil_mass)
-        ids = tuple(g.site_ids)
-        site, tree = np.array(site, dtype=np.intp), np.array(tree, dtype=np.intp)
-        prob, nil = np.array(prob, dtype=float), np.array(nil)
-        tree_start = np.cumsum([0] + sizes)
+        tree_ids, ids = tuple(t.tree_id for t in g.trees), tuple(g.site_ids)
+        tree_pos = {None: -1, **{tid: j for j, tid in enumerate(tree_ids)}}
+        # the one walk of phi: every entry, nil included, site by site in document order
+        entries = [entry for s in ids for entry in g.phi[s]]
+        phi_site = np.repeat(np.arange(len(ids), dtype=np.intp), [len(g.phi[s]) for s in ids])
+        phi_tree = np.array([tree_pos[target] for target, _ in entries], dtype=np.intp)
+        phi_prob = np.array([p for _, p in entries], dtype=float)
+        targets = phi_tree >= 0
+        site, tree, prob = phi_site[targets], phi_tree[targets], phi_prob[targets]
+        nil = np.bincount(phi_site[~targets], phi_prob[~targets], minlength=len(ids))
+        tree_start = np.cumsum([0] + [len(t.sites) for t in g.trees])
         sizes = np.diff(tree_start)
         with_sites = np.flatnonzero(sizes)
         tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
         mass = np.bincount(site, prob, minlength=len(ids)) + nil
         improper = abs(mass - 1.0) > PROPERNESS_TOL
         arrays = dict(
+            phi_site=phi_site, phi_tree=phi_tree, phi_prob=phi_prob,
             tree_start=tree_start, site=site, tree=tree, prob=prob, positive=prob > 0.0,
-            nil=nil, anchors=np.array(anchors, dtype=float), mass=mass, improper=improper,
+            nil=nil, anchors=np.array([len(t.anchors) for t in g.trees], dtype=float),
+            mass=mass, improper=improper,
             # the start trees: the initial trees rooted in the start symbol
             starts=np.array([j for j, t in enumerate(g.trees)
                              if t.kind == "initial" and t.root.label == g.start], dtype=np.intp),
@@ -103,11 +109,11 @@ class SiteIndex:
             tree_slot=tree_slot, entry_slot=tree_slot[tree])
         # every site mass and every entry is tested at once; bad_site is the first flagged
         flagged = improper.copy()
-        for at, p in ((site, prob), (np.array(nil_site, dtype=np.intp), np.array(nil_prob))):
-            flagged[at[~((p >= 0.0) & (p < math.inf))]] = True
+        flagged[phi_site[~((phi_prob >= 0.0) & (phi_prob < math.inf))]] = True
         bad = np.flatnonzero(flagged)
         vars(self).update({name: _frozen(a) for name, a in arrays.items()},
-                          ids=ids, tree_ids=tree_ids, position={s: i for i, s in enumerate(ids)},
+                          ids=ids, tree_ids=tree_ids,
+                          position=MappingProxyType({s: i for i, s in enumerate(ids)}),
                           bad_site=ids[bad[0]] if bad.size else None)
 
     def __setattr__(self, name, value=None):
@@ -122,6 +128,25 @@ class SiteIndex:
         ends = np.append(0, np.cumsum(self.positive))[self.entry_start[self.tree_start]].tolist()
         targets = self.tree[self.positive].tolist()
         return tuple(tuple(targets[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
+    def draw_table(self):
+        """Read-only, per tree id, one (site id, *_inverse_cdf) per site in
+        site order: the outcomes are the site's positive entries, nil
+        included, in document order, as (target tree id or None, prob,
+        whether the target has sites).  checked first: bisection picks what
+        the scan picks only on nondecreasing sums free of NaN."""
+        self.checked()
+        # nil's phi_tree -1 picks the last of each
+        names, has_sites = (*self.tree_ids, None), [*(self.sizes > 0).tolist(), False]
+        entries = [[] for _ in self.ids]
+        for i, t, p in zip(self.phi_site.tolist(), self.phi_tree.tolist(),
+                           self.phi_prob.tolist()):
+            entries[i].append((names[t], p, has_sites[t]))
+        draws = [(s, *_inverse_cdf(e)) for s, e in zip(self.ids, entries)]
+        ends = self.tree_start.tolist()
+        return MappingProxyType({t: tuple(draws[a:b])
+                                 for t, a, b in zip(self.tree_ids, ends, ends[1:])})
 
     @cached_property
     def reachable(self):

@@ -169,12 +169,6 @@ class Grammar:
         return SiteIndex(self)
 
     @cached_property
-    def _draw_plan(self):
-        """simulate.draw_plan of the grammar, built on first use and then shared."""
-        from .simulate import draw_plan
-        return draw_plan(self)
-
-    @cached_property
     def diagnostics(self):
         """validate's findings as a tuple, computed on first use."""
         return _diagnose(self)

@@ -275,7 +275,7 @@ class SparsePolynomial:
         parts = []
         for exponents, coefficient in self.terms:
             factors = [f"{coefficient!r}"]
-            for position, power in sorted(exponents.items()):
+            for position, power in exponents.items():
                 name = f"s[{names[position]}]" if names else f"s{position + 1}"
                 factors.append(name if power == 1 else f"{name}^{power}")
             parts.append("*".join(factors))

@@ -19,13 +19,12 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
 
 from . import grammar as gr
-from .expectation import start_law
+from .expectation import _inverse_cdf, start_law
 from .grammar import _collector_paused
 
 RNG_ALGORITHM = "PCG64"
@@ -149,32 +148,6 @@ def _uniforms(rng):
         size = min(2 * size, 4096)
 
 
-def draw_plan(g):
-    """Per tree id, the draws sample_derivation makes for an instance of it.
-
-    One (site id, running sums, outcomes) per site, in site order: the sums
-    add the site's phi probabilities left to right, as an inverse-CDF scan
-    would, and outcomes holds each entry's (target, prob, whether the target
-    has sites).  A uniform u picks outcomes[bisect_right(sums, u)], the first
-    entry whose running sum passes u; outcomes ends in a repeat of the last
-    entry, which the scan picks when no sum passes u.  Each Grammar keeps its
-    plan (``g._draw_plan``).  phi off the SiteIndex contract raises ValueError:
-    bisection picks what the scan picks only on nondecreasing sums free of NaN.
-    """
-    g.index.checked()
-    plan = {}
-    for tree in g.trees:
-        draws = []
-        for site_node in tree.sites:
-            entries = g.phi[site_node.site_id]
-            outcomes = [(target, p, target is not None and bool(g.tree(target).sites))
-                        for target, p in entries]
-            draws.append((site_node.site_id, list(accumulate(p for _, p in entries)),
-                          outcomes + outcomes[-1:]))
-        plan[tree.tree_id] = draws
-    return plan
-
-
 @_collector_paused
 def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
                       start_weights=None):
@@ -189,29 +162,31 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     depth-capped one).  The tree holds no reference cycles, so it is built
     with the cyclic collector paused.
 
-    Each draw takes one uniform and picks by inverse CDF from the grammar's
-    draw_plan, which is built on the first call.  A Generator made here
-    (from an int, None or a SeedSequence) yields its uniforms in blocks,
-    the same doubles as one random() call per draw; a caller's Generator,
-    BitGenerator or scripted double gets one random() call per draw, so it
-    ends where one call per draw leaves it.  phi breaking the SiteIndex
-    input contract raises ValueError.
+    Each draw takes one uniform and picks by inverse CDF among the choices
+    of positive probability (expectation._inverse_cdf): a site's entries in
+    g.index.draw_table, which the enumerator reads too, or the start trees.
+    A uniform past every running sum, where a mass short of 1 leaves room,
+    picks the last such choice, so no draw has probability 0.  A Generator
+    made here (from an int, None or a SeedSequence) yields its uniforms in
+    blocks, the same doubles as one random() call per draw; a caller's
+    Generator, BitGenerator or scripted double gets one random() call per
+    draw, so it ends where one call per draw leaves it.  phi breaking the
+    SiteIndex input contract raises ValueError.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    plan = g._draw_plan
+    table = g.index.draw_table
     rng = _as_rng(seed)
     if rng is seed or isinstance(seed, np.random.BitGenerator):
         draw = rng.random
     else:
         draw = _uniforms(rng).__next__
     positions, start_probs = start_law(g, start_weights)
-    start_probs = start_probs.tolist()
-    chosen = min(bisect_right(list(accumulate(start_probs)), draw()), len(start_probs) - 1)
-    probability = start_probs[chosen]
-    root = DerivationNode(g.index.tree_ids[positions[chosen]], 0)
+    sums, starts = _inverse_cdf(zip(positions.tolist(), start_probs.tolist()))
+    chosen, probability = starts[bisect_right(sums, draw())]
+    root = DerivationNode(g.index.tree_ids[chosen], 0)
     complete = True
     nodes = 1
     queue = deque([root])
@@ -222,7 +197,7 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
             break
         children = node.children = {}
         level = node.level + 1
-        for site, sums, outcomes in plan[node.tree_id]:
+        for site, sums, outcomes in table[node.tree_id]:
             target, prob, has_sites = outcomes[bisect_right(sums, draw())]
             probability *= prob
             if target is None:
@@ -330,7 +305,8 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     under the (uniform) start law, so the summed probabilities equal the
     death-by-level constant C_(max_depth); the floor applies to that
     weighted probability.  prob_floor must not be NaN, and phi breaking the
-    SiteIndex input contract raises ValueError.
+    SiteIndex input contract raises ValueError.  A site's choices are its
+    positive entries, read from g.index.draw_table as the sampler reads them.
 
     The trees placed at each level are collected first, from the start
     trees down, keeping only the trees that can finish (SiteIndex.finishes):
@@ -355,8 +331,9 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
         raise ValueError("prob_floor must not be NaN")
     if node_cap < 0:
         raise ValueError("node_cap must be >= 0")
-    index = g.index.checked()
-    graph, sizes, finishes = index.rewrite_graph, index.sizes.tolist(), index.finishes.tolist()
+    index = g.index
+    table, graph = index.draw_table, index.rewrite_graph
+    sizes, finishes = index.sizes.tolist(), index.finishes.tolist()
     positions, start_probs = start_law(g)
     # tree positions per level: no complete derivation places a tree that
     # cannot finish, so none is placed, nor expanded
@@ -370,8 +347,9 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     for level in reversed(range(len(placed))):
         here = {None: nil}
         for j in placed[level]:
-            here[index.tree_ids[j]], spent = _expand(g, g.trees[j], level, below,
-                                                     prob_floor, node_cap, spent)
+            tree_id = index.tree_ids[j]
+            here[tree_id], spent = _expand(tree_id, table[tree_id], level, below,
+                                           prob_floor, node_cap, spent)
         below = here
     roots = [(*below[index.tree_ids[t]], w)
              for t, w in zip(positions.tolist(), start_probs.tolist()) if finishes[t]]
@@ -384,22 +362,21 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     return derivations
 
 
-def _expand(g, tree, level, below, prob_floor, node_cap, spent):
+def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
     """((nodes, probabilities), spent plus the partial expansions made) of
-    tree at level; below maps the trees placed at level + 1, and nil, to
-    theirs.  A call of its own, so its option lists die before the next's."""
-    tree_id, sites = tree.tree_id, [site_node.site_id for site_node in tree.sites]
+    tree_id at level, from its draw-table draws; below maps the trees placed
+    at level + 1, and nil, to theirs.  Its own call frees its option lists."""
     # the children chosen so far and their running products; the choices
     # at the last site complete a node, and a tree without sites is one
-    combos, probs = [{} if sites else DerivationNode(tree_id, level, {})], [1.0]
-    for site in sites:
+    combos, probs = [{} if draws else DerivationNode(tree_id, level, {})], [1.0]
+    for site, _, outcomes in draws:
         options, option_probs = [], []
-        for target, p in g.phi[site]:
-            if p > 0.0 and target in below:  # p * 1.0 is p: nil's probability is exact
+        for target, p, _ in outcomes[:-1]:  # the positive entries
+            if target in below:  # p * 1.0 is p: nil's probability is exact
                 subs, sub_probs = below[target]
                 options += subs
                 option_probs += [p * sub_prob for sub_prob in sub_probs]
-        last = site == sites[-1]
+        last = site == draws[-1][0]
         extended, extended_probs = [], []
         allowed = node_cap - spent
         for children, prob in zip(combos, probs):

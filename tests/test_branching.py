@@ -14,10 +14,10 @@ from ptagcheck.consistency import check_consistency
 from ptagcheck.expectation import PROPERNESS_TOL, SiteIndex, build_M, build_N, build_P, start_law
 from ptagcheck.grammar import load_grammar, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
-from conftest import (GRAMMAR4, branching_family, minimal_document, parse, pinned_grammar,
-                      random_proper_grammar, segment_edge_grammar, spectral_radius,
-                      synth_grammar, two_site_start_grammar, two_siteless_start_grammar,
-                      verdict_corpus)
+from conftest import (GRAMMAR4, MASS_EDGE, branching_family, mass_edge_document,
+                      minimal_document, parse, pinned_grammar, random_proper_grammar,
+                      segment_edge_grammar, spectral_radius, synth_grammar,
+                      two_site_start_grammar, two_siteless_start_grammar, verdict_corpus)
 
 EPS = sys.float_info.epsilon
 
@@ -219,9 +219,31 @@ def test_site_index_records_its_layout_once():
     assert idx.owner is idx.owner
 
 
+def zero_entry_grammar():
+    """Start tree t1 with sites Z1, Z2 and Z3 on label A; a1 has no sites and
+    a2 one, W, nil alone.  Z1 lists a zero entry first, Z2 a zero nil entry
+    between two targets, Z3 nil first and a zero entry last."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["children"] = [
+        {"label": "A", "site": z, "children": [{"anchor": "a"}]} for z in ("Z1", "Z2", "Z3")]
+    doc["trees"] += [
+        {"id": "a1", "type": "auxiliary", "root": {"label": "A", "children": [
+            {"anchor": "b"}, {"foot": "A"}]}},
+        {"id": "a2", "type": "auxiliary", "root": {"label": "A", "site": "W", "children": [
+            {"anchor": "c"}, {"foot": "A"}]}}]
+    doc["phi"] = [{"site": s, "tree": t, "prob": p} for s, t, p in [
+        ("Z1", "a1", 0.0), ("Z1", "a2", 0.25), ("Z1", None, 0.75),
+        ("Z2", "a1", 0.25), ("Z2", None, 0.0), ("Z2", "a2", 0.75),
+        ("Z3", None, 0.5), ("Z3", "a1", 0.5), ("Z3", "a2", 0.0), ("W", None, 1.0)]]
+    return parse(doc)
+
+
 def test_site_index_entry_layout_and_rewrite_graph_match_phi():
-    grammars = [g for _, g in kleene_edge_grammars()]
+    grammars = [g for _, g in kleene_edge_grammars()]  # segment_edge lists nil first
     grammars += [pinned_grammar("duplicate_target"), two_site_start_grammar()]
+    # nil between two targets; zero entries first, between and last
+    grammars += [parse(mass_edge_document(name)) for name in MASS_EDGE]
+    grammars += [zero_entry_grammar()]
     grammars += [random_proper_grammar(seed) for seed in range(200)]
     for g in grammars:
         idx = g.index
@@ -229,22 +251,52 @@ def test_site_index_entry_layout_and_rewrite_graph_match_phi():
         non_nil = {s: [(position[t], p) for t, p in g.phi[s] if t is not None]
                    for s in g.site_ids}
         assert idx.sizes.tolist() == [len(t.sites) for t in g.trees]
+        # the document-order record: every entry once, nil as target -1
+        assert list(zip(idx.phi_site.tolist(), idx.phi_tree.tolist(),
+                        idx.phi_prob.tolist())) == [
+            (j, -1 if t is None else position[t], p)
+            for j, s in enumerate(g.site_ids) for t, p in g.phi[s]]
         ends = idx.entry_start.tolist()
         assert ends[0] == 0 and ends[-1] == len(idx.prob)
         for j, s in enumerate(g.site_ids):
             a, b = ends[j], ends[j + 1]
             assert list(zip(idx.tree[a:b].tolist(), idx.prob[a:b].tolist())) == non_nil[s]
+            assert idx.nil[j] == sum((p for t, p in g.phi[s] if t is None), 0.0)
         # zero-probability entries rewrite nothing
         assert idx.rewrite_graph == tuple(
             tuple(t for node in tree.sites for t, p in non_nil[node.site_id] if p > 0.0)
             for tree in g.trees)
         assert not idx.sizes.flags.writeable and not idx.entry_start.flags.writeable
+        if idx.bad_site is not None:  # MASS_EDGE "off" strays past PROPERNESS_TOL
+            with pytest.raises(ValueError, match=idx.bad_site):
+                idx.draw_table
+            continue
+        # the draw table: per tree and site the positive entries in document
+        # order, each with the running sum of every entry up to it
+        assert list(idx.draw_table) == [t.tree_id for t in g.trees]
+        for tree in g.trees:
+            draws = idx.draw_table[tree.tree_id]
+            assert [site for site, _, _ in draws] == [node.site_id for node in tree.sites]
+            for site, sums, outcomes in draws:
+                kept, running, totals = [], 0.0, []
+                for t, p in g.phi[site]:
+                    running += p
+                    if p > 0.0:
+                        kept.append((t, p, t is not None and bool(g.tree(t).sites)))
+                        totals.append(running)
+                assert outcomes == tuple(kept + kept[-1:]) and sums == tuple(totals)
     # built once per grammar: the validators read the one graph
     g = segment_edge_grammar()
     graph = g.index.rewrite_graph
     assert graph == ((2, 1), (), (2, 2, 3), ())  # A2's entry into t2 has probability 0
     validate(g)
     assert g.index.rewrite_graph is graph
+    # the zero entries are in the record and nowhere in the draw table
+    idx = zero_entry_grammar().index
+    assert idx.phi_prob.tolist().count(0.0) == 3 and idx.nil.tolist() == [0.75, 0.0, 0.5, 1.0]
+    assert [[[t for t, _, _ in outcomes[:-1]] for _, _, outcomes in idx.draw_table[tree]]
+            for tree in ("t1", "a1", "a2")] == [[["a2", None], ["a1", "a2"], [None, "a1"]],
+                                                [], [[None]]]
 
 
 def test_offspring_matches_symbolic_gf():

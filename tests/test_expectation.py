@@ -1,5 +1,6 @@
 import json
 import time
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_site_index_is_read_only(grammar4):
     for g in (grammar4, segment_edge_grammar(), random_proper_grammar(7),
               parse(minimal_document()), parse(nil_only)):
         idx = g.index
-        idx.rewrite_graph, idx.reachable, idx.finishes  # the lazy layouts too
+        idx.rewrite_graph, idx.reachable, idx.finishes, idx.draw_table  # the lazy layouts too
         arrays = {name: a for name, a in vars(idx).items() if isinstance(a, np.ndarray)}
         assert {"tree_start", "site", "tree", "prob", "positive", "nil", "anchors", "starts",
                 "mass", "improper", "reachable", "finishes"} <= arrays.keys()
@@ -54,6 +55,19 @@ def test_site_index_is_read_only(grammar4):
                     with pytest.raises(ValueError):
                         frozen.flags.writeable = True
                     assert not frozen.flags.writeable
+        # every other attribute, and every tuple or mapping in it, refuses item assignment
+        others = {name: a for name, a in vars(idx).items() if name not in arrays}
+        assert {"ids", "tree_ids", "position", "bad_site", "rewrite_graph",
+                "draw_table"} <= others.keys()
+        stack = list(others.values())
+        while stack:
+            value = stack.pop()
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                value[next(iter(value), 0) if isinstance(value, Mapping) else 0] = None
+            if isinstance(value, Mapping):
+                stack += value.values()
+            elif isinstance(value, tuple):
+                stack += value
         for name in (*vars(idx), "new_layout"):
             with pytest.raises(AttributeError):
                 setattr(idx, name, None)

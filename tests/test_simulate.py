@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -254,19 +256,69 @@ def test_caller_generator_draws_one_uniform_per_site(name, max_nodes):
         assert bits.state == given.bit_generator.state
 
 
-def test_draw_plan_built_once_per_grammar(monkeypatch):
-    grammar4 = gr.load_grammar(GRAMMAR4)
+def test_draw_table_built_once_per_grammar(monkeypatch):
     built = []
-    draw_plan = sim.draw_plan
+    build = ex.SiteIndex.draw_table.func
 
-    def counting(g):
-        built.append(g)
-        return draw_plan(g)
+    def counting(idx):
+        built.append(idx)
+        return build(idx)
 
-    monkeypatch.setattr(sim, "draw_plan", counting)
+    table = functools.cached_property(counting)
+    table.__set_name__(ex.SiteIndex, "draw_table")
+    monkeypatch.setattr(ex.SiteIndex, "draw_table", table)
+    # the sampler first, then the enumerator, and the other way round
+    first, second = gr.load_grammar(GRAMMAR4), gr.load_grammar(GRAMMAR4)
     for seed in range(5):
-        sim.sample_derivation(grammar4, seed=seed)
-    assert built == [grammar4]
+        sim.sample_derivation(first, seed=seed)
+    assert built == [first.index]
+    sim.enumerate_derivations(first, 2)
+    sim.enumerate_derivations(second, 2)
+    assert built == [first.index, second.index]
+    for seed in range(5):
+        sim.sample_derivation(second, seed=seed)
+    assert built == [first.index, second.index]
+    assert first.index.draw_table is first.index.draw_table
+
+
+def shortfall_grammar():
+    """Start tree t1 whose site X rewrites to t2 at 0.5, stays nil at
+    0.5 - 4e-10 and rewrites to t3 at 0.0: a mass 4e-10 short of 1, within
+    PROPERNESS_TOL, whose last entry has probability 0."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["children"] = [
+        {"label": "A", "site": "X", "children": [{"anchor": "a"}]}]
+    doc["trees"] += [{"id": tid, "type": "auxiliary", "root": {
+        "label": "A", "children": [{"anchor": leaf}, {"foot": "A"}]}}
+        for tid, leaf in (("t2", "b"), ("t3", "c"))]
+    doc["phi"] = [{"site": "X", "tree": "t2", "prob": 0.5},
+                  {"site": "X", "tree": None, "prob": 0.5 - 4e-10},
+                  {"site": "X", "tree": "t3", "prob": 0.0}]
+    return parse(doc)
+
+
+def test_site_shortfall_goes_to_the_last_positive_entry():
+    g = shortfall_grammar()
+    assert [d.tree_id for d in gr.validate(g) if d.code == gr.UNREACHABLE_TREE] == ["t3"]
+    d = sim.sample_derivation(g, seed=ScriptedRNG([0.0, 1 - 1e-10]))
+    assert d.complete and d.root.children == {"X": None}
+    assert d.probability == 0.5 - 4e-10
+    # below the shortfall the draws are those of a scan of every entry
+    for u, child in [(0.25, "t2"), (0.5, None), (1 - 4e-10 - 2**-53, None)]:
+        d = sim.sample_derivation(g, seed=ScriptedRNG([0.0, u]), max_depth=1)
+        assert getattr(d.root.children["X"], "tree_id", None) == child
+
+
+def test_start_shortfall_goes_to_the_last_positive_start_tree():
+    doc = minimal_document()
+    doc["trees"] = [{"id": f"t{j}", "type": "initial",
+                     "root": {"label": "S", "children": [{"anchor": "a"}]}} for j in range(1, 8)]
+    g = parse(doc)
+    weights = {f"t{j}": 1.0 for j in range(1, 7)} | {"t7": 0.0}
+    _, probs = ex.start_law(g, weights)
+    assert list(itertools.accumulate(probs.tolist()))[-1] == 1 - 2**-53
+    d = sim.sample_derivation(g, seed=ScriptedRNG([1 - 2**-53]), start_weights=weights)
+    assert (d.root.tree_id, d.probability, d.complete) == ("t6", 1 / 6, True)
 
 
 def test_start_law():
