@@ -45,8 +45,8 @@ EMIT_BATCH = 1 << 16  # characters per write: a write per JSON chunk costs a sys
 # the deepest --max-depth enumerate writes out: the JSON encoder takes two frames a level
 # of a derivation, and about 496 levels fit the default recursion limit (3.10-3.13)
 ENUMERATE_DEPTH_CAP = 400
-# the most --samples simulate runs: memory stays bounded by the sample block,
-# but the time grows with the samples (about a minute for 10^8 on grammar4.json)
+# the most --samples simulate runs: memory stays bounded by the workers' sample
+# blocks, but the time grows with the samples (about a minute for 10^8 on grammar4.json)
 SIMULATE_SAMPLES_CAP = 10**8
 
 

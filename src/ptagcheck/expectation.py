@@ -72,7 +72,8 @@ class SiteIndex:
     k, which reduce q plus a trailing 1.0 to those trees' products and a
     last 1.0; and tree_slot and entry_slot, the slot there of each tree and
     of each phi entry's tree (the last for a tree without sites).
-    rewrite_graph, reachable, finishes and draw_table are built on first use.
+    rewrite_graph, reachable, finishes, draw_table and start_draw are built
+    on first use.
     bad_site is the first site, in canonical order, that is improper or has
     a phi entry (nil included) that is negative, NaN or infinite, or None
     when there is none.
@@ -147,6 +148,14 @@ class SiteIndex:
         ends = self.tree_start.tolist()
         return MappingProxyType({t: tuple(draws[a:b])
                                  for t, a, b in zip(self.tree_ids, ends, ends[1:])})
+
+    @cached_property
+    def start_draw(self):
+        """Read-only *_inverse_cdf of the uniform start law, as (start tree
+        position, prob) choices: the start draw of a sampler given no start
+        weights, the same floats as start_law's.  Empty without start trees."""
+        n = len(self.starts)
+        return _inverse_cdf((j, 1.0 / n) for j in self.starts.tolist())
 
     @cached_property
     def reachable(self):

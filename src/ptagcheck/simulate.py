@@ -16,6 +16,7 @@ termination probabilities computed there.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -33,7 +34,11 @@ DEFAULT_MAX_NODES = 100_000
 FRONTIER_CAP = 10_000
 # estimate_termination's samples per block; at least the CLI's default --samples,
 # so a default simulate run is one block
-SAMPLE_BLOCK = 2**15
+SAMPLE_BLOCK = 2**14
+# the most threads estimate_termination runs its sample blocks on, the calling
+# thread included; each holds one block at a time, so at most
+# WORKERS * SAMPLE_BLOCK = 2^15 samples are in memory at once
+WORKERS = 2
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -139,6 +144,15 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
+def usable_cpus():
+    """The CPUs this process may run on: with WORKERS and the block count,
+    the number of threads estimate_termination runs on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _uniforms(rng):
     """rng's uniforms one by one, drawn in blocks of 16 doubling to 4096: the
     same doubles in the same order as one rng.random() call each."""
@@ -164,14 +178,16 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
 
     Each draw takes one uniform and picks by inverse CDF among the choices
     of positive probability (expectation._inverse_cdf): a site's entries in
-    g.index.draw_table, which the enumerator reads too, or the start trees.
-    A uniform past every running sum, where a mass short of 1 leaves room,
-    picks the last such choice, so no draw has probability 0.  A Generator
-    made here (from an int, None or a SeedSequence) yields its uniforms in
-    blocks, the same doubles as one random() call per draw; a caller's
-    Generator, BitGenerator or scripted double gets one random() call per
-    draw, so it ends where one call per draw leaves it.  phi breaking the
-    SiteIndex input contract raises ValueError.
+    g.index.draw_table, which the enumerator reads too, or the start trees
+    (g.index.start_draw under the uniform law, built once per grammar; per
+    call for start_weights).  A uniform past every running sum, where a
+    mass short of 1 leaves room, picks the last such choice, so no draw has
+    probability 0.  A Generator made here (from an int, None or a
+    SeedSequence) yields its uniforms in blocks, the same doubles as one
+    random() call per draw; a caller's Generator, BitGenerator or scripted
+    double gets one random() call per draw, so it ends where one call per
+    draw leaves it.  phi breaking the SiteIndex input contract raises
+    ValueError.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -183,8 +199,11 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
         draw = rng.random
     else:
         draw = _uniforms(rng).__next__
-    positions, start_probs = start_law(g, start_weights)
-    sums, starts = _inverse_cdf(zip(positions.tolist(), start_probs.tolist()))
+    if start_weights is None and len(g.index.starts):
+        sums, starts = g.index.start_draw  # the uniform law's, built once per grammar
+    else:  # start_law raises without start trees or on bad weights
+        positions, start_probs = start_law(g, start_weights)
+        sums, starts = _inverse_cdf(zip(positions.tolist(), start_probs.tolist()))
     chosen, probability = starts[bisect_right(sums, draw())]
     root = DerivationNode(g.index.tree_ids[chosen], 0)
     complete = True
@@ -411,14 +430,27 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     q_max^FRONTIER_CAP, vanishingly small, so the censoring bias is far
     under sampling noise.
 
-    The samples run in consecutive blocks of SAMPLE_BLOCK, all drawn from
-    the one Generator: each block draws its own start trees, runs the level
-    loop until its samples have all left, and adds to four int totals (the
-    two counts and the depth and yield sums of the terminated).  No array
-    outlives its block, so memory is bounded by the block, not by samples.
-    A run of at most one block draws what one lockstep run of all samples
-    would; a longer run draws in another order, from the same distribution,
-    since the samples are i.i.d.
+    The samples run in blocks of SAMPLE_BLOCK, the last one short, each
+    drawn from its own stream.  rng, the Generator default_rng(seed) gives
+    (a caller's Generator itself), first draws blocks - 1 integers below
+    2^63; block b >= 1 draws from default_rng of the b-th, and block 0 from
+    rng.  So the streams follow from rng's state alone, whatever its
+    SeedSequence.  Each block draws its own start trees, runs the level
+    loop until its samples have all left, and yields four int totals (the
+    two counts and the depth and yield sums of the terminated), which are
+    summed.  The blocks run on min(usable_cpus(), blocks, WORKERS) threads:
+    worker w runs blocks w, w + workers, ... in turn, the calling thread
+    being worker 0, and the rest run on a thread pool that the call starts
+    and joins.  numpy's draws release the GIL, so the threads' draws
+    overlap.  A block's stream fixes its totals and an int sum does not
+    depend on the order of its terms, so the stats depend on neither the
+    number of threads nor the order in which blocks finish.  No array
+    outlives its block, so memory is bounded by workers x one block, not
+    by samples.  A run of at most one block draws no seed, starts no thread
+    and draws what one lockstep run of all samples would; a longer run draws other
+    numbers, from the same distribution, since the samples are i.i.d.  An
+    exception in one block stops the other workers at their next block and
+    propagates once all have stopped.
 
     Within a block only what is alive keeps state: ``born`` has one row per
     tree that some live sample bore at the last level (their tree ids
@@ -459,8 +491,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     laws = {}  # tree -> per site, (target, p) for one target, else (targets, pvals)
 
     def site_laws(t):
-        if t not in laws:
-            laws[t] = []
+        if (built := laws.get(t)) is None:
+            built = []
             for j in range(index.tree_start[t], index.tree_start[t + 1]):
                 entries = slice(index.entry_start[j], index.entry_start[j + 1])
                 positive = index.positive[entries]  # a zero-probability entry rewrites nothing
@@ -470,14 +502,17 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                     # multinomial draws a law of two outcomes as the one
                     # binomial(n, pvals[0]); binomial's check p <= 1 holds,
                     # since the mass is fl(p + nil) >= p and rounding is monotone
-                    laws[t].append((targets[0], float(pvals[0])))
+                    built.append((targets[0], float(pvals[0])))
                 elif targets:  # a law of nil alone draws nothing in multinomial
-                    laws[t].append((targets, pvals))
-        return laws[t]
+                    built.append((targets, pvals))
+            # published whole, so another thread reads a tree's laws complete
+            # or not at all; two threads may both build them, equal
+            laws[t] = built
+        return built
 
-    def births(rows, born):
-        """(rows, born) one level on.  Its views of born end with the call, so
-        the caller's rebinding frees the old array."""
+    def births(rows, born, rng):
+        """(rows, born) one level on, drawn from rng.  Its views of born end
+        with the call, so the caller's rebinding frees the old array."""
         expanding = np.flatnonzero(site_count[rows]).tolist()
         trees = rows[expanding].tolist()
         next_rows = np.array(sorted({k for t in trees for k in graph[t]}), dtype=np.intp)
@@ -502,8 +537,9 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     # per tree its anchors and sites, int64 so that each level's product stays int64
     per_tree = np.stack((index.anchors, site_count)).astype(np.int64)
 
-    def block_totals(size):
-        """(terminated, censored, depth sum, yield sum) of size fresh samples."""
+    def block_totals(size, rng):
+        """(terminated, censored, depth sum, yield sum) of size fresh samples
+        drawn from rng."""
         start = positions[rng.choice(len(positions), size=size, p=start_probs)]
         n_term = n_cens = depth_sum = yield_sum = 0
         rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
@@ -513,7 +549,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
         for level in range(1, max_depth + 1):
             if not live_yields.size:
                 break
-            rows, born = births(rows, born)
+            rows, born = births(rows, born, rng)
             yields, pending = per_tree[:, rows] @ born
             live_yields += yields
             # pending sites past the cap censor, at max_depth every one does
@@ -540,9 +576,38 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                 rows, born = rows[alive], born[alive]
         return n_term, n_cens, depth_sum, yield_sum
 
-    blocks = (block_totals(min(SAMPLE_BLOCK, samples - first))
-              for first in range(0, samples, SAMPLE_BLOCK))
-    n_term, n_cens, depth_sum, yield_sum = map(sum, zip(*blocks))
+    sizes = [min(SAMPLE_BLOCK, samples - first) for first in range(0, samples, SAMPLE_BLOCK)]
+    # block b >= 1 draws from a Generator seeded by rng's b-th draw below
+    # 2^63, block 0 from rng after those draws: the streams follow from rng's
+    # state alone, and a run of one block draws no seed, so it draws what one
+    # lockstep run draws
+    seeds = rng.integers(2**63, size=len(sizes) - 1).tolist()
+    streams = [rng, *map(np.random.default_rng, seeds)]
+    workers = min(usable_cpus(), len(sizes), WORKERS)
+    failed = []  # set by a group that raises, so that the others stop at their next block
+
+    def group(first):
+        """The summed totals of blocks first, first + workers, ... in turn."""
+        sums = (0, 0, 0, 0)
+        try:
+            for b in range(first, len(sizes), workers):
+                if failed:
+                    break
+                sums = tuple(map(sum, zip(sums, block_totals(sizes[b], streams[b]))))
+        except BaseException:
+            failed.append(first)
+            raise
+        return sums
+
+    if workers == 1:
+        groups = [group(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        # the calling thread runs group 0; leaving the pool waits for its threads
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(group, first) for first in range(1, workers)]
+            groups = [group(0), *(other.result() for other in others)]
+    n_term, n_cens, depth_sum, yield_sum = map(sum, zip(*groups))
     mean_depth = depth_sum / n_term if n_term else math.nan
     mean_yield = yield_sum / n_term if n_term else math.nan
     return SimulationStats(samples, n_term, n_cens, n_term / samples, mean_depth, mean_yield,

@@ -42,7 +42,8 @@ def test_site_index_is_read_only(grammar4):
     for g in (grammar4, segment_edge_grammar(), random_proper_grammar(7),
               parse(minimal_document()), parse(nil_only)):
         idx = g.index
-        idx.rewrite_graph, idx.reachable, idx.finishes, idx.draw_table  # the lazy layouts too
+        # the lazy layouts too
+        idx.rewrite_graph, idx.reachable, idx.finishes, idx.draw_table, idx.start_draw
         arrays = {name: a for name, a in vars(idx).items() if isinstance(a, np.ndarray)}
         assert {"tree_start", "site", "tree", "prob", "positive", "nil", "anchors", "starts",
                 "mass", "improper", "reachable", "finishes"} <= arrays.keys()
@@ -58,7 +59,7 @@ def test_site_index_is_read_only(grammar4):
         # every other attribute, and every tuple or mapping in it, refuses item assignment
         others = {name: a for name, a in vars(idx).items() if name not in arrays}
         assert {"ids", "tree_ids", "position", "bad_site", "rewrite_graph",
-                "draw_table"} <= others.keys()
+                "draw_table", "start_draw"} <= others.keys()
         stack = list(others.values())
         while stack:
             value = stack.pop()

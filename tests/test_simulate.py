@@ -2,10 +2,15 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +22,7 @@ from ptagcheck import cli
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (GRAMMAR2, GRAMMAR4, branching_family, critical_chain,
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, branching_family, critical_chain,
                       duplicate_target_grammar, minimal_document, parse, pinned_grammar,
                       random_proper_grammar, segment_edge_grammar, synth_grammar,
                       two_site_start_grammar, two_siteless_start_grammar)
@@ -279,6 +284,24 @@ def test_draw_table_built_once_per_grammar(monkeypatch):
         sim.sample_derivation(second, seed=seed)
     assert built == [first.index, second.index]
     assert first.index.draw_table is first.index.draw_table
+
+
+def test_start_draw_is_built_once_from_the_uniform_start_law(monkeypatch):
+    # without start weights the sampler draws its start tree from a lazy
+    # layout of the index, the inverse CDF of start_law's floats, built once
+    for name in ("grammar4", "random0", "random38", "two_siteless_start"):
+        g = pinned_grammar(name)
+        positions, probs = ex.start_law(g)
+        assert g.index.start_draw == ex._inverse_cdf(zip(positions.tolist(), probs.tolist()))
+    no_start = minimal_document()
+    no_start["start"] = "Z"
+    with pytest.raises(ValueError, match="no initial tree rooted in 'Z'"):
+        sim.sample_derivation(parse(no_start), seed=0)
+    g = gr.load_grammar(GRAMMAR4)
+    monkeypatch.setattr(sim, "start_law", None)  # nor is the law rebuilt per call
+    assert [sim.sample_derivation(g, seed=s).root.tree_id for s in range(6)] == \
+        [g.index.tree_ids[g.index.start_draw[1][0][0]]] * 6
+    assert g.index.start_draw is g.index.start_draw
 
 
 def shortfall_grammar():
@@ -1013,39 +1036,151 @@ def totals(stats):
 
 @pytest.mark.parametrize("name,max_depth", [("grammar4", 200), ("grammar2", 3)])
 def test_estimate_runs_in_sample_blocks(name, max_depth):
-    # a run longer than a block is its blocks run one after another on the
-    # one Generator, the last one short
+    # a run longer than a block first draws one seed per later block from
+    # the caller's Generator; blocks 1 and 2 draw from default_rng of those
+    # seeds, the last one short, and block 0 from the caller's Generator,
+    # which ends where the seeds and block 0 leave it
     g = pinned_grammar(name)
-    whole = sim.estimate_termination(g, 2 * sim.SAMPLE_BLOCK + 123, max_depth,
-                                     seed=np.random.default_rng(5))
+    caller = np.random.default_rng(5)
+    whole = sim.estimate_termination(g, 2 * sim.SAMPLE_BLOCK + 123, max_depth, seed=caller)
     rng = np.random.default_rng(5)
-    parts = [totals(sim.estimate_termination(g, n, max_depth, seed=rng))
-             for n in (sim.SAMPLE_BLOCK, sim.SAMPLE_BLOCK, 123)]
+    streams = [rng, *map(np.random.default_rng, rng.integers(2**63, size=2).tolist())]
+    parts = [totals(sim.estimate_termination(g, n, max_depth, seed=stream))
+             for n, stream in zip((sim.SAMPLE_BLOCK, sim.SAMPLE_BLOCK, 123), streams)]
     assert totals(whole) == tuple(map(sum, zip(*parts)))
+    assert caller.bit_generator.state == rng.bit_generator.state
     assert 0 < whole.terminated and (0 < whole.censored) == (name == "grammar2")
 
 
-def test_estimate_memory_is_bounded_by_the_block():
-    # 2.0 MB traced for one block and for four; 8.0 MB for four when all the
-    # samples ran in lockstep.  A first small run leaves out what the first
-    # call allocates once
+@pytest.mark.parametrize("make", [
+    lambda: np.random.SeedSequence(3),
+    lambda: np.random.Generator(np.random.PCG64(3).jumped()),
+], ids=["seed_sequence", "jumped_generator"])
+def test_estimate_streams_follow_from_the_generator_state(make, monkeypatch):
+    # a two-block run gives the same stats from one SeedSequence passed
+    # twice, whose spawn counter a spawned stream would move, and from two
+    # equal jumped Generators, whose SeedSequence holds fresh OS entropy
+    monkeypatch.setattr(sim, "SAMPLE_BLOCK", 300)
+    g = pinned_grammar("grammar4")
+    seed = make()
+    first = sim.estimate_termination(g, 500, 40, seed=seed)
+    again = sim.estimate_termination(g, 500, 40, seed=seed if isinstance(seed, np.random.SeedSequence)
+                                     else make())
+    assert repr(first) == repr(again)
+
+
+def test_estimate_memory_is_bounded_by_the_block(monkeypatch):
+    # each worker holds one block at a time: 0.88 MB traced for one block of
+    # 2^14, for four on one worker 0.88-0.90 MB and for four on two 1.77-1.82
+    # MB.  A first small run, and the pool's import, leave out what the
+    # first call allocates once
+    import concurrent.futures  # noqa: F401
     g = pinned_grammar("grammar4")
     sim.estimate_termination(g, 100, 200, seed=0)
-    peaks = []
-    for blocks in (1, 4):
+
+    def peak(blocks):
         tracemalloc.start()
         try:
             sim.estimate_termination(g, blocks * sim.SAMPLE_BLOCK, 200, seed=0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0]
+    one = peak(1)
+    workers = min(sim.usable_cpus(), 4, sim.WORKERS)
+    assert peak(4) <= 1.25 * workers * one
+    monkeypatch.setattr(sim, "WORKERS", 1)
+    assert peak(4) <= 1.25 * one
 
 
 def test_cli_default_samples_fit_one_block():
     # so a default simulate run draws what one lockstep run of its samples does
     args = cli._build_parser().parse_args(["simulate", str(GRAMMAR4)])
     assert sim.SAMPLE_BLOCK >= args.samples
+
+
+@pytest.mark.parametrize("name", ["grammar2", "grammar4", "syn130", "random0"])
+def test_estimate_stats_do_not_depend_on_the_workers(name, monkeypatch):
+    # each block draws from its own stream and the totals are int sums, so
+    # one, two or three threads give the same stats and leave no thread
+    # behind; small blocks keep it fast, and enough CPUs let WORKERS decide
+    import concurrent.futures
+    g = pinned_grammar(name)
+    if name == "random0":  # a site with several targets draws a multinomial
+        assert np.bincount(g.index.site[g.index.positive]).max() > 1
+    monkeypatch.setattr(sim, "SAMPLE_BLOCK", 300)
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    baseline = threading.active_count()
+    stats = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sim, "WORKERS", workers)
+        stats.append(repr(sim.estimate_termination(g, 2000, 40, seed=7)))
+        assert threading.active_count() == baseline
+    assert stats[1:] == stats[:1] * 2
+    assert pools == [1, 2]  # the calling thread is a worker too
+
+
+def failing_default_rng(fail):
+    """default_rng whose stream of block `fail` raises numpy's MemoryError
+    at its start-tree draw, the first draw of a block: the first Generator
+    made is block 0's, the b-th after it block b's."""
+    real = np.random.default_rng
+    made = []
+
+    class Stream:
+        def __init__(self, seed):
+            self.rng, self.block = real(seed), len(made)
+            made.append(self)
+
+        def choice(self, *args, **kwargs):
+            if self.block == fail:
+                raise MemoryError("Unable to allocate 7.45 GiB for an array")
+            return self.rng.choice(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+    return Stream
+
+
+@pytest.mark.parametrize("fail", [0, 1, 3])
+def test_memory_error_in_one_block_propagates(fail, monkeypatch):
+    # four blocks on two workers: the calling thread's first block, the
+    # pool thread's first or its last.  The error leaves the call once both
+    # workers have stopped, and the CLI reports it as a cap hit
+    monkeypatch.setattr(sim, "SAMPLE_BLOCK", 300)
+    monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(np.random, "default_rng", failing_default_rng(fail))
+    g = pinned_grammar("grammar4")
+    baseline = threading.active_count()
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        sim.estimate_termination(g, 1200, 40, seed=0)
+    assert threading.active_count() == baseline
+    monkeypatch.setattr(np.random, "default_rng", failing_default_rng(fail))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["simulate", str(GRAMMAR4), "--samples", "1200"], out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", "OUT_OF_MEMORY: Unable to allocate 7.45 GiB for an array\n")
+    assert threading.active_count() == baseline
+
+
+def test_default_simulate_never_imports_concurrent_futures():
+    # a default run is one block, run on the calling thread: no pool is loaded
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "ptagcheck.cli",
+                           "simulate", str(GRAMMAR4)], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0 and json.loads(done.stdout)["samples"] == 10_000
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ptagcheck.simulate" in imported
+    assert not {m for m in imported if m.split(".")[0] == "concurrent"}
 
 
 @pytest.mark.parametrize("entries", [[("t2", -0.1), (None, 1.1)], [("t2", math.nan)],
@@ -1176,8 +1311,9 @@ ESTIMATE_CASES = [
     ("random0", 3000, 40, 0, {"start_weights": {"t1": 1.0, "t2": 3.0}}),
     ("syn130", 2000, 200, 1, {}),
     # grammar2 almost never terminates: the cases above leave every sample
-    # censored, this one terminates 45; its seven sample blocks pin the order
-    # in which a run longer than SAMPLE_BLOCK draws
+    # censored, this one terminates 42; its 13 sample blocks pin the
+    # streams a run longer than SAMPLE_BLOCK draws from (recorded with one
+    # stream per block, seeded from the Generator's draws)
     ("grammar2", 200_000, 40, 2, {}),
 ] + [
     # start trees without sites, which end at level 1 with depth 0: two of
@@ -1240,7 +1376,7 @@ ESTIMATE_DIGESTS = [
     "8dc259b99cc44597a6d5b4492cefde346ccd42de48f0ae598c4687c368372084",
     "890e2fab169974dc963962814d1c5363e5a1a7f92c28463d32eea8944d4eed47",
     "212c58dfeca0eff36c1b7b48b093f1489e210f2f033b53055c5e14e1f558d08d",
-    "204e8ab89eeb1809af26b8ce173f91a5df056928b98417cdf1149daf5accd4cd",
+    "8c65d7f056bb55070dc31fe1ac6b89e195cf7e87833c4714d73f92d188234ba2",
     "328fba882347fe58e6876550e436e5aec25397286c9ed4ef6a883ce5932fcae0",
     "924ba3ca31108709af25e289ae37b259fb8bf433abad872efd6ec997783110c5",
     "4861568bd01ced5318ab9422a4d8952f24a44132fd912497a28ea8184dfae4cf",
