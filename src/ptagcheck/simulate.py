@@ -32,12 +32,20 @@ RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
 # pending sites past which estimate_termination censors a sample
 FRONTIER_CAP = 10_000
-# estimate_termination's samples per block; at least the CLI's default --samples,
-# so a default simulate run is one block
+# the most int64 cells one estimate_termination block may hold: a block takes
+# at most BLOCK_CELLS // (trees + SAMPLE_CELLS) samples, since a live sample
+# holds at most one cell per tree in born and SAMPLE_CELLS in its other
+# arrays (start tree, yield, pending sites, draws; 6.2-7.3 cells in all
+# traced on grammar2, grammar4 and a 22-tree grammar)
+BLOCK_CELLS = 2**22
+SAMPLE_CELLS = 8
+# estimate_termination runs at most this many samples as one block, and no
+# block's cap falls below it; at least the CLI's default --samples, so a
+# default simulate run is one block
 SAMPLE_BLOCK = 2**14
 # the most threads estimate_termination runs its sample blocks on, the calling
-# thread included; each holds one block at a time, so at most
-# WORKERS * SAMPLE_BLOCK = 2^15 samples are in memory at once
+# thread included; a run of more than one block has a multiple of WORKERS
+# blocks, and each thread holds one block at a time
 WORKERS = 2
 
 
@@ -415,6 +423,22 @@ def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
 # ---------------------------------------------------------------------------
 # termination estimation
 
+def _block_sizes(samples, trees):
+    """The sample count of each block of an estimate_termination run of
+    samples on a grammar of trees trees.  Up to SAMPLE_BLOCK samples it is
+    one block; past it, the fewest blocks, a multiple of WORKERS, of at most
+    max(SAMPLE_BLOCK, BLOCK_CELLS // (trees + SAMPLE_CELLS)) samples each,
+    their sizes differing by at most 1, the larger first.  It reads neither
+    the CPUs nor a random stream, so a run's blocks are the same on every
+    machine."""
+    if samples <= SAMPLE_BLOCK:
+        return [samples]
+    most = max(SAMPLE_BLOCK, BLOCK_CELLS // (trees + SAMPLE_CELLS))
+    blocks = WORKERS * -(-samples // (WORKERS * most))
+    size, larger = divmod(samples, blocks)
+    return [size + 1] * larger + [size] * (blocks - larger)
+
+
 def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     """Monte Carlo estimate of the termination (extinction) probability.
 
@@ -430,27 +454,34 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     q_max^FRONTIER_CAP, vanishingly small, so the censoring bias is far
     under sampling noise.
 
-    The samples run in blocks of SAMPLE_BLOCK, the last one short, each
-    drawn from its own stream.  rng, the Generator default_rng(seed) gives
-    (a caller's Generator itself), first draws blocks - 1 integers below
-    2^63; block b >= 1 draws from default_rng of the b-th, and block 0 from
-    rng.  So the streams follow from rng's state alone, whatever its
-    SeedSequence.  Each block draws its own start trees, runs the level
-    loop until its samples have all left, and yields four int totals (the
-    two counts and the depth and yield sums of the terminated), which are
-    summed.  The blocks run on min(usable_cpus(), blocks, WORKERS) threads:
-    worker w runs blocks w, w + workers, ... in turn, the calling thread
-    being worker 0, and the rest run on a thread pool that the call starts
-    and joins.  numpy's draws release the GIL, so the threads' draws
-    overlap.  A block's stream fixes its totals and an int sum does not
-    depend on the order of its terms, so the stats depend on neither the
-    number of threads nor the order in which blocks finish.  No array
-    outlives its block, so memory is bounded by workers x one block, not
-    by samples.  A run of at most one block draws no seed, starts no thread
-    and draws what one lockstep run of all samples would; a longer run draws other
-    numbers, from the same distribution, since the samples are i.i.d.  An
-    exception in one block stops the other workers at their next block and
-    propagates once all have stopped.
+    The samples run in the blocks that _block_sizes(samples, trees) lays
+    out: one block up to SAMPLE_BLOCK samples, else a multiple of WORKERS
+    blocks of equal size (within 1), each holding at most BLOCK_CELLS
+    cells or SAMPLE_BLOCK samples.  So on a small grammar a run is one
+    lockstep block per worker up to WORKERS x BLOCK_CELLS // (trees +
+    SAMPLE_CELLS) samples (838,860 on grammar2's 2 trees), and from 248
+    trees on no block passes SAMPLE_BLOCK.  The layout depends on samples
+    and the grammar alone, not on the machine.  Each block draws from its
+    own stream.  rng, the Generator default_rng(seed) gives (a caller's
+    Generator itself), first draws blocks - 1 integers below 2^63; block
+    b >= 1 draws from default_rng of the b-th, and block 0 from rng.  So
+    the streams follow from rng's state alone, whatever its SeedSequence.
+    Each block draws its own start trees, runs the level loop until its
+    samples have all left, and yields four int totals (the two counts and
+    the depth and yield sums of the terminated), which are summed.  The
+    blocks run on min(usable_cpus(), blocks, WORKERS) threads: worker w
+    runs blocks w, w + workers, ... in turn, the calling thread being
+    worker 0, and the rest run on a thread pool that the call starts and
+    joins.  numpy's draws release the GIL, so the threads' draws overlap.
+    A block's stream fixes its totals and an int sum does not depend on
+    the order of its terms, so the stats depend on neither the number of
+    threads nor the order in which blocks finish.  No array outlives its
+    block, so memory is bounded by workers x one block, not by samples.  A
+    run of at most SAMPLE_BLOCK samples draws no seed, starts no thread and
+    draws what one lockstep run of all samples would; a longer run draws
+    other numbers, from the same distribution, since the samples are
+    i.i.d.  An exception in one block stops the other workers at their
+    next block and propagates once all have stopped.
 
     Within a block only what is alive keeps state: ``born`` has one row per
     tree that some live sample bore at the last level (their tree ids
@@ -576,7 +607,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                 rows, born = rows[alive], born[alive]
         return n_term, n_cens, depth_sum, yield_sum
 
-    sizes = [min(SAMPLE_BLOCK, samples - first) for first in range(0, samples, SAMPLE_BLOCK)]
+    sizes = _block_sizes(samples, len(index.tree_ids))
     # block b >= 1 draws from a Generator seeded by rng's b-th draw below
     # 2^63, block 0 from rng after those draws: the streams follow from rng's
     # state alone, and a run of one block draws no seed, so it draws what one

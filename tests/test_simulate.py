@@ -1034,19 +1034,53 @@ def totals(stats):
             total(stats.mean_yield_length))
 
 
+def test_block_layout(monkeypatch):
+    # the sizes sum to samples and differ by at most 1, past one block their
+    # count is a multiple of WORKERS, a run of at most SAMPLE_BLOCK is one
+    # block, and at 5,000 synthetic sites no block passes SAMPLE_BLOCK
+    big = len(synth_grammar(1, 5000).index.tree_ids)
+    assert big == 3481
+    runs = [(n, trees) for n in (1, 999, sim.SAMPLE_BLOCK, sim.SAMPLE_BLOCK + 1, 10**4, 10**5,
+                                 200_000, 300_000, 838_861, 10**6, 12_345_678)
+            for trees in (1, 2, 3, 92, 247, 248, 249, 1000, big)]
+    layouts = {run: sim._block_sizes(*run) for run in runs}
+    for (n, trees), sizes in layouts.items():
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == 1 or len(sizes) % sim.WORKERS == 0
+        if n <= sim.SAMPLE_BLOCK:
+            assert sizes == [n]
+        if trees == big:
+            assert max(sizes) <= sim.SAMPLE_BLOCK
+        # the cells of a block: its samples times born's rows and their own arrays
+        assert max(sizes) * (trees + sim.SAMPLE_CELLS) <= sim.BLOCK_CELLS or (
+            max(sizes) <= sim.SAMPLE_BLOCK)
+    # one lockstep block per worker on the shipped grammars' montecarlo runs
+    assert layouts[200_000, 2] == [100_000] * 2 and layouts[300_000, 3] == [150_000] * 2
+    # the layout reads no CPU count, so it is the same on every machine
+    for cpus in (1, 3, 64):
+        monkeypatch.setattr(sim, "usable_cpus", lambda cpus=cpus: cpus)
+        assert {run: sim._block_sizes(*run) for run in runs} == layouts
+
+
 @pytest.mark.parametrize("name,max_depth", [("grammar4", 200), ("grammar2", 3)])
-def test_estimate_runs_in_sample_blocks(name, max_depth):
+def test_estimate_runs_in_sample_blocks(name, max_depth, monkeypatch):
     # a run longer than a block first draws one seed per later block from
-    # the caller's Generator; blocks 1 and 2 draw from default_rng of those
-    # seeds, the last one short, and block 0 from the caller's Generator,
-    # which ends where the seeds and block 0 leave it
+    # the caller's Generator; blocks 1-3 draw from default_rng of those
+    # seeds and block 0 from the caller's Generator, which ends where the
+    # seeds and block 0 leave it.  A cell budget of one SAMPLE_BLOCK of the
+    # grammar's trees lays the run out as four blocks of equal size
     g = pinned_grammar(name)
+    trees = len(g.index.tree_ids)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", sim.SAMPLE_BLOCK * (trees + sim.SAMPLE_CELLS))
+    samples = 2 * sim.SAMPLE_BLOCK + 123
+    sizes = sim._block_sizes(samples, trees)
+    assert sizes == [8223] * 3 + [8222]
     caller = np.random.default_rng(5)
-    whole = sim.estimate_termination(g, 2 * sim.SAMPLE_BLOCK + 123, max_depth, seed=caller)
+    whole = sim.estimate_termination(g, samples, max_depth, seed=caller)
     rng = np.random.default_rng(5)
-    streams = [rng, *map(np.random.default_rng, rng.integers(2**63, size=2).tolist())]
+    streams = [rng, *map(np.random.default_rng, rng.integers(2**63, size=3).tolist())]
     parts = [totals(sim.estimate_termination(g, n, max_depth, seed=stream))
-             for n, stream in zip((sim.SAMPLE_BLOCK, sim.SAMPLE_BLOCK, 123), streams)]
+             for n, stream in zip(sizes, streams)]
     assert totals(whole) == tuple(map(sum, zip(*parts)))
     assert caller.bit_generator.state == rng.bit_generator.state
     assert 0 < whole.terminated and (0 < whole.censored) == (name == "grammar2")
@@ -1070,18 +1104,22 @@ def test_estimate_streams_follow_from_the_generator_state(make, monkeypatch):
 
 
 def test_estimate_memory_is_bounded_by_the_block(monkeypatch):
-    # each worker holds one block at a time: 0.88 MB traced for one block of
-    # 2^14, for four on one worker 0.88-0.90 MB and for four on two 1.77-1.82
-    # MB.  A first small run, and the pool's import, leave out what the
-    # first call allocates once
+    # each worker holds one block at a time: with a cell budget of one block
+    # of 2^14 on grammar4, 0.88 MB traced for one block, for four on one
+    # worker 0.88-0.90 MB and for four on two 1.77-1.82 MB.  A first small
+    # run, and the pool's import, leave out what the first call allocates once
     import concurrent.futures  # noqa: F401
     g = pinned_grammar("grammar4")
+    trees = len(g.index.tree_ids)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", sim.SAMPLE_BLOCK * (trees + sim.SAMPLE_CELLS))
     sim.estimate_termination(g, 100, 200, seed=0)
 
     def peak(blocks):
+        samples = blocks * sim.SAMPLE_BLOCK
+        assert sim._block_sizes(samples, trees) == [sim.SAMPLE_BLOCK] * blocks
         tracemalloc.start()
         try:
-            sim.estimate_termination(g, blocks * sim.SAMPLE_BLOCK, 200, seed=0)
+            sim.estimate_termination(g, samples, 200, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1092,23 +1130,49 @@ def test_estimate_memory_is_bounded_by_the_block(monkeypatch):
     assert peak(4) <= 1.25 * one
 
 
+@pytest.mark.parametrize("name", ["grammar2", "grammar4", "syn130"])
+def test_estimate_memory_stays_within_the_cell_budget(name, monkeypatch):
+    # a block holds at most BLOCK_CELLS int64 cells, its born rows and its
+    # samples' own arrays, so four blocks of 25,000 on each worker in turn
+    # trace at most workers x BLOCK_CELLS x 8 bytes
+    g = pinned_grammar(name)
+    trees = len(g.index.tree_ids)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 2 * sim.SAMPLE_BLOCK * (trees + sim.SAMPLE_CELLS))
+    assert sim._block_sizes(10**5, trees) == [25_000] * 4
+    sim.estimate_termination(g, 100, 200, seed=0)
+    tracemalloc.start()
+    try:
+        sim.estimate_termination(g, 10**5, 200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    workers = min(sim.usable_cpus(), sim.WORKERS)
+    assert peak <= workers * sim.BLOCK_CELLS * np.dtype(np.int64).itemsize
+
+
 def test_cli_default_samples_fit_one_block():
-    # so a default simulate run draws what one lockstep run of its samples does
+    # so a default simulate run draws what one lockstep run of its samples
+    # does, on a grammar of any size
     args = cli._build_parser().parse_args(["simulate", str(GRAMMAR4)])
-    assert sim.SAMPLE_BLOCK >= args.samples
+    assert args.samples <= sim.SAMPLE_BLOCK
+    for trees in (1, 3, 3481, 10**6):
+        assert sim._block_sizes(args.samples, trees) == [args.samples]
 
 
 @pytest.mark.parametrize("name", ["grammar2", "grammar4", "syn130", "random0"])
 def test_estimate_stats_do_not_depend_on_the_workers(name, monkeypatch):
-    # each block draws from its own stream and the totals are int sums, so
-    # one, two or three threads give the same stats and leave no thread
-    # behind; small blocks keep it fast, and enough CPUs let WORKERS decide
+    # each block draws from its own stream, the totals are int sums and the
+    # layout reads no CPU count, so one, two or three threads give the same
+    # stats and leave no thread behind.  Blocks of at most 300 samples keep
+    # it fast, and three WORKERS let the CPUs decide the threads
     import concurrent.futures
     g = pinned_grammar(name)
     if name == "random0":  # a site with several targets draws a multinomial
         assert np.bincount(g.index.site[g.index.positive]).max() > 1
     monkeypatch.setattr(sim, "SAMPLE_BLOCK", 300)
-    monkeypatch.setattr(sim, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 0)
+    monkeypatch.setattr(sim, "WORKERS", 3)
+    assert len(sim._block_sizes(2000, len(g.index.tree_ids))) == 9
     pools = []
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
@@ -1118,8 +1182,8 @@ def test_estimate_stats_do_not_depend_on_the_workers(name, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     baseline = threading.active_count()
     stats = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(sim, "WORKERS", workers)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(sim, "usable_cpus", lambda cpus=cpus: cpus)
         stats.append(repr(sim.estimate_termination(g, 2000, 40, seed=7)))
         assert threading.active_count() == baseline
     assert stats[1:] == stats[:1] * 2
@@ -1150,11 +1214,13 @@ def failing_default_rng(fail):
 
 @pytest.mark.parametrize("fail", [0, 1, 3])
 def test_memory_error_in_one_block_propagates(fail, monkeypatch):
-    # four blocks on two workers: the calling thread's first block, the
-    # pool thread's first or its last.  The error leaves the call once both
-    # workers have stopped, and the CLI reports it as a cap hit
+    # four blocks of 300 on two workers: the calling thread's first block,
+    # the pool thread's first or its last.  The error leaves the call once
+    # both workers have stopped, and the CLI reports it as a cap hit
     monkeypatch.setattr(sim, "SAMPLE_BLOCK", 300)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 0)
     monkeypatch.setattr(sim, "usable_cpus", lambda: 2)
+    assert sim._block_sizes(1200, 3) == [300] * 4
     monkeypatch.setattr(np.random, "default_rng", failing_default_rng(fail))
     g = pinned_grammar("grammar4")
     baseline = threading.active_count()
@@ -1311,9 +1377,10 @@ ESTIMATE_CASES = [
     ("random0", 3000, 40, 0, {"start_weights": {"t1": 1.0, "t2": 3.0}}),
     ("syn130", 2000, 200, 1, {}),
     # grammar2 almost never terminates: the cases above leave every sample
-    # censored, this one terminates 42; its 13 sample blocks pin the
-    # streams a run longer than SAMPLE_BLOCK draws from (recorded with one
-    # stream per block, seeded from the Generator's draws)
+    # censored, this one terminates 49; its two blocks of 10^5, one per
+    # worker, pin the layout and the streams of a run longer than
+    # SAMPLE_BLOCK (recorded with one stream per block, seeded from the
+    # Generator's draws)
     ("grammar2", 200_000, 40, 2, {}),
 ] + [
     # start trees without sites, which end at level 1 with depth 0: two of
@@ -1376,7 +1443,7 @@ ESTIMATE_DIGESTS = [
     "8dc259b99cc44597a6d5b4492cefde346ccd42de48f0ae598c4687c368372084",
     "890e2fab169974dc963962814d1c5363e5a1a7f92c28463d32eea8944d4eed47",
     "212c58dfeca0eff36c1b7b48b093f1489e210f2f033b53055c5e14e1f558d08d",
-    "8c65d7f056bb55070dc31fe1ac6b89e195cf7e87833c4714d73f92d188234ba2",
+    "18d0e7fb0d05f9e4e194806c7cc2814d12a77fc162ee5e3cc6a01f1ccb51f3fe",
     "328fba882347fe58e6876550e436e5aec25397286c9ed4ef6a883ce5932fcae0",
     "924ba3ca31108709af25e289ae37b259fb8bf433abad872efd6ec997783110c5",
     "4861568bd01ced5318ab9422a4d8952f24a44132fd912497a28ea8184dfae4cf",
