@@ -225,6 +225,24 @@ class SparsePolynomial:
             coeffs[key] = coeffs.get(key, 0.0) + c * power
         return SparsePolynomial._of(self.nvars, coeffs, self._degree)
 
+    def partials_at_ones(self):
+        """{position: the partial derivative by that variable at all-ones}
+        for each variable that occurs, in one pass over the terms: each term
+        adds coefficient * power to the sum of each of its variables, from
+        0.0 and in term order, which are the additions that
+        partial(position).evaluate([1.0] * nvars) makes."""
+        top = self.nvars - 1
+        sums = {}
+        get = sums.get
+        for e, c in self._coeffs.items():
+            while e:
+                shift = (e.bit_length() - 1) & -DIGIT_BITS
+                power = e >> shift
+                position = top - shift // DIGIT_BITS
+                sums[position] = get(position, 0.0) + c * power
+                e ^= power << shift
+        return sums
+
     def substitute(self, replacements, term_cap=None):
         """Simultaneous substitution of one polynomial per variable.
 

@@ -82,6 +82,23 @@ def test_partial_derivative():
 def test_partial_of_constant_is_zero():
     p = SparsePolynomial.constant(4.0, 2)
     assert not p.partial(0)
+    assert p.partials_at_ones() == {}
+
+
+def test_partials_at_ones_match_each_partial_bit_for_bit():
+    # powers above 1, signed coefficients and sums that cancel: the one
+    # pass over the terms adds what each partial's evaluate adds
+    rng = random.Random(7)
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        p = poly(nvars, {tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars)):
+                         rng.choice((rng.uniform(-1, 1), 0.1, -0.1, 0.3))
+                         for _ in range(rng.randint(0, 12))})
+        got = p.partials_at_ones()
+        assert sorted(got) == p.variables()
+        ones = [1.0] * nvars
+        assert all(struct.pack("<d", value) == struct.pack("<d", p.partial(j).evaluate(ones))
+                   for j, value in got.items())
 
 
 def test_substitute_simultaneous():

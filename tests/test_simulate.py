@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import gc
@@ -23,9 +24,9 @@ from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
 from conftest import (GRAMMAR2, GRAMMAR4, REPO, branching_family, critical_chain,
-                      duplicate_target_grammar, minimal_document, parse, pinned_grammar,
-                      random_proper_grammar, segment_edge_grammar, synth_grammar,
-                      two_site_start_grammar, two_siteless_start_grammar)
+                      duplicate_target_grammar, finishing_sites, minimal_document, parse,
+                      pinned_grammar, random_proper_grammar, segment_edge_grammar,
+                      synth_grammar, two_site_start_grammar, two_siteless_start_grammar)
 
 
 class ScriptedRNG:
@@ -937,6 +938,112 @@ def test_enumerate_smallest_node_cap_pinned(name, depth, floor):
     if needed:  # no cap is below 0
         with pytest.raises(sim.EnumerationBudgetExceeded):
             sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed - 1)
+
+
+RefNode = collections.namedtuple("RefNode", "tree_id children")
+RefDerivation = collections.namedtuple("RefDerivation", "root probability")
+
+
+def reference_enumeration(g, max_depth, prob_floor=0.0):
+    """(derivations, partial expansions) of the exhaustive enumeration, in
+    plain floats and lists, top down by memoized recursion from g.phi and
+    g.trees alone; enumerate_derivations must match both.
+
+    A tree placed at level L draws at each of its sites, in site order, every
+    positive entry in document order: nil with its probability p, or each
+    expansion (sub, q) of the target at level L + 1 with p * q.  A target is
+    placed only if it can finish (finishing_sites), and at level max_depth
+    only if it has no site; every placed tree is expanded once, all its
+    sites' options first.  The combinations grow site by site, combinations
+    outer and options inner, keeping a pair whose product prob * (p * q) is
+    at least prob_floor; each kept pair is one partial expansion, so their
+    count is the smallest node_cap that passes.  A start tree's expansion
+    then carries the uniform start weight, and the floor applies again.
+    """
+    sites = {t.tree_id: [n.site_id for n in t.sites] for t in g.trees}
+    finishing = finishing_sites(g)
+    finishes = {t: finishing.issuperset(s) for t, s in sites.items()}
+    expanded, spent = {}, 0
+
+    def expansions(tree_id, level):
+        nonlocal spent
+        if (tree_id, level) in expanded:
+            return expanded[tree_id, level]
+        site_options = []
+        for site in sites[tree_id]:
+            options = []
+            for target, p in g.phi[site]:
+                p = float(p)
+                if p <= 0.0:
+                    continue
+                if target is None:
+                    options.append((None, p))
+                elif finishes[target] and (level + 1 < max_depth or not sites[target]):
+                    options += [(sub, p * q) for sub, q in expansions(target, level + 1)]
+            site_options.append(options)
+        combos = [({}, 1.0)]
+        for site, options in zip(sites[tree_id], site_options):
+            grown = []
+            for children, prob in combos:
+                for choice, q in options:
+                    if prob * q >= prob_floor:
+                        chosen = dict(children)
+                        chosen[site] = choice
+                        grown.append((chosen, prob * q))
+            spent += len(grown)
+            combos = grown
+        expanded[tree_id, level] = [(RefNode(tree_id, c), prob) for c, prob in combos]
+        return expanded[tree_id, level]
+
+    starts = [t.tree_id for t in g.trees if t.kind == "initial" and t.root.label == g.start]
+    w, derivations = 1.0 / len(starts), []
+    for tree_id in starts:
+        if finishes[tree_id]:
+            derivations += [RefDerivation(node, prob * w) for node, prob in expansions(tree_id, 0)
+                            if prob * w >= prob_floor]
+    return derivations, spent
+
+
+def reference_cases():
+    # a floor of 0.25 is met exactly by two_site_start's products of 0.5
+    for name in ("segment_edge", "duplicate_target", "two_site_start", "two_siteless_start"):
+        for depth in (1, 2, 3, 4):
+            for floor in (0.0, 1e-3, 0.25):
+                yield name, pinned_grammar(name), depth, floor
+    for seed in range(200):
+        g = random_proper_grammar(seed)
+        for depth in (1, 2, 3):
+            for floor in (0.0, 1e-3):
+                yield f"random{seed}", g, depth, floor
+
+
+def test_enumerate_matches_reference_enumeration():
+    # every derivation, its order and its probability's bits, and the
+    # smallest node_cap that passes, against the loop of plain floats
+    for name, g, depth, floor in reference_cases():
+        want, needed = reference_enumeration(g, depth, floor)
+        got = sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed)
+        assert (len(got), enumeration_digest(got)) == (len(want), enumeration_digest(want)), \
+            (name, depth, floor)
+        if needed:
+            with pytest.raises(sim.EnumerationBudgetExceeded):
+                sim.enumerate_derivations(g, depth, prob_floor=floor, node_cap=needed - 1)
+
+
+def test_enumerate_checks_node_cap_before_forming_all_products(grammar4):
+    # on grammar4 at depth 6, site A3 of t2 at level 2 pairs 976 partial
+    # expansions with 244 options: 238,144 products, 119 times the cap of
+    # 2,000, of which 1,522 are spent below it.  Formed whole they would
+    # take 1.9 MB; the enumerator forms them in chunks and stops at the
+    # first chunk past the cap (0.55 MB traced peak in all)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.EnumerationBudgetExceeded):
+            sim.enumerate_derivations(grammar4, 6, node_cap=2_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("enabled", [True, False])
