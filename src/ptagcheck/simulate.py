@@ -33,11 +33,13 @@ RNG_ALGORITHM = "PCG64"
 DEFAULT_MAX_NODES = 100_000
 # pending sites past which estimate_termination censors a sample
 FRONTIER_CAP = 10_000
-# the most int64 cells one estimate_termination block may hold: a block takes
-# at most BLOCK_CELLS // (trees + SAMPLE_CELLS) samples, since a live sample
-# holds at most one cell per tree in born and SAMPLE_CELLS in its other
-# arrays (start tree, yield, pending sites, draws; 6.2-7.3 cells in all
-# traced on grammar2, grammar4 and a 22-tree grammar)
+# the cells that size an estimate_termination block: a block takes at most
+# BLOCK_CELLS // (trees + SAMPLE_CELLS) samples, since a live sample holds at
+# most one cell per tree in born and SAMPLE_CELLS 8-byte cells in its other
+# arrays (start tree, yield, pending sites, draws; 6.2-7.3 in all traced on
+# grammar2, grammar4 and a 22-tree grammar with int64 counts).  A born cell
+# takes 4 bytes where _count_dtype gives int32 and 8 where it gives int64, so
+# a block that the budget sizes holds at most 8 x BLOCK_CELLS bytes (32 MiB)
 BLOCK_CELLS = 2**22
 SAMPLE_CELLS = 8
 # estimate_termination runs at most this many samples as one block, and no
@@ -473,6 +475,21 @@ def _block_sizes(samples, trees):
     return [size + 1] * larger + [size] * (blocks - larger)
 
 
+def _count_dtype(most_sites, most_anchors):
+    """The integer type of estimate_termination's counts on a grammar whose
+    trees hold at most most_sites sites and most_anchors anchors: int32 when
+    max(FRONTIER_CAP, most_sites) x max(most_sites, most_anchors) < 2^31,
+    else int64.  A sample's births at a level, and so every cell, draw and
+    column sum of born, are at most its pending sites at the level before:
+    at most FRONTIER_CAP for a sample that stayed, at most most_sites for a
+    start tree.  A level's pending sites and yield are at most that many
+    births times one tree's sites or anchors.  So no int32 count, sum or
+    int64 draw added into an int32 row can pass 2^31 - 1, and the stats
+    are those of int64 counts."""
+    bound = max(FRONTIER_CAP, most_sites) * max(most_sites, most_anchors)
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     """Monte Carlo estimate of the termination (extinction) probability.
 
@@ -533,10 +550,15 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     law is one multinomial, and a law of nil alone, for which multinomial
     draws nothing, is skipped.  A row with n = 0 or an entry with p = 0
     draws no random numbers, so the draws are those of keeping every tree,
-    sample and entry in every multinomial.  Per level one int64 product
-    gives the live samples' yields and pending sites; only at a level that
-    some sample leaves are the leavers counted, the rows of trees without
-    sites read for the depth of those that terminate, and born compressed.
+    sample and entry in every multinomial.  Per level one product of the
+    trees' anchor and site counts with born gives the live samples' yields
+    and pending sites; only at a level that some sample leaves are the
+    leavers counted, the rows of trees without sites read for the depth of
+    those that terminate, and born compressed.  born, its next level and
+    the trees' counts are of _count_dtype, picked once per call: int32,
+    4 bytes a cell, on every grammar whose trees have at most 10^4 sites
+    and 214,748 anchors, and int64 past its bound, with the same stats.
+    The live samples' yields are int64.
 
     mean_depth and mean_yield_length, over terminated samples (NaN when
     none terminate), are an int sum over a count, rounded once: the bits of
@@ -581,7 +603,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
         expanding = np.flatnonzero(site_count[rows]).tolist()
         trees = rows[expanding].tolist()
         next_rows = np.array(sorted({k for t in trees for k in graph[t]}), dtype=np.intp)
-        next_born = np.zeros((len(next_rows), born.shape[1]), dtype=np.int64)
+        next_born = np.zeros((len(next_rows), born.shape[1]), dtype=born.dtype)
         row_of = dict(zip(next_rows.tolist(), range(len(next_rows))))
         for r, t in zip(expanding, trees):
             row = born[r]
@@ -599,8 +621,10 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                         next_born[row_of[target]][samples_with] += draws[:, column]
         return next_rows, next_born
 
-    # per tree its anchors and sites, int64 so that each level's product stays int64
-    per_tree = np.stack((index.anchors, site_count)).astype(np.int64)
+    # per tree its anchors and sites, in born's type so that each level's
+    # product is one integer matmul of that type
+    count = _count_dtype(int(site_count.max()), int(index.anchors.max()))
+    per_tree = np.stack((index.anchors, site_count)).astype(count)
 
     def block_totals(size, rng):
         """(terminated, censored, depth sum, yield sum) of size fresh samples
@@ -608,8 +632,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
         start = positions[rng.choice(len(positions), size=size, p=start_probs)]
         n_term = n_cens = depth_sum = yield_sum = 0
         rows = np.flatnonzero(np.bincount(start, minlength=len(index.tree_ids)))
-        born = (rows[:, None] == start).astype(np.int64)
-        live_yields = per_tree[0, start]
+        born = (rows[:, None] == start).astype(count)
+        live_yields = per_tree[0, start].astype(np.int64)
         del start  # nothing as long as the samples outlives level 0
         for level in range(1, max_depth + 1):
             if not live_yields.size:

@@ -1116,20 +1116,64 @@ def test_negative_budgets_are_rejected(grammar4):
 
 
 def test_estimate_memory_stays_below_one_dense_array():
-    # born keeps rows only for the trees live samples bore, so the peak stays
-    # under one trees x samples int64 array (about 2.8 MB here)
+    # born keeps rows only for the trees live samples bore, in 4-byte cells,
+    # so after a first small run the peak stays under one eighth of a
+    # trees x samples int64 array (2.8 and 22.8 MB here): 0.077 and 0.084 of
+    # it traced, against 0.130 and 0.164 with int64 counts
     g = synth_grammar(1, 1000, mass=0.3)
-    samples = 500
-    dense = len(g.index.tree_ids) * samples * np.dtype(np.int64).itemsize
-    g.index
-    tracemalloc.start()
-    try:
-        stats = sim.estimate_termination(g, samples, 200, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stats.terminated == samples
-    assert peak < dense
+    sim.estimate_termination(g, 100, 200, seed=0)
+    for samples in (500, 4096):
+        dense = len(g.index.tree_ids) * samples * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            stats = sim.estimate_termination(g, samples, 200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.terminated == samples
+        assert peak < dense / 8, (samples, peak / dense)
+
+
+def test_count_dtype_bound():
+    # a sample's births at a level are at most its pending sites at the
+    # level before: FRONTIER_CAP for one that stayed, one tree's sites for a
+    # start tree.  A level's pending sites or yield are at most that times
+    # one tree's sites or anchors, so int32 holds every count while that
+    # product is below 2^31, and int64 takes over past it
+    cap = sim.FRONTIER_CAP
+    anchors = (2**31 - 1) // cap  # 214,748 at the cap of 10^4
+    assert sim._count_dtype(0, 0) is np.int32
+    assert sim._count_dtype(cap, anchors) is np.int32
+    assert sim._count_dtype(cap, anchors + 1) is np.int64
+    assert sim._count_dtype(anchors, 0) is np.int64  # a start tree's sites go uncapped
+    # past the cap a tree's sites bound the births as well as the sum
+    assert sim._count_dtype(46_340, 46_340) is np.int32
+    assert sim._count_dtype(46_341, 0) is np.int64
+    # every shipped and pinned grammar, and 5,000 synthetic sites, count in int32
+    for g in (*map(pinned_grammar, ("grammar2", "grammar4", "syn130")), synth_grammar(1, 5000)):
+        assert sim._count_dtype(int(g.index.sizes.max()), int(g.index.anchors.max())) is np.int32
+
+
+@pytest.mark.parametrize("name,samples,max_depth", [
+    ("grammar2", 3000, 40), ("grammar4", 3000, 40), ("syn130", 2000, 200),
+    ("grammar2", 2 * sim.SAMPLE_BLOCK + 123, 40)])
+def test_estimate_stats_do_not_depend_on_the_count_type(name, samples, max_depth, monkeypatch):
+    # int32 counts give the stats of int64 ones bit for bit; the last case
+    # runs four blocks under a cell budget of one SAMPLE_BLOCK of grammar2
+    g = pinned_grammar(name)
+    trees = len(g.index.tree_ids)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", sim.SAMPLE_BLOCK * (trees + sim.SAMPLE_CELLS))
+    assert len(sim._block_sizes(samples, trees)) == (4 if samples > sim.SAMPLE_BLOCK else 1)
+    chosen = []
+
+    def count_dtype(*most, pick=sim._count_dtype):
+        chosen.append(pick(*most))
+        return chosen[-1]
+    monkeypatch.setattr(sim, "_count_dtype", count_dtype)
+    narrow = repr(sim.estimate_termination(g, samples, max_depth, seed=3))
+    assert chosen == [np.int32]
+    monkeypatch.setattr(sim, "_count_dtype", lambda *most: np.int64)
+    assert repr(sim.estimate_termination(g, samples, max_depth, seed=3)) == narrow
 
 
 def totals(stats):
@@ -1212,8 +1256,8 @@ def test_estimate_streams_follow_from_the_generator_state(make, monkeypatch):
 
 def test_estimate_memory_is_bounded_by_the_block(monkeypatch):
     # each worker holds one block at a time: with a cell budget of one block
-    # of 2^14 on grammar4, 0.88 MB traced for one block, for four on one
-    # worker 0.88-0.90 MB and for four on two 1.77-1.82 MB.  A first small
+    # of 2^14 on grammar4, 0.71 MB traced for one block, for four on one
+    # worker 0.72 MB and for four on two 1.42-1.46 MB.  A first small
     # run, and the pool's import, leave out what the first call allocates once
     import concurrent.futures  # noqa: F401
     g = pinned_grammar("grammar4")
@@ -1239,9 +1283,11 @@ def test_estimate_memory_is_bounded_by_the_block(monkeypatch):
 
 @pytest.mark.parametrize("name", ["grammar2", "grammar4", "syn130"])
 def test_estimate_memory_stays_within_the_cell_budget(name, monkeypatch):
-    # a block holds at most BLOCK_CELLS int64 cells, its born rows and its
-    # samples' own arrays, so four blocks of 25,000 on each worker in turn
-    # trace at most workers x BLOCK_CELLS x 8 bytes
+    # a block holds at most BLOCK_CELLS cells, its born rows (4 bytes each)
+    # and its samples' own arrays (at most 8 bytes each), so four blocks of
+    # 25,000 on each worker in turn trace at most workers x BLOCK_CELLS x 8
+    # bytes: 0.40, 0.37 and 0.26 of it on two workers (0.48, 0.46 and 0.47
+    # with int64 counts)
     g = pinned_grammar(name)
     trees = len(g.index.tree_ids)
     monkeypatch.setattr(sim, "BLOCK_CELLS", 2 * sim.SAMPLE_BLOCK * (trees + sim.SAMPLE_CELLS))
