@@ -38,13 +38,13 @@ def _frozen(array):
 
 def _inverse_cdf(choices):
     """(sums, outcomes): a uniform u draws outcomes[bisect_right(sums, u)]
-    from choices, tuples whose item 1 is their prob, by inverse CDF over
-    those with prob > 0, whose running sums are sums.  outcomes repeats the
-    last one, so a u past every sum, a shortfall of the mass below 1, picks
-    the last choice of positive probability; any other u picks what a scan
-    of all choices would, since a zero prob moves no sum."""
-    kept = [choice for choice in choices if choice[1] > 0.0]
-    return tuple(accumulate(map(itemgetter(1), kept))), (*kept, *kept[-1:])
+    from choices, tuples whose item 1 is their prob, by inverse CDF.  The
+    outcomes are the choices with prob > 0 and sums their running sums but
+    the total, so a u past the last of sums picks the last outcome, also a
+    u past the total, which a mass below 1 leaves room for; any other u
+    picks what a scan of all choices would, since a zero prob moves no sum."""
+    kept = tuple(choice for choice in choices if choice[1] > 0.0)
+    return tuple(accumulate(map(itemgetter(1), kept[:-1]))), kept
 
 
 class SiteIndex:
@@ -58,20 +58,20 @@ class SiteIndex:
     Sites follow the canonical order, so tree t owns the contiguous slice
     tree_start[t]:tree_start[t + 1].  phi_site, phi_tree and phi_prob record
     every phi entry, nil included (phi_tree -1), site by site, each site's
-    in document order.  The non-nil entries are the parallel arrays site,
-    tree and prob, and positive marks those with prob > 0: a
-    zero-probability entry stays in phi but rewrites nothing.  nil is the
+    in document order.  The choices, the non-nil entries with prob > 0,
+    are the parallel arrays site, tree and prob: an entry of probability 0,
+    negative or NaN stays in phi but rewrites nothing.  nil is the
     nil mass of each site, anchors the anchor count of each tree and starts
     the positions of the start trees (initial trees rooted in the start
     symbol), in declaration order.  mass is the sum of each site's entries,
-    nil + bincount(site, prob), the one sum that validate reports, and
+    choices or not, the one sum that validate reports, and
     improper flags each site whose mass is further than PROPERNESS_TOL from
     1.  sizes is the site count of each tree; entry_start, so that site j
-    owns the entries entry_start[j]:entry_start[j + 1]; owner, the tree of
+    owns the choices entry_start[j]:entry_start[j + 1]; owner, the tree of
     each site; bounds, where the slices of the trees with sites start, then
     k, which reduce q plus a trailing 1.0 to those trees' products and a
     last 1.0; and tree_slot and entry_slot, the slot there of each tree and
-    of each phi entry's tree (the last for a tree without sites).
+    of each choice's tree (the last for a tree without sites).
     rewrite_graph, reachable, finishes, draw_table and start_draw are built
     on first use.
     bad_site is the first site, in canonical order, that is improper or has
@@ -88,17 +88,18 @@ class SiteIndex:
         phi_tree = np.array([tree_pos[target] for target, _ in entries], dtype=np.intp)
         phi_prob = np.array([p for _, p in entries], dtype=float)
         targets = phi_tree >= 0
-        site, tree, prob = phi_site[targets], phi_tree[targets], phi_prob[targets]
+        choices = targets & (phi_prob > 0.0)
+        site, tree, prob = phi_site[choices], phi_tree[choices], phi_prob[choices]
         nil = np.bincount(phi_site[~targets], phi_prob[~targets], minlength=len(ids))
         tree_start = np.cumsum([0] + [len(t.sites) for t in g.trees])
         sizes = np.diff(tree_start)
         with_sites = np.flatnonzero(sizes)
         tree_slot = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, len(with_sites))
-        mass = np.bincount(site, prob, minlength=len(ids)) + nil
+        mass = np.bincount(phi_site[targets], phi_prob[targets], minlength=len(ids)) + nil
         improper = abs(mass - 1.0) > PROPERNESS_TOL
         arrays = dict(
             phi_site=phi_site, phi_tree=phi_tree, phi_prob=phi_prob,
-            tree_start=tree_start, site=site, tree=tree, prob=prob, positive=prob > 0.0,
+            tree_start=tree_start, site=site, tree=tree, prob=prob,
             nil=nil, anchors=np.array([len(t.anchors) for t in g.trees], dtype=float),
             mass=mass, improper=improper,
             # the start trees: the initial trees rooted in the start symbol
@@ -125,18 +126,17 @@ class SiteIndex:
     @cached_property
     def rewrite_graph(self):
         """Per tree position, the positions of the trees its sites rewrite
-        to, in site order, along positive entries only."""
-        ends = np.append(0, np.cumsum(self.positive))[self.entry_start[self.tree_start]].tolist()
-        targets = self.tree[self.positive].tolist()
+        to, in site order: its slice of tree."""
+        ends, targets = self.entry_start[self.tree_start].tolist(), self.tree.tolist()
         return tuple(tuple(targets[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def draw_table(self):
         """Read-only, per tree id, one (site id, *_inverse_cdf) per site in
         site order: the outcomes are the site's positive entries, nil
-        included, in document order, as (target tree id or None, prob,
-        whether the target has sites).  checked first: bisection picks what
-        the scan picks only on nondecreasing sums free of NaN."""
+        included, each once in document order, as (target tree id or None,
+        prob, whether the target has sites).  checked first: bisection
+        picks what the scan picks only on nondecreasing sums free of NaN."""
         self.checked()
         # nil's phi_tree -1 picks the last of each
         names, has_sites = (*self.tree_ids, None), [*(self.sizes > 0).tolist(), False]
@@ -173,10 +173,10 @@ class SiteIndex:
     def finishes(self):
         """Read-only, per tree: whether some derivation from it finishes, that
         is, whether all its sites are in T, the least set of sites with positive
-        nil mass or a positive entry to a tree that finishes.  One worklist:
-        each positive entry is queued once, when its target tree finishes."""
-        sources = [[] for _ in self.tree_ids]  # per tree, the sites with a positive entry to it
-        for i, t in zip(self.site[self.positive].tolist(), self.tree[self.positive].tolist()):
+        nil mass or a choice of a tree that finishes.  One worklist: each
+        choice is queued once, when its tree finishes."""
+        sources = [[] for _ in self.tree_ids]  # per tree, the sites with a choice of it
+        for i, t in zip(self.site.tolist(), self.tree.tolist()):
             sources[t].append(i)
         owner, missing, in_t = self.owner.tolist(), self.sizes.tolist(), [False] * len(self)
         work = np.flatnonzero(self.nil > 0.0).tolist()

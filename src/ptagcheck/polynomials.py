@@ -200,15 +200,11 @@ class SparsePolynomial:
         multiplied in ascending variable order."""
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
-        top = self.nvars - 1
         total = 0.0
         for e, c in self._coeffs.items():
             term = c
-            while e:
-                shift = (e.bit_length() - 1) & -DIGIT_BITS
-                power = e >> shift
-                term *= values[top - shift // DIGIT_BITS] ** power
-                e ^= power << shift
+            for position, power in _powers(e, self.nvars).items():
+                term *= values[position] ** power
             total += term
         return total
 

@@ -341,8 +341,9 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     under the (uniform) start law, so the summed probabilities equal the
     death-by-level constant C_(max_depth); the floor applies to that
     weighted probability.  prob_floor must not be NaN, and phi breaking the
-    SiteIndex input contract raises ValueError.  A site's choices are its
-    positive entries, read from g.index.draw_table as the sampler reads them.
+    SiteIndex input contract raises ValueError.  A site's options are the
+    outcomes of its draw in g.index.draw_table, which the sampler draws
+    from: its positive entries, nil included, each one once.
 
     The trees placed at each level are collected first, from the start
     trees down, keeping only the trees that can finish (SiteIndex.finishes):
@@ -420,7 +421,7 @@ def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
     combos, probs = [{} if draws else DerivationNode(tree_id, level, {})], _ONE
     for site, _, outcomes in draws:
         options, option_probs = [], []
-        for target, p, _ in outcomes[:-1]:  # the positive entries
+        for target, p, _ in outcomes:
             if target in below:  # p * 1.0 is p: nil's probability is exact
                 subs, sub_probs = below[target]
                 options += subs
@@ -541,7 +542,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     sites.  Memory is rows born x live samples of one block, not trees x
     samples: the start draw is dropped once level 0 is built, and a sample
     that terminates or is censored leaves at once.  Each site of a born
-    tree draws its law in the index (positive entries, then nil, over the
+    tree draws its law in the index (its choices, then nil, over the
     site's mass) over that row's nonzero samples, in ascending order, and
     the draws land in the next level's rows: what the expanded trees
     rewrite to in ``rewrite_graph``, sorted.  A law with one positive entry
@@ -553,8 +554,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     sample and entry in every multinomial.  Per level one product of the
     trees' anchor and site counts with born gives the live samples' yields
     and pending sites; only at a level that some sample leaves are the
-    leavers counted, the rows of trees without sites read for the depth of
-    those that terminate, and born compressed.  born, its next level and
+    leavers counted, their columns of born read for the depth of those
+    that terminate, and born compressed.  born, its next level and
     the trees' counts are of _count_dtype, picked once per call: int32,
     4 bytes a cell, on every grammar whose trees have at most 10^4 sites
     and 214,748 anchors, and int64 past its bound, with the same stats.
@@ -582,9 +583,8 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
             built = []
             for j in range(index.tree_start[t], index.tree_start[t + 1]):
                 entries = slice(index.entry_start[j], index.entry_start[j + 1])
-                positive = index.positive[entries]  # a zero-probability entry rewrites nothing
-                pvals = np.append(index.prob[entries][positive], index.nil[j]) / index.mass[j]
-                targets = index.tree[entries][positive].tolist()
+                pvals = np.append(index.prob[entries], index.nil[j]) / index.mass[j]
+                targets = index.tree[entries].tolist()
                 if len(targets) == 1:
                     # multinomial draws a law of two outcomes as the one
                     # binomial(n, pvals[0]); binomial's check p <= 1 holds,
@@ -653,9 +653,9 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
                 done = leaving[pending[leaving] == 0]
                 n_term += len(done)
                 n_cens += len(leaving) - len(done)
-                # a done sample's births, if any, are all of trees without sites
-                siteless = np.flatnonzero(site_count[rows] == 0)
-                with_births = born[siteless[:, None], done].any(axis=0)
+                # a done sample has no pending sites, so its births, if any,
+                # are all of trees without sites
+                with_births = born[:, done].any(axis=0)
                 depth_sum += (level - 1) * len(done) + int(np.count_nonzero(with_births))
                 yield_sum += int(live_yields[done].sum())
                 # compress keeps born C-contiguous, so each row stays a plain view

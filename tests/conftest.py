@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -135,6 +136,28 @@ def random_proper_grammar(seed, max_trees=10, max_sites=20):
     errors = [d for d in gr.validate(g) if d.severity == gr.ERROR]
     assert not errors, (seed, errors)
     return g
+
+
+def with_zero_entry(doc, g, seed):
+    """doc with a zero-probability entry placed first among one site's
+    entries, for a tree that the site could take (the kind and root label it
+    needs) and does not list yet, or None when no site has such a tree."""
+    rng = random.Random(f"zero-entry:{seed}")
+    shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
+    choices = []
+    for tree in g.trees:
+        for node in tree.sites:
+            kind = gr.INITIAL if node.kind == gr.SUBSTITUTION else gr.AUXILIARY
+            listed = {target for target, _ in g.phi[node.site_id]}
+            choices += [(node.site_id, t) for t, shape in shapes.items()
+                        if shape == (kind, node.label) and t not in listed]
+    if not choices:
+        return None
+    site, target = rng.choice(choices)
+    doc = copy.deepcopy(doc)
+    first = next(k for k, e in enumerate(doc["phi"]) if e["site"] == site)
+    doc["phi"].insert(first, {"site": site, "tree": target, "prob": 0.0})
+    return doc
 
 
 # Entries (b1, a), (nil, b), (b2, c) of the start site s0, whose mass lies

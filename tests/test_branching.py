@@ -12,12 +12,13 @@ from ptagcheck import expectation
 from ptagcheck import simulate as sim
 from ptagcheck.consistency import check_consistency
 from ptagcheck.expectation import PROPERNESS_TOL, SiteIndex, build_M, build_N, build_P, start_law
-from ptagcheck.grammar import load_grammar, validate
+from ptagcheck.grammar import load_grammar, to_document, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
 from conftest import (GRAMMAR4, MASS_EDGE, branching_family, mass_edge_document,
                       minimal_document, parse, pinned_grammar, random_proper_grammar,
                       segment_edge_grammar, spectral_radius, synth_grammar,
-                      two_site_start_grammar, two_siteless_start_grammar, verdict_corpus)
+                      two_site_start_grammar, two_siteless_start_grammar, verdict_corpus,
+                      with_zero_entry)
 
 EPS = sys.float_info.epsilon
 
@@ -245,10 +246,15 @@ def test_site_index_entry_layout_and_rewrite_graph_match_phi():
     grammars += [parse(mass_edge_document(name)) for name in MASS_EDGE]
     grammars += [zero_entry_grammar()]
     grammars += [random_proper_grammar(seed) for seed in range(200)]
+    # 148 of them again, with a zero entry placed first at a site that has room
+    zeros = [parse(doc) for seed, g in enumerate(grammars[-200:])
+             if (doc := with_zero_entry(to_document(g), g, seed)) is not None]
+    assert len(zeros) == 148
+    grammars += zeros
     for g in grammars:
         idx = g.index
         position = {t.tree_id: j for j, t in enumerate(g.trees)}
-        non_nil = {s: [(position[t], p) for t, p in g.phi[s] if t is not None]
+        choices = {s: [(position[t], p) for t, p in g.phi[s] if t is not None and p > 0.0]
                    for s in g.site_ids}
         assert idx.sizes.tolist() == [len(t.sites) for t in g.trees]
         # the document-order record: every entry once, nil as target -1
@@ -256,23 +262,28 @@ def test_site_index_entry_layout_and_rewrite_graph_match_phi():
                         idx.phi_prob.tolist())) == [
             (j, -1 if t is None else position[t], p)
             for j, s in enumerate(g.site_ids) for t, p in g.phi[s]]
+        # the choices: phi's positive non-nil entries in document order
+        assert (idx.prob > 0.0).all()
         ends = idx.entry_start.tolist()
         assert ends[0] == 0 and ends[-1] == len(idx.prob)
         for j, s in enumerate(g.site_ids):
             a, b = ends[j], ends[j + 1]
-            assert list(zip(idx.tree[a:b].tolist(), idx.prob[a:b].tolist())) == non_nil[s]
+            assert idx.site[a:b].tolist() == [j] * (b - a)
+            assert list(zip(idx.tree[a:b].tolist(), idx.prob[a:b].tolist())) == choices[s]
             assert idx.nil[j] == sum((p for t, p in g.phi[s] if t is None), 0.0)
-        # zero-probability entries rewrite nothing
+        # each tree's slice of the choices, whose (owner, tree) pairs are its edges
         assert idx.rewrite_graph == tuple(
-            tuple(t for node in tree.sites for t, p in non_nil[node.site_id] if p > 0.0)
+            tuple(t for node in tree.sites for t, _ in choices[node.site_id])
             for tree in g.trees)
+        assert sorted(zip(idx.owner[idx.site].tolist(), idx.tree.tolist())) == sorted(
+            (j, k) for j, targets in enumerate(idx.rewrite_graph) for k in targets)
         assert not idx.sizes.flags.writeable and not idx.entry_start.flags.writeable
         if idx.bad_site is not None:  # MASS_EDGE "off" strays past PROPERNESS_TOL
             with pytest.raises(ValueError, match=idx.bad_site):
                 idx.draw_table
             continue
         # the draw table: per tree and site the positive entries in document
-        # order, each with the running sum of every entry up to it
+        # order, with the running sum of every entry up to each but the last
         assert list(idx.draw_table) == [t.tree_id for t in g.trees]
         for tree in g.trees:
             draws = idx.draw_table[tree.tree_id]
@@ -284,17 +295,18 @@ def test_site_index_entry_layout_and_rewrite_graph_match_phi():
                     if p > 0.0:
                         kept.append((t, p, t is not None and bool(g.tree(t).sites)))
                         totals.append(running)
-                assert outcomes == tuple(kept + kept[-1:]) and sums == tuple(totals)
+                assert outcomes == tuple(kept) and sums == tuple(totals[:-1])
     # built once per grammar: the validators read the one graph
     g = segment_edge_grammar()
     graph = g.index.rewrite_graph
     assert graph == ((2, 1), (), (2, 2, 3), ())  # A2's entry into t2 has probability 0
     validate(g)
     assert g.index.rewrite_graph is graph
-    # the zero entries are in the record and nowhere in the draw table
+    # the zero entries are in the record and nowhere in the choices or the draw table
     idx = zero_entry_grammar().index
     assert idx.phi_prob.tolist().count(0.0) == 3 and idx.nil.tolist() == [0.75, 0.0, 0.5, 1.0]
-    assert [[[t for t, _, _ in outcomes[:-1]] for _, _, outcomes in idx.draw_table[tree]]
+    assert idx.tree.tolist() == [2, 1, 2, 1] and idx.entry_start.tolist() == [0, 1, 3, 4, 4]
+    assert [[[t for t, _, _ in outcomes] for _, _, outcomes in idx.draw_table[tree]]
             for tree in ("t1", "a1", "a2")] == [[["a2", None], ["a1", "a2"], [None, "a1"]],
                                                 [], [[None]]]
 

@@ -45,8 +45,10 @@ def test_site_index_is_read_only(grammar4):
         # the lazy layouts too
         idx.rewrite_graph, idx.reachable, idx.finishes, idx.draw_table, idx.start_draw
         arrays = {name: a for name, a in vars(idx).items() if isinstance(a, np.ndarray)}
-        assert {"tree_start", "site", "tree", "prob", "positive", "nil", "anchors", "starts",
+        assert {"tree_start", "site", "tree", "prob", "nil", "anchors", "starts",
                 "mass", "improper", "reachable", "finishes"} <= arrays.keys()
+        # every choice has prob > 0, so no mask marks the positive ones
+        assert not hasattr(idx, "positive")
         for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -146,6 +148,28 @@ def test_P_all_nil_is_zero():
     g = parse(doc)
     assert not ex.build_P(g).values.any()
     assert not ex.build_M(g).values.any()
+
+
+def test_P_and_M_leave_out_entries_that_are_not_positive():
+    # the numeric form holds the choices, entries of prob > 0, alone: R's
+    # negative entry to b1 and W's NaN entry to b1 are in the record, and
+    # validate flags them, but P and M leave them out
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    doc["trees"] += [{"id": tid, "type": "auxiliary", "root": {
+        "label": "S", "site": site, "children": [{"anchor": leaf}, {"foot": "S"}]}}
+        for tid, site, leaf in (("b1", "V", "b"), ("b2", "W", "c"))]
+    doc["phi"] = [{"site": s, "tree": t, "prob": p} for s, t, p in [
+        ("R", "b1", -0.25), ("R", "b2", 0.5), ("R", None, 0.75),
+        ("W", "b1", float("nan")), ("W", None, 1.0)]]
+    g = parse(doc)
+    assert [(d.code, d.tree_id, d.site_id) for d in gr.validate(g)] == [
+        ("BAD_PROB", "t1", "R"), ("BAD_PROB", "b2", "W"), ("UNREACHABLE_TREE", "b1", None)]
+    assert g.index.bad_site == "R" and np.isnan(g.index.phi_prob).sum() == 1
+    assert g.index.phi_prob.tolist()[0] == -0.25
+    assert ex.build_P(g).values.tolist() == [[0, 0, 0.5], [0, 0, 0], [0, 0, 0]]
+    assert ex.build_M(g).values.tolist() == [[0, 0, 0.5], [0, 0, 0], [0, 0, 0]]
+    assert g.index.rewrite_graph == ((2,), (), ())
 
 
 def test_N_grammar4(grammar4):

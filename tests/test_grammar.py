@@ -780,7 +780,7 @@ FRONT_END_DIGESTS = {
     "grammar2": "30eb147f3412be030bf86cbebda5b1cbf2854eed639dce630a4ec515a51a5eb2",
     "grammar4": "a9c8de5746edf78cee404483ed262130a1f7fa77ea718f9e29478da13b24044a",
     "syn130": "50a69fb860976772c31d477317ec6bcde156343a07fadb4578d7b2f67c5286f2",
-    "segment_edge": "852f07aaa7a122ebda0caa537728d79347ccff074807062649c8743476afdb64",
+    "segment_edge": "187f5ba7936413d6ed654fdcb8daeaf0b8875660247cf7ed1dd72023b9910934",
     "random0": "8f567e06f7b9a8f085c13a7985830df25edb56de28bab716f0e3a0d00c3162b2",
     "random1": "bee003f197c65428b5af6ee03d5928003ac3ca3f3387ba12b24fb43f12277985",
     "random2": "94ca40a1a953c7c8fc56e8bcf98b9a05118d38530e76a6b36248ac38eff2bea1",

@@ -26,7 +26,7 @@ from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
 from ptagcheck.expectation import build_M
-from conftest import random_proper_grammar, spectral_radius, verdict_corpus
+from conftest import random_proper_grammar, spectral_radius, verdict_corpus, with_zero_entry
 
 DEPTHS = range(6)        # C_n compared at these depths
 ENUM_DEPTH = 3           # enumerated derivations compared at this depth
@@ -195,28 +195,6 @@ def scaled(doc, g, alpha):
     return doc
 
 
-def with_zero_entry(doc, g, seed):
-    """doc with a zero-probability entry placed first among one site's
-    entries, for a tree that the site could take (the kind and root label it
-    needs) and does not list yet, or None when no site has such a tree."""
-    rng = random.Random(f"zero-entry:{seed}")
-    shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
-    choices = []
-    for tree in g.trees:
-        for node in tree.sites:
-            kind = gr.INITIAL if node.kind == gr.SUBSTITUTION else gr.AUXILIARY
-            listed = {target for target, _ in g.phi[node.site_id]}
-            choices += [(node.site_id, t) for t, shape in shapes.items()
-                        if shape == (kind, node.label) and t not in listed]
-    if not choices:
-        return None
-    site, target = rng.choice(choices)
-    doc = copy.deepcopy(doc)
-    first = next(k for k, e in enumerate(doc["phi"]) if e["site"] == site)
-    doc["phi"].insert(first, {"site": site, "tree": target, "prob": 0.0})
-    return doc
-
-
 def every_output(g):
     """What each method outputs on g, each as its repr, so that equal means
     equal bit for bit; the enumerated derivations as nested tuples of their
@@ -380,8 +358,9 @@ def test_scaling_adjunction_entries(alpha):
 
 def test_zero_entry_changes_nothing():
     # an entry of probability 0, even one placed before all the others,
-    # rewrites nothing: the numeric paths skip it through SiteIndex.positive,
-    # and the enumerator and the sampler never pick it
+    # rewrites nothing: it stays in SiteIndex's phi record, out of its
+    # choices (site, tree and prob) and its draw table, which every
+    # numeric path reads
     changed = 0
     for name, base in baselines():
         doc = with_zero_entry(base.doc, base.g, name)

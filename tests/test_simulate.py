@@ -1321,7 +1321,8 @@ def test_estimate_stats_do_not_depend_on_the_workers(name, monkeypatch):
     import concurrent.futures
     g = pinned_grammar(name)
     if name == "random0":  # a site with several targets draws a multinomial
-        assert np.bincount(g.index.site[g.index.positive]).max() > 1
+        assert max(sum(t is not None and p > 0.0 for t, p in entries)
+                   for entries in g.phi.values()) > 1
     monkeypatch.setattr(sim, "SAMPLE_BLOCK", 300)
     monkeypatch.setattr(sim, "BLOCK_CELLS", 0)
     monkeypatch.setattr(sim, "WORKERS", 3)
@@ -1683,9 +1684,10 @@ def test_estimate_ignores_zero_probability_entries():
         g = random_proper_grammar(seed)
         zeros = with_zero_entries(g, seed)
         assert zeros.diagnostics == g.diagnostics
-        zero = zeros.index.prob == 0.0
-        spliced += int(zero.sum())
-        with_sites += np.count_nonzero(zeros.index.sizes[zeros.index.tree[zero]])
+        spliced_trees = [zeros.tree(t) for entries in zeros.phi.values()
+                         for t, p in entries if t is not None and p == 0.0]
+        spliced += len(spliced_trees)
+        with_sites += sum(bool(t.sites) for t in spliced_trees)
         for samples, max_depth, run_seed in ((3000, 30, seed), (500, 200, seed + 7)):
             assert repr(sim.estimate_termination(zeros, samples, max_depth, seed=run_seed)) \
                 == repr(sim.estimate_termination(g, samples, max_depth, seed=run_seed))
