@@ -24,6 +24,7 @@ broken pipe).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -136,18 +137,19 @@ def _read(path, parse, what, malformed):
 
 
 def _start_weights(path, g):
-    """The start weights in the file at path, a law start_law accepts for g;
-    None without a path."""
+    """A copy of g (dataclasses.replace: it builds its own index) with the start
+    weights in the file at path, once start_law accepts them; g without a path."""
     if path is None:
-        return None
+        return g
 
     def parse(data):
         # strict UTF-8 as for a grammar: json.loads would take UTF-16 or a BOM
         weights = json.loads(data.decode("utf-8"))
-        if weights is None:  # start_law reads None as no weights at all
+        if weights is None:  # start_law reads None as the uniform law
             raise ValueError("expected a JSON object, got null")
-        expectation.start_law(g, weights)
-        return weights
+        weighted = dataclasses.replace(g, start_weights=weights)
+        expectation.start_law(weighted)
+        return weighted
     # bad JSON or UTF-8, too deep, or no law start_law accepts
     return _read(path, parse, "start weights", (ValueError, RecursionError))
 
@@ -227,10 +229,10 @@ def _run(argv, out, err):
 
     if args.command == "extinction":
         from . import branching
-        weights = _start_weights(args.start_weights, g)
+        g = _start_weights(args.start_weights, g)
         ev = branching.extinction(g, tol=args.tol, max_iter=args.max_iter)
         starts = branching.start_termination(g, ev)
-        combined = None if weights is None else expectation.start_mixture(g, ev.q, weights)
+        combined = None if g.start_weights is None else expectation.start_mixture(g, ev.q)
         _emit({"q": ev.as_dict(), "iterations": ev.iterations,
                "residual": ev.residual, "converged": ev.converged,
                "start_trees": starts, "combined": combined}, out)
@@ -242,8 +244,8 @@ def _run(argv, out, err):
             raise _Failure(EX_INVALID, f"samples {args.samples} is past the cap of "
                            f"{SIMULATE_SAMPLES_CAP} that simulate runs")
         stats = simulate.estimate_termination(
-            g, args.samples, args.max_depth, seed=args.seed,
-            start_weights=_start_weights(args.start_weights, g))
+            _start_weights(args.start_weights, g), args.samples, args.max_depth,
+            seed=args.seed)
         _emit(stats.as_dict(), out)
         return EX_OK
 

@@ -8,8 +8,8 @@ declaration order, preorder within each tree.  SiteIndex lays the phi table
 out in that order.  Grammar.index builds it once per grammar; the matrices,
 the extinction iteration, the Monte Carlo, the sampler and the enumerator
 all read it there, and it alone decides which phi values a numeric path
-accepts.  start_law gives each start tree's chance to begin a derivation,
-and start_mixture mixes by that law.
+accepts.  start_law gives each start tree's chance to begin a derivation
+under the grammar's start law, and start_mixture mixes by that law.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ class SiteIndex:
     k, which reduce q plus a trailing 1.0 to those trees' products and a
     last 1.0; and tree_slot and entry_slot, the slot there of each tree and
     of each choice's tree (the last for a tree without sites).
-    rewrite_graph, reachable, finishes, draw_table and start_draw are built
-    on first use.
+    rewrite_graph, reachable, finishes and draw_table are built on first
+    use.  The start law is no part of the index: it is the grammar's
+    (Grammar.start_weights, read by start_law).
     bad_site is the first site, in canonical order, that is improper or has
     a phi entry (nil included) that is negative, NaN or infinite, or None
     when there is none.
@@ -150,14 +151,6 @@ class SiteIndex:
                                  for t, a, b in zip(self.tree_ids, ends, ends[1:])})
 
     @cached_property
-    def start_draw(self):
-        """Read-only *_inverse_cdf of the uniform start law, as (start tree
-        position, prob) choices: the start draw of a sampler given no start
-        weights, the same floats as start_law's.  Empty without start trees."""
-        n = len(self.starts)
-        return _inverse_cdf((j, 1.0 / n) for j in self.starts.tolist())
-
-    @cached_property
     def reachable(self):
         """Read-only, per tree: whether a derivation from a start tree can
         place it, along rewrite_graph."""
@@ -213,19 +206,21 @@ class SiteIndex:
         return np.multiply.reduceat(np.append(q, 1.0), self.bounds)[self.tree_slot]
 
 
-def start_law(g, start_weights=None):
+def start_law(g):
     """(positions, probs): the start trees and the chance each one starts.
 
     positions is the read-only g.index.starts, which indexes
     g.index.tree_ids in declaration order; probs sum to one.  The law is
-    uniform over the start trees unless start_weights is given: a mapping of
+    uniform over the start trees unless g.start_weights is set: a mapping of
     tree ids to finite, nonnegative reals (not bools) with a finite sum and
     mass on a start tree, else ValueError.  Trees it leaves out weigh 0, and
-    ids that are no start tree are ignored.  Every method weighs by this law.
+    ids that are no start tree are ignored.  This is the one reader of
+    g.start_weights, and every method weighs by this law.
     """
     positions = g.index.starts
     if not len(positions):
         raise ValueError(f"no initial tree rooted in {g.start!r}")
+    start_weights = g.start_weights
     if start_weights is None:
         return positions, np.full(len(positions), 1.0 / len(positions))
     if not isinstance(start_weights, Mapping) or not all(
@@ -244,9 +239,9 @@ def start_law(g, start_weights=None):
     return positions, weights / total
 
 
-def start_mixture(g, q, start_weights=None):
-    """The start law's mixture of the products of q over each start tree's sites."""
-    positions, probs = start_law(g, start_weights)
+def start_mixture(g, q):
+    """start_law(g)'s mixture of the products of q over each start tree's sites."""
+    positions, probs = start_law(g)
     return float(probs @ g.index.tree_prod(q)[positions])
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from numbers import Real
 
-from .expectation import SiteIndex
+from .expectation import SiteIndex, _inverse_cdf, start_law
 
 # node kinds
 INTERIOR = "interior"
@@ -128,6 +128,9 @@ class Grammar:
     substitution site ().
     The distinguished wrapper tree accepting any start-rooted initial tree
     is implicit: it contributes no site, no matrix row and no probability.
+    ``start_weights``, tree ids to weights or None for the uniform law, is
+    the start law that every method weighs its start trees by; only
+    expectation.start_law reads and checks it.  Set it with dataclasses.replace.
     """
 
     start: str
@@ -135,6 +138,7 @@ class Grammar:
     terminals: frozenset
     trees: tuple[ElementaryTree, ...]
     phi: dict
+    start_weights: dict | None = None
 
     def __post_init__(self):
         self._tree_by_id = {t.tree_id: t for t in self.trees}
@@ -167,6 +171,13 @@ class Grammar:
     def index(self):
         """The grammar's numeric form, built on first use and then shared."""
         return SiteIndex(self)
+
+    @cached_property
+    def start_draw(self):
+        """*_inverse_cdf of start_law(self)'s (start tree position, prob)
+        choices: the sampler's start draw, built once per grammar."""
+        positions, probs = start_law(self)
+        return _inverse_cdf(zip(positions.tolist(), probs.tolist()))
 
     @cached_property
     def diagnostics(self):
@@ -402,7 +413,8 @@ def _parse_phi(phi_doc, trees, tree_ids):
 # serialization
 
 def to_document(g):
-    """Canonical document form of a Grammar (inverse of from_document)."""
+    """Canonical document form of a Grammar (inverse of from_document); the
+    format carries no start law, so g.start_weights is left out."""
     return {
         "start": g.start,
         "trees": [{"id": t.tree_id, "type": t.kind, "root": _node_doc(t.root)}

@@ -26,7 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from . import grammar as gr
-from .expectation import _inverse_cdf, start_law
+from .expectation import start_law
 from .grammar import _collector_paused
 
 RNG_ALGORITHM = "PCG64"
@@ -154,13 +154,6 @@ class SimulationStats:
                 "seed": self.seed, "generator": self.generator}
 
 
-def _as_rng(seed):
-    # a Generator, or anything with a random() method (scripted test doubles)
-    if isinstance(seed, np.random.Generator) or callable(getattr(seed, "random", None)):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def usable_cpus():
     """The CPUs this process may run on: with WORKERS and the block count,
     the number of threads estimate_termination runs on."""
@@ -180,13 +173,12 @@ def _uniforms(rng):
 
 
 @_collector_paused
-def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
-                      start_weights=None):
+def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES):
     """Sample one derivation, breadth first, resolving whole levels in order.
 
     ``seed`` may be anything numpy's default_rng accepts, or a Generator
     (handy for scripted draws in tests).  The start tree is drawn from the
-    start law (uniform unless start_weights are given), and the reported
+    grammar's start law (expectation.start_law), and the reported
     probability is its weight times the product of the phi draws made.
     Supercritical grammars grow exponentially, so on top of the depth cap a
     node budget censors runaway samples (complete=False, like a
@@ -196,31 +188,28 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES,
     Each draw takes one uniform and picks by inverse CDF among the choices
     of positive probability (expectation._inverse_cdf): a site's entries in
     g.index.draw_table, which the enumerator reads too, or the start trees
-    (g.index.start_draw under the uniform law, built once per grammar; per
-    call for start_weights).  A uniform past every running sum, where a
-    mass short of 1 leaves room, picks the last such choice, so no draw has
-    probability 0.  A Generator made here (from an int, None or a
-    SeedSequence) yields its uniforms in blocks, the same doubles as one
-    random() call per draw; a caller's Generator, BitGenerator or scripted
-    double gets one random() call per draw, so it ends where one call per
-    draw leaves it.  phi breaking the SiteIndex input contract raises
-    ValueError.
+    (g.start_draw, built once per grammar).  A uniform past every running
+    sum, where a mass short of 1 leaves room, picks the last such choice,
+    so no draw has probability 0.  A Generator made here (from an int,
+    None or a SeedSequence) yields its uniforms in blocks, the same doubles
+    as one random() call per draw; a caller's Generator, BitGenerator or
+    scripted double gets one random() call per draw, so it ends where one
+    call per draw leaves it.  phi breaking the SiteIndex input contract
+    raises ValueError.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     table = g.index.draw_table
-    rng = _as_rng(seed)
-    if rng is seed or isinstance(seed, np.random.BitGenerator):
-        draw = rng.random
+    # a Generator, or anything with a random() method (scripted test doubles)
+    if isinstance(seed, np.random.Generator) or callable(getattr(seed, "random", None)):
+        draw = seed.random
+    elif isinstance(seed, np.random.BitGenerator):
+        draw = np.random.default_rng(seed).random
     else:
-        draw = _uniforms(rng).__next__
-    if start_weights is None and len(g.index.starts):
-        sums, starts = g.index.start_draw  # the uniform law's, built once per grammar
-    else:  # start_law raises without start trees or on bad weights
-        positions, start_probs = start_law(g, start_weights)
-        sums, starts = _inverse_cdf(zip(positions.tolist(), start_probs.tolist()))
+        draw = _uniforms(np.random.default_rng(seed)).__next__
+    sums, starts = g.start_draw  # start_law raises without start trees or on bad weights
     chosen, probability = starts[bisect_right(sums, draw())]
     root = DerivationNode(g.index.tree_ids[chosen], 0)
     complete = True
@@ -338,7 +327,7 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     keeps everything with positive probability).  A tree without sites
     placed at level max_depth is finished, so it is admitted.  Each
     derivation's probability is then multiplied by its start tree's weight
-    under the (uniform) start law, so the summed probabilities equal the
+    under the grammar's start law, so the summed probabilities equal the
     death-by-level constant C_(max_depth); the floor applies to that
     weighted probability.  prob_floor must not be NaN, and phi breaking the
     SiteIndex input contract raises ValueError.  A site's options are the
@@ -491,7 +480,7 @@ def _count_dtype(most_sites, most_anchors):
     return np.int32 if bound < 2**31 else np.int64
 
 
-def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
+def estimate_termination(g, samples, max_depth, seed=0):
     """Monte Carlo estimate of the termination (extinction) probability.
 
     Simulates the tree-count process of a block of samples in lockstep: per
@@ -518,9 +507,10 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     Generator itself), first draws blocks - 1 integers below 2^63; block
     b >= 1 draws from default_rng of the b-th, and block 0 from rng.  So
     the streams follow from rng's state alone, whatever its SeedSequence.
-    Each block draws its own start trees, runs the level loop until its
-    samples have all left, and yields four int totals (the two counts and
-    the depth and yield sums of the terminated), which are summed.  The
+    Each block draws its own start trees from the grammar's start law
+    (expectation.start_law), runs the level loop until its samples have
+    all left, and yields four int totals (the two counts and the depth and
+    yield sums of the terminated), which are summed.  The
     blocks run on min(usable_cpus(), blocks, WORKERS) threads: worker w
     runs blocks w, w + workers, ... in turn, the calling thread being
     worker 0, and the rest run on a thread pool that the call starts and
@@ -574,7 +564,7 @@ def estimate_termination(g, samples, max_depth, seed=0, start_weights=None):
     index = g.index.checked()
     site_count = index.sizes
     rng = np.random.default_rng(seed)
-    positions, start_probs = start_law(g, start_weights)
+    positions, start_probs = start_law(g)
     graph = index.rewrite_graph
     laws = {}  # tree -> per site, (target, p) for one target, else (targets, pvals)
 

@@ -376,6 +376,15 @@ def spectral_radius(m):
     return float(np.abs(np.linalg.eigvals(m)).max()) if m.size else 0.0
 
 
+def reference(g):
+    """bench/oracle.py's Reference of g's document: M and its spectral radius
+    built from the grammar alone, sharing no code with ptagcheck's numeric
+    paths, as the judge of the matrix and of check."""
+    _bench_importable()
+    from oracle import Reference
+    return Reference(gr.to_document(g))
+
+
 def pinned_grammar(name):
     """A grammar whose outputs the tests pin, by name; randomN is seed N."""
     if name.startswith("random"):

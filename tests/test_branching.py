@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -16,7 +17,7 @@ from ptagcheck.grammar import load_grammar, to_document, validate
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
 from conftest import (GRAMMAR4, MASS_EDGE, branching_family, mass_edge_document,
                       minimal_document, parse, pinned_grammar, random_proper_grammar,
-                      segment_edge_grammar, spectral_radius, synth_grammar,
+                      reference, segment_edge_grammar, synth_grammar,
                       two_site_start_grammar, two_siteless_start_grammar, verdict_corpus,
                       with_zero_entry)
 
@@ -122,13 +123,26 @@ def test_level_gf_without_start_site():
 
 
 def test_every_method_weighs_start_trees_by_the_start_law():
-    # seeds 0, 5, 6 and eight more have two or three start trees
-    for seed in range(50):
+    # under the uniform law on seeds 0-49, and under the law of weights 1, 2,
+    # 3, ... in start-tree order, set on the grammar, on the 39 of seeds 0-199
+    # with two or three start trees
+    cases = [(random_proper_grammar(seed), None) for seed in range(50)]
+    for seed in range(200):
         g = random_proper_grammar(seed)
+        if len(starts := g.index.starts.tolist()) > 1:
+            law = {g.index.tree_ids[t]: float(w) for w, t in enumerate(starts, 1)}
+            cases.append((dataclasses.replace(g, start_weights=law), g))
+    assert len(cases) == 50 + 39
+    moved = 0
+    for g, uniform in cases:
         for d in (1, 2, 3):
             total, death, constant = three_ways(g, d)
-            assert total == pytest.approx(death, abs=1e-12), (seed, d)
-            assert constant == pytest.approx(death, abs=1e-12), (seed, d)
+            assert total == pytest.approx(death, abs=1e-12), (g.start_weights, d)
+            assert constant == pytest.approx(death, abs=1e-12), (g.start_weights, d)
+            moved += uniform is not None and abs(death - br.death_by_level(uniform, d)) > 1e-9
+    # the law reaches the methods: in 79 of the 117 weighted cases C_d moves
+    # off the uniform law's (worst disagreement among the three, 2.2e-16)
+    assert moved == 79
 
 
 def test_constant_split_levels(grammar4):
@@ -1109,7 +1123,7 @@ def parse_supercritical():
 
 def test_consistency_linkage(grammar4):
     # subcritical spectral radius forces certain termination everywhere
-    assert spectral_radius(build_M(grammar4).values) < 1.0 - 1e-9
+    assert reference(grammar4).spectral_radius() < 1.0 - 1e-9
     ev = br.extinction(grammar4)
     reachable_sites = [s for t in grammar4.trees for s in
                        (n.site_id for n in t.sites)]

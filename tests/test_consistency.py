@@ -11,7 +11,7 @@ from ptagcheck import simulate as sim
 from ptagcheck.expectation import build_M
 from conftest import (GRAMMAR4, branching_family, critical_chain, finishing_sites,
                       minimal_document, parse, pinned_grammar, random_proper_grammar,
-                      spectral_radius)
+                      reference, spectral_radius)
 
 M4_POW4_EXPECTED = np.array([
     [0, 0.1728, 0.1728, 0.1728, 0.0688],
@@ -195,7 +195,7 @@ INDETERMINATE_SEEDS = {1: 0.0, 3: 0.0, 10: 0.0, 23: 0.0, 28: 0.0,
 @pytest.mark.parametrize("seed", sorted(INDETERMINATE_SEEDS))
 def test_indeterminate_seed_has_a_settled_start_termination(seed):
     g = random_proper_grammar(seed)
-    assert spectral_radius(build_M(g).values) == pytest.approx(1.0, abs=1e-9)
+    assert reference(g).spectral_radius() == pytest.approx(1.0, abs=1e-9)
     start = br.start_termination(g, br.extinction(g))
     assert all(abs(p - INDETERMINATE_SEEDS[seed]) <= 1e-9 for p in start.values())
 
@@ -230,11 +230,11 @@ def test_monotone_row_sum_information(grammar4):
 
 
 def test_spectral_radius_grammar4(grammar4):
-    assert spectral_radius(build_M(grammar4).values) == pytest.approx(0.6, abs=1e-6)
+    assert reference(grammar4).spectral_radius() == pytest.approx(0.6, abs=1e-6)
 
 
 def test_spectral_radius_grammar2(grammar2):
-    assert spectral_radius(build_M(grammar2).values) == pytest.approx(1.97, abs=1e-6)
+    assert reference(grammar2).spectral_radius() == pytest.approx(1.97, abs=1e-6)
 
 
 def test_trace_matches_matrix_power_row_sums(grammar4):
@@ -277,7 +277,7 @@ def test_more_than_1024_squarings_stay_finite():
 def test_critical_chain_fixture(classes, period):
     g = critical_chain(classes, period)
     assert gr.validate(g) == []
-    assert spectral_radius(build_M(g).values) == pytest.approx(1.0, abs=1e-9)
+    assert reference(g).spectral_radius() == pytest.approx(1.0, abs=1e-9)
     assert br.start_termination(g, br.extinction(g)) == {"t0": 0.0}
 
 
@@ -430,7 +430,7 @@ def test_report_brackets_spectral_radius(names):
     # rho_estimate is exactly 0 but eigvals returns moduli near 1e-16.
     for name in names:
         g = pinned_grammar(name)
-        rho = spectral_radius(build_M(g).values)
+        rho = reference(g).spectral_radius()
         report = cons.check_consistency(g)
         assert report.rho_lower_bound <= rho * (1 + 1e-9) + 1e-12, name
         assert rho <= report.rho_estimate * (1 + 2e-9) + 1e-12, name

@@ -8,7 +8,7 @@ import pytest
 from ptagcheck import consistency as cons
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
-from conftest import (GRAMMAR4, minimal_document, parse, random_proper_grammar,
+from conftest import (GRAMMAR4, minimal_document, parse, random_proper_grammar, reference,
                       segment_edge_grammar)
 
 M4_EXPECTED = np.array([
@@ -43,7 +43,7 @@ def test_site_index_is_read_only(grammar4):
               parse(minimal_document()), parse(nil_only)):
         idx = g.index
         # the lazy layouts too
-        idx.rewrite_graph, idx.reachable, idx.finishes, idx.draw_table, idx.start_draw
+        idx.rewrite_graph, idx.reachable, idx.finishes, idx.draw_table
         arrays = {name: a for name, a in vars(idx).items() if isinstance(a, np.ndarray)}
         assert {"tree_start", "site", "tree", "prob", "nil", "anchors", "starts",
                 "mass", "improper", "reachable", "finishes"} <= arrays.keys()
@@ -61,7 +61,7 @@ def test_site_index_is_read_only(grammar4):
         # every other attribute, and every tuple or mapping in it, refuses item assignment
         others = {name: a for name, a in vars(idx).items() if name not in arrays}
         assert {"ids", "tree_ids", "position", "bad_site", "rewrite_graph",
-                "draw_table", "start_draw"} <= others.keys()
+                "draw_table"} <= others.keys()
         stack = list(others.values())
         while stack:
             value = stack.pop()
@@ -231,22 +231,9 @@ def test_M_needs_only_its_own_cells_under_the_cap(monkeypatch):
         ex.build_P(g)
 
 
-def direct_expectation(g):
-    """Independent oracle: entry-wise summation over phi, no matrices."""
-    sites = g.site_ids
-    out = np.zeros((len(sites), len(sites)))
-    for i, site in enumerate(sites):
-        for target, prob in g.phi[site]:
-            if target is None:
-                continue
-            for node in g.tree(target).sites:
-                out[i, sites.index(node.site_id)] += prob
-    return out
-
-
 def test_M_matches_direct_summation(grammar4, grammar2):
     for g in (grammar4, grammar2, segment_edge_grammar()):
-        assert np.abs(ex.build_M(g).values - direct_expectation(g)).max() <= 1e-12
+        assert np.abs(ex.build_M(g).values - reference(g).matrix()).max() <= 1e-12
 
 
 def test_M_matches_direct_summation_random():
@@ -254,7 +241,7 @@ def test_M_matches_direct_summation_random():
         g = random_proper_grammar(seed)
         m = ex.build_M(g).values
         if m.size:
-            assert np.abs(m - direct_expectation(g)).max() <= 1e-12
+            assert np.abs(m - reference(g).matrix()).max() <= 1e-12
 
 
 def test_tree_permutation_conjugates_M(grammar4):

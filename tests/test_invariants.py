@@ -25,8 +25,7 @@ from ptagcheck import branching as br
 from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from ptagcheck.expectation import build_M
-from conftest import random_proper_grammar, spectral_radius, verdict_corpus, with_zero_entry
+from conftest import random_proper_grammar, reference, verdict_corpus, with_zero_entry
 
 DEPTHS = range(6)        # C_n compared at these depths
 ENUM_DEPTH = 3           # enumerated derivations compared at this depth
@@ -57,7 +56,7 @@ class Baseline:
     def __init__(self, g):
         self.g = g
         self.doc = gr.to_document(g)
-        self.rho = spectral_radius(build_M(g).values)
+        self.rho = reference(g).spectral_radius()
         self.verdict = cons.check_consistency(g).verdict
         self.q = br.extinction(g)
         self.start = br.start_termination(g, self.q)
@@ -336,7 +335,7 @@ def test_scaling_adjunction_entries(alpha):
         # alpha·M <= M' <= M entry by entry, up to the rounding of the
         # scaled entries, and so for the Perron roots; with no substitution
         # site every entry is scaled, and M' = alpha·M
-        rho = spectral_radius(build_M(g).values)
+        rho = reference(g).spectral_radius()
         assert alpha * base.rho * (1 - RHO_BOUND) <= rho <= base.rho * (1 + RHO_BOUND), name
         if not any(node.kind == gr.SUBSTITUTION for t in g.trees for node in t.sites):
             assert abs(rho - alpha * base.rho) <= RHO_BOUND * alpha * base.rho, name

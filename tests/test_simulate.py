@@ -118,33 +118,38 @@ def test_sample_probability_is_product_of_draws(grammar4):
     assert d.probability == pytest.approx(product, rel=1e-12)
 
 
+def weighted(g, start_weights):
+    """g with start_weights as its start law."""
+    return dataclasses.replace(g, start_weights=start_weights)
+
+
 @pytest.mark.parametrize("t1, t2", [(1.0, w) for w in (-1.0, math.nan, math.inf, -math.inf)]
                          + [(1e308, 1e308)])  # each finite, the sum is not
 def test_start_weights_must_be_finite_and_nonnegative(t1, t2):
-    g = random_proper_grammar(0)
-    weights = {"t1": t1, "t2": t2}
+    g = weighted(random_proper_grammar(0), {"t1": t1, "t2": t2})
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        sim.sample_derivation(g, seed=0, start_weights=weights)
+        sim.sample_derivation(g, seed=0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        sim.estimate_termination(g, 100, 10, start_weights=weights)
+        sim.estimate_termination(g, 100, 10)
 
 
 @pytest.mark.parametrize("weights", [[1, 2], {"t1": True}, {"t1": "0.5"}],
                          ids=["list", "bool", "string"])
 def test_start_weights_must_map_tree_ids_to_reals(weights):
-    g = random_proper_grammar(0)
+    # the grammar takes any start_weights: start_law checks them where a method reads them
+    g = weighted(random_proper_grammar(0), weights)
     with pytest.raises(ValueError, match="map tree ids to real numbers"):
-        ex.start_law(g, weights)
+        ex.start_law(g)
     with pytest.raises(ValueError, match="map tree ids to real numbers"):
-        sim.sample_derivation(g, seed=0, start_weights=weights)
+        sim.sample_derivation(g, seed=0)
     with pytest.raises(ValueError, match="map tree ids to real numbers"):
-        sim.estimate_termination(g, 100, 10, start_weights=weights)
+        sim.estimate_termination(g, 100, 10)
 
 
 def test_start_weights_override():
-    g = two_siteless_start_grammar()
+    g = weighted(two_siteless_start_grammar(), {"t2": 1.0})
     for seed in range(5):
-        d = sim.sample_derivation(g, seed=seed, start_weights={"t2": 1.0})
+        d = sim.sample_derivation(g, seed=seed)
         assert d.root.tree_id == "t2"
         assert d.probability == 1.0
 
@@ -154,9 +159,9 @@ def test_sample_probability_carries_start_weight():
     for u, tree_id, prob in [(0.1, "t1", 0.5), (0.9, "t2", 0.5)]:
         d = sim.sample_derivation(g, seed=ScriptedRNG([u]))
         assert (d.root.tree_id, d.probability) == (tree_id, prob)
-    weights = {"t1": 1.0, "t2": 3.0}
+    g = weighted(g, {"t1": 1.0, "t2": 3.0})
     for u, tree_id, prob in [(0.2, "t1", 0.25), (0.3, "t2", 0.75)]:
-        d = sim.sample_derivation(g, seed=ScriptedRNG([u]), start_weights=weights)
+        d = sim.sample_derivation(g, seed=ScriptedRNG([u]))
         assert (d.root.tree_id, d.probability) == (tree_id, prob)
 
 
@@ -174,7 +179,10 @@ def test_sample_unfillable_site_censors_after_one_draw():
 
 
 def sample_digest(g, seeds, kwargs):
-    """sha256 of each seed's as_dict() JSON, complete and probability.hex()."""
+    """sha256 of each seed's as_dict() JSON, complete and probability.hex();
+    a "start_weights" key of kwargs is g's start law."""
+    kwargs = dict(kwargs)
+    g = weighted(g, kwargs.pop("start_weights", None))
     lines = []
     for seed in seeds:
         d = sim.sample_derivation(g, seed=seed, **kwargs)
@@ -287,22 +295,31 @@ def test_draw_table_built_once_per_grammar(monkeypatch):
     assert first.index.draw_table is first.index.draw_table
 
 
-def test_start_draw_is_built_once_from_the_uniform_start_law(monkeypatch):
-    # without start weights the sampler draws its start tree from a lazy
-    # layout of the index, the inverse CDF of start_law's floats, built once
-    for name in ("grammar4", "random0", "random38", "two_siteless_start"):
-        g = pinned_grammar(name)
+def test_start_draw_is_built_once_from_the_start_law(monkeypatch):
+    # the sampler draws its start tree from the grammar's lazy start draw, the
+    # inverse CDF of start_law's floats, built once, under the uniform law
+    # and a weighted one
+    cases = [(name, None) for name in ("grammar4", "random0", "random38", "two_siteless_start")]
+    cases += [("random0", {"t1": 1.0, "t2": 3.0}), ("random38", {"t1": 1.0, "t3": 3.0}),
+              ("two_siteless_start", {"t2": 1.0})]
+    for name, weights in cases:
+        g = weighted(pinned_grammar(name), weights)
         positions, probs = ex.start_law(g)
-        assert g.index.start_draw == ex._inverse_cdf(zip(positions.tolist(), probs.tolist()))
+        assert g.start_draw == ex._inverse_cdf(zip(positions.tolist(), probs.tolist()))
+        assert not hasattr(g.index, "start_draw")
     no_start = minimal_document()
     no_start["start"] = "Z"
     with pytest.raises(ValueError, match="no initial tree rooted in 'Z'"):
         sim.sample_derivation(parse(no_start), seed=0)
-    g = gr.load_grammar(GRAMMAR4)
-    monkeypatch.setattr(sim, "start_law", None)  # nor is the law rebuilt per call
-    assert [sim.sample_derivation(g, seed=s).root.tree_id for s in range(6)] == \
-        [g.index.tree_ids[g.index.start_draw[1][0][0]]] * 6
-    assert g.index.start_draw is g.index.start_draw
+    uniform = gr.load_grammar(GRAMMAR4)
+    law = weighted(random_proper_grammar(0), {"t2": 1.0})
+    draws = uniform.start_draw, law.start_draw
+    monkeypatch.setattr(gr, "start_law", None)  # nor is the law rebuilt per call
+    monkeypatch.setattr(sim, "start_law", None)
+    for g, first in ((uniform, "t1"), (law, "t2")):
+        assert [sim.sample_derivation(g, seed=s).root.tree_id for s in range(6)] == [first] * 6
+    assert (uniform.start_draw, law.start_draw) == draws
+    assert uniform.start_draw is uniform.start_draw
 
 
 def shortfall_grammar():
@@ -338,10 +355,10 @@ def test_start_shortfall_goes_to_the_last_positive_start_tree():
     doc["trees"] = [{"id": f"t{j}", "type": "initial",
                      "root": {"label": "S", "children": [{"anchor": "a"}]}} for j in range(1, 8)]
     g = parse(doc)
-    weights = {f"t{j}": 1.0 for j in range(1, 7)} | {"t7": 0.0}
-    _, probs = ex.start_law(g, weights)
+    g = weighted(g, {f"t{j}": 1.0 for j in range(1, 7)} | {"t7": 0.0})
+    _, probs = ex.start_law(g)
     assert list(itertools.accumulate(probs.tolist()))[-1] == 1 - 2**-53
-    d = sim.sample_derivation(g, seed=ScriptedRNG([1 - 2**-53]), start_weights=weights)
+    d = sim.sample_derivation(g, seed=ScriptedRNG([1 - 2**-53]))
     assert (d.root.tree_id, d.probability, d.complete) == ("t6", 1 / 6, True)
 
 
@@ -350,17 +367,17 @@ def test_start_law():
     positions, probs = ex.start_law(g)
     assert [g.index.tree_ids[t] for t in positions] == ["t1", "t2"]
     assert probs.tolist() == [0.5, 0.5]
-    _, probs = ex.start_law(g, {"t2": 3, "t1": 1.0, "not-a-start-tree": 5.0})
+    _, probs = ex.start_law(weighted(g, {"t2": 3, "t1": 1.0, "not-a-start-tree": 5.0}))
     assert probs.tolist() == [0.25, 0.75]
     with pytest.raises(ValueError, match="no mass"):
-        ex.start_law(g, {"t1": 0.0})
+        ex.start_law(weighted(g, {"t1": 0.0}))
 
 
 def test_start_law_reads_positions_recorded_in_the_index(monkeypatch):
-    g = random_proper_grammar(0)
+    g = weighted(random_proper_grammar(0), {"t2": 1.0})
     g.index  # built once, with the start positions
     monkeypatch.setattr(g, "trees", ())  # a rescan would find no start tree
-    positions, probs = ex.start_law(g, {"t2": 1.0})
+    positions, probs = ex.start_law(g)
     assert [g.index.tree_ids[t] for t in positions] == ["t1", "t2"]
     assert probs.tolist() == [0.0, 1.0]
     assert positions is g.index.starts and not positions.flags.writeable
@@ -1615,11 +1632,12 @@ def test_estimate_digests_cover_every_case():
                               for i, c in enumerate(ESTIMATE_CASES)])
 def test_estimate_output_pinned(case, digest, monkeypatch):
     name, samples, max_depth, seed, kwargs = case
-    # the frontier cap is a module constant, which four cases set lower
+    # the frontier cap is a module constant, which four cases set lower, and
+    # the start law is the grammar's, which two cases weigh
     kwargs = dict(kwargs)
     monkeypatch.setattr(sim, "FRONTIER_CAP", kwargs.pop("frontier_cap", sim.FRONTIER_CAP))
-    stats = sim.estimate_termination(pinned_grammar(name), samples, max_depth,
-                                     seed=seed, **kwargs)
+    g = weighted(pinned_grammar(name), kwargs.pop("start_weights", None))
+    stats = sim.estimate_termination(g, samples, max_depth, seed=seed, **kwargs)
     assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
 
 
