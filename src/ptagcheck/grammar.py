@@ -456,10 +456,12 @@ def validate(g):
 
 
 def _diagnose(g):
+    """validate's findings, read from g and g.index as they stand: the
+    improper sites and unreachable trees are the nonzero positions of
+    index.improper and of ~index.reachable."""
     diags = []
-    shapes = {t.tree_id: (t.kind, t.root.label) for t in g.trees}
     idx = g.index
-    masses, improper = idx.mass.tolist(), idx.improper.tolist()
+    masses = {idx.ids[j]: idx.mass[j] for j in idx.improper.nonzero()[0].tolist()}
 
     if not len(idx.starts):
         diags.append(Diagnostic(ERROR, NO_START_TREE,
@@ -489,29 +491,29 @@ def _diagnose(g):
                                     tree_id=tree.tree_id))
 
         for node in tree.sites:
-            if improper[j := idx[node.site_id]]:
+            if (mass := masses.get(node.site_id)) is not None:
                 diags.append(Diagnostic(
-                    ERROR, IMPROPER_SITE, f"site probabilities sum to {masses[j]:.12g}, expected 1",
+                    ERROR, IMPROPER_SITE, f"site probabilities sum to {mass:.12g}, expected 1",
                     tree_id=tree.tree_id, site_id=node.site_id))
-            _site_diagnostics(diags, tree.tree_id, node, g.phi[node.site_id], shapes)
+            _site_diagnostics(diags, g, tree.tree_id, node)
 
-    for tree, reachable in zip(g.trees, idx.reachable.tolist()):
-        if not reachable:  # no positive-probability path from a start tree
-            diags.append(Diagnostic(WARNING, UNREACHABLE_TREE,
-                                    f"tree {tree.tree_id!r} is never used from the start trees",
-                                    tree_id=tree.tree_id))
+    # the trees with no positive-probability path from a start tree
+    for j in (~idx.reachable).nonzero()[0].tolist():
+        diags.append(Diagnostic(WARNING, UNREACHABLE_TREE,
+                                f"tree {idx.tree_ids[j]!r} is never used from the start trees",
+                                tree_id=idx.tree_ids[j]))
     diags.extend(detect_empty_yield_loops(g))
     return tuple(diags)
 
 
-def _site_diagnostics(diags, tree_id, node, entries, shapes):
-    """Append the findings at one site's phi entries; shapes maps each tree
-    id to its (kind, root label)."""
+def _site_diagnostics(diags, g, tree_id, node):
+    """Append the findings at the phi entries of node, a site of tree_id;
+    each target's kind and root label are read from its tree in g."""
     site = node.site_id
     substitution = node.kind == SUBSTITUTION
     want_kind = INITIAL if substitution else AUXILIARY
     seen_targets = set()
-    for target_id, prob in entries:
+    for target_id, prob in g.phi[site]:
         if not 0.0 <= prob <= 1.0:
             diags.append(Diagnostic(
                 ERROR, BAD_PROB,
@@ -529,17 +531,17 @@ def _site_diagnostics(diags, tree_id, node, entries, shapes):
                     "substitution site cannot stay unfilled (nil target)",
                     tree_id=tree_id, site_id=site))
             continue
-        kind, label = shapes[target_id]
-        if kind != want_kind:
+        target = g._tree_by_id[target_id]
+        if target.kind != want_kind:
             diags.append(Diagnostic(
                 ERROR, LABEL_MISMATCH,
                 f"{'substitution' if substitution else 'adjunction'} target "
-                f"{target_id!r} is {kind}, expected {want_kind}",
+                f"{target_id!r} is {target.kind}, expected {want_kind}",
                 tree_id=tree_id, site_id=site))
-        elif label != node.label:
+        elif target.root.label != node.label:
             diags.append(Diagnostic(
                 ERROR, LABEL_MISMATCH,
-                f"target {target_id!r} has root label {label!r} "
+                f"target {target_id!r} has root label {target.root.label!r} "
                 f"but the site is labeled {node.label!r}",
                 tree_id=tree_id, site_id=site))
 
@@ -548,10 +550,10 @@ def detect_empty_yield_loops(g):
     """Flag cycles of anchorless trees (which can loop without generating).
 
     Returns one EMPTY_YIELD_LOOP error per strongly connected component of
-    anchorless trees in the positive-probability rewrite graph, followed by a
-    NOT_LEXICALIZED warning per anchorless tree.
+    anchorless trees (g.index.anchors == 0) in the positive-probability
+    rewrite graph, followed by a NOT_LEXICALIZED warning per anchorless tree.
     """
-    anchorless = [j for j, t in enumerate(g.trees) if not t.anchors]
+    anchorless = (g.index.anchors == 0).nonzero()[0].tolist()
     kept = set(anchorless)
     graph = g.index.rewrite_graph
     edges = {j: [k for k in graph[j] if k in kept] for j in anchorless}

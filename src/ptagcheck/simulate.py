@@ -325,26 +325,28 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     left to right in site order.  A partial expansion is dropped as soon as
     its running product falls below prob_floor (the default floor of zero
     keeps everything with positive probability).  A tree without sites
-    placed at level max_depth is finished, so it is admitted.  Each
-    derivation's probability is then multiplied by its start tree's weight
-    under the grammar's start law, so the summed probabilities equal the
-    death-by-level constant C_(max_depth); the floor applies to that
-    weighted probability.  prob_floor must not be NaN, and phi breaking the
-    SiteIndex input contract raises ValueError.  A site's options are the
-    outcomes of its draw in g.index.draw_table, which the sampler draws
-    from: its positive entries, nil included, each one once.
+    placed at level max_depth is finished, so it is admitted.  A derivation
+    starts at a start tree of positive weight under the grammar's start law,
+    the outcomes of g.start_draw that the sampler draws from, and its
+    probability is then multiplied by that weight, so the summed
+    probabilities equal the death-by-level constant C_(max_depth); the
+    floor applies to that weighted probability.  prob_floor must not be
+    NaN, and phi breaking the SiteIndex input contract raises ValueError.
+    A site's options are the outcomes of its draw in g.index.draw_table,
+    which the sampler draws from: its positive entries, nil included, each
+    one once.
 
-    The trees placed at each level are collected first, from the start
-    trees down, keeping only the trees that can finish (SiteIndex.finishes):
-    no complete derivation places another.  Then the expansions of each
-    (tree, level) are built once, from level max_depth up, from those of
-    the level below, and shared.  Nothing recurses per level.  node_cap
-    bounds the partial expansions: one per kept pair of (choices so far,
-    next option) as the sites of a tree are resolved one by one, counted
-    once per (tree, level).  More than node_cap of them raises
+    The trees placed at each level are collected first, from the start trees
+    of positive weight down, keeping only the trees that can finish
+    (SiteIndex.finishes): no complete derivation places another.  Then the
+    expansions of each (tree, level) are built once, from level max_depth
+    up, from those of the level below, and shared.  Nothing recurses per
+    level.  node_cap bounds the partial expansions: one per kept pair of
+    (choices so far, next option) as the sites of a tree are resolved one by
+    one, counted once per (tree, level).  More than node_cap of them raises
     EnumerationBudgetExceeded.  An expansion list is a list of nodes beside
-    a float64 array of their probabilities: at each site the products of
-    the pairs are formed in numpy, in chunks of at most _OUTER_CELLS, and
+    a float64 array of their probabilities: at each site the products of the
+    pairs are formed in numpy, in chunks of at most _OUTER_CELLS, and
     counted against node_cap before any node of a chunk is built.  On
     grammar4 at depth 5 the result holds 238,145 derivations (129 MB
     traced); the call takes about 0.23 s and peaks at 137 MB, because the
@@ -364,10 +366,10 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     index = g.index
     table, graph = index.draw_table, index.rewrite_graph
     sizes, finishes = index.sizes.tolist(), index.finishes.tolist()
-    positions, start_probs = start_law(g)
+    starts = g.start_draw[1]  # the start trees of positive weight, with their probabilities
     # tree positions per level: no complete derivation places a tree that
     # cannot finish, so none is placed, nor expanded
-    placed = [dict.fromkeys(j for j in positions.tolist() if finishes[j])]
+    placed = [dict.fromkeys(j for j, _ in starts if finishes[j])]
     while placed[-1] and len(placed) <= max_depth:
         deepest = len(placed) == max_depth
         placed.append(dict.fromkeys(k for j in placed[-1] for k in graph[j]
@@ -381,8 +383,7 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
             here[tree_id], spent = _expand(tree_id, table[tree_id], level, below,
                                            prob_floor, node_cap, spent)
         below = here
-    roots = [(*below[index.tree_ids[t]], w)
-             for t, w in zip(positions.tolist(), start_probs.tolist()) if finishes[t]]
+    roots = [(*below[index.tree_ids[t]], w) for t, w in starts if finishes[t]]
     del below  # nothing reads the expansions again: free them before wrapping
     derivations = []
     while roots:  # and free each root's lists once they are wrapped

@@ -143,6 +143,17 @@ def test_every_method_weighs_start_trees_by_the_start_law():
     # the law reaches the methods: in 79 of the 117 weighted cases C_d moves
     # off the uniform law's (worst disagreement among the three, 2.2e-16)
     assert moved == 79
+    # a law that zeroes the first start tree: the enumerator roots at the
+    # start trees of positive weight alone, so no derivation starts at that
+    # tree and none has probability 0, and the three methods still agree
+    for g, uniform in cases[50:]:
+        zeroed = g.index.tree_ids[g.index.starts[0]]
+        g = dataclasses.replace(g, start_weights={**g.start_weights, zeroed: 0.0})
+        for d in (1, 2, 3):
+            derivations = sim.enumerate_derivations(g, d)
+            assert all(x.probability > 0.0 and x.root.tree_id != zeroed for x in derivations)
+            assert sum(x.probability for x in derivations) == pytest.approx(
+                br.death_by_level(g, d), abs=1e-12)
 
 
 def test_constant_split_levels(grammar4):

@@ -106,6 +106,20 @@ def test_analysis_rejects_invalid_grammar(tmp_path):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize("weights", ["missing", "malformed"])
+@pytest.mark.parametrize("command", ["extinction", "simulate"])
+def test_validation_errors_come_before_start_weights_errors(tmp_path, command, weights):
+    # the grammar is refused (exit 2, its finding on stdout) before the
+    # start weights are read, whether their file is missing or malformed
+    path = tmp_path / "w.json"
+    if weights == "malformed":
+        path.write_text('{"t1": -1}')
+    argv = [command, dirty_file(tmp_path), "--start-weights", str(path)]
+    code, out, err = run(argv)
+    assert (code, [d["code"] for d in json.loads(out)], err) == (
+        2, ["IMPROPER_SITE"], "grammar has 1 validation error(s)\n")
+
+
 MASS_EDGE_COMMANDS = {"validate": [], "matrix": [], "check": [], "gf": ["--level", "1"],
                       "extinction": [], "simulate": ["--samples", "200"], "enumerate": []}
 

@@ -69,13 +69,15 @@ def grammars():
 
 
 # peak MB traced at 1,000 -> 4,000 sites (Python 3.11, numpy 2.4): parse
-# 2.60 -> 11.37, validate 0.08 -> 0.44, extinction 0.16 -> 0.26,
-# death_by_level 0.11 -> 0.26, estimate_termination 0.33 -> 0.49
+# 2.60 -> 11.37, validate 0.03 -> 0.13, extinction 0.16 -> 0.26,
+# death_by_level 0.11 -> 0.26, estimate_termination 0.31 -> 0.49,
+# enumerate_derivations 0.75 -> 2.23
 LINEAR_STAGES = {
     "validate": gr._diagnose,
     "extinction": lambda g: br.extinction(g, tol=0.0, max_iter=200),
     "death_by_level": lambda g: br.death_by_level(g, 50),
     "estimate_termination": lambda g: sim.estimate_termination(g, 200, 20, seed=0),
+    "enumerate_derivations": lambda g: sim.enumerate_derivations(g, 3, prob_floor=1e-6),
 }
 
 

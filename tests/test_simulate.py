@@ -803,6 +803,30 @@ def test_enumerate_branching_family_closed_form(p, sites):
         assert abs(Fraction(death) - c) <= 2 * (sites + 1) * d * slope ** (d - 1) * u
 
 
+def test_enumerate_skips_start_trees_of_weight_zero():
+    # start trees quiet (no sites) and busy, whose one site adjoins, with
+    # 0.5, a 3-site tree that adjoins itself at each site with 0.3; the law
+    # gives busy weight 0, so its only derivation is quiet.  Rooted at busy
+    # too, the enumerator listed 9 derivations of probability 0 beside quiet
+    # at depth 3 and spent its whole default node_cap at depth 5
+    sited = [{"label": "S", "site": site, "children": [child]}
+             for site, child in (("l2", {"anchor": "d"}), ("l3", {"foot": "S"}))]
+    g = parse({"start": "S", "trees": [
+        {"id": "quiet", "type": "initial", "root": {"label": "S", "children": [{"anchor": "a"}]}},
+        {"id": "busy", "type": "initial",
+         "root": {"label": "S", "site": "b0", "children": [{"anchor": "b"}]}},
+        {"id": "loop", "type": "auxiliary",
+         "root": {"label": "S", "site": "l1", "children": [{"anchor": "c"}, *sited]}}],
+        "phi": [{"site": site, "tree": tree, "prob": prob}
+                for site, p in (("b0", 0.5), ("l1", 0.3), ("l2", 0.3), ("l3", 0.3))
+                for tree, prob in (("loop", p), (None, 1.0 - p))]})
+    g = dataclasses.replace(g, start_weights={"quiet": 1.0, "busy": 0.0})
+    assert gr.validate(g) == [] and br.death_by_level(g, 3) == 1.0
+    for depth in (3, 5):
+        [d] = sim.enumerate_derivations(g, depth)
+        assert (d.as_dict(), d.probability) == ({"tree": "quiet", "at": None, "children": {}}, 1.0)
+
+
 def test_enumerate_zero_prob_choices_excluded(grammar2):
     # phi(S1 -> nil) = 0, so no derivation leaves S1 unexpanded
     for d in sim.enumerate_derivations(grammar2, 3):
