@@ -24,7 +24,7 @@ broken pipe).
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import copy
 import json
 import os
 import sys
@@ -137,8 +137,9 @@ def _read(path, parse, what, malformed):
 
 
 def _start_weights(path, g):
-    """A copy of g (dataclasses.replace: it builds its own index) with the start
-    weights in the file at path, once start_law accepts them; g without a path."""
+    """A copy of g with the start weights in the file at path, once start_law
+    accepts them; g without a path.  The copy shares g's index and validation
+    findings, which do not read the start law, and builds its own start draw."""
     if path is None:
         return g
 
@@ -147,7 +148,9 @@ def _start_weights(path, g):
         weights = json.loads(data.decode("utf-8"))
         if weights is None:  # start_law reads None as the uniform law
             raise ValueError("expected a JSON object, got null")
-        weighted = dataclasses.replace(g, start_weights=weights)
+        weighted = copy.copy(g)  # copies g's fields without rerunning its checks
+        vars(weighted).update(start_weights=weights, index=g.index, diagnostics=g.diagnostics)
+        vars(weighted).pop("start_draw", None)
         expectation.start_law(weighted)
         return weighted
     # bad JSON or UTF-8, too deep, or no law start_law accepts

@@ -136,15 +136,14 @@ class SiteIndex:
         """Read-only, per tree id, one (site id, *_inverse_cdf) per site in
         site order: the outcomes are the site's positive entries, nil
         included, each once in document order, as (target tree id or None,
-        prob, whether the target has sites).  checked first: bisection
-        picks what the scan picks only on nondecreasing sums free of NaN."""
+        prob).  checked first: bisection picks what the scan picks only on
+        nondecreasing sums free of NaN."""
         self.checked()
-        # nil's phi_tree -1 picks the last of each
-        names, has_sites = (*self.tree_ids, None), [*(self.sizes > 0).tolist(), False]
+        names = (*self.tree_ids, None)  # nil's phi_tree -1 picks the last
         entries = [[] for _ in self.ids]
         for i, t, p in zip(self.phi_site.tolist(), self.phi_tree.tolist(),
                            self.phi_prob.tolist()):
-            entries[i].append((names[t], p, has_sites[t]))
+            entries[i].append((names[t], p))
         draws = [(s, *_inverse_cdf(e)) for s, e in zip(self.ids, entries)]
         ends = self.tree_start.tolist()
         return MappingProxyType({t: tuple(draws[a:b])

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
 from numbers import Integral
@@ -182,8 +181,9 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES):
     probability is its weight times the product of the phi draws made.
     Supercritical grammars grow exponentially, so on top of the depth cap a
     node budget censors runaway samples (complete=False, like a
-    depth-capped one).  The tree holds no reference cycles, so it is built
-    with the cyclic collector paused.
+    depth-capped one) at the first node, levels expanded in order, that
+    would be expanded with max_nodes nodes placed.  The tree holds no
+    reference cycles, so it is built with the cyclic collector paused.
 
     Each draw takes one uniform and picks by inverse CDF among the choices
     of positive probability (expectation._inverse_cdf): a site's entries in
@@ -212,28 +212,28 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES):
     sums, starts = g.start_draw  # start_law raises without start trees or on bad weights
     chosen, probability = starts[bisect_right(sums, draw())]
     root = DerivationNode(g.index.tree_ids[chosen], 0)
-    complete = True
-    nodes = 1
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        if nodes >= max_nodes:
-            complete = False
-            break
-        children = node.children = {}
-        level = node.level + 1
-        for site, sums, outcomes in table[node.tree_id]:
-            target, prob, has_sites = outcomes[bisect_right(sums, draw())]
-            probability *= prob
-            if target is None:
-                children[site] = None
-                continue
-            child = children[site] = DerivationNode(target, level)
-            nodes += 1
-            if level < max_depth or not has_sites:
-                queue.append(child)
-            else:
-                complete = False  # frontier tree with sites at the depth cap
+    room = max_nodes - 1  # the nodes the cap leaves beside the root
+    frontier, level, complete = [root], 0, True
+    while frontier:  # the nodes of a level, expanded in order, place the next level's
+        level += 1
+        placed = []
+        for node in frontier:
+            if len(placed) >= room:
+                return Derivation(root, False, probability)
+            children = node.children = {}
+            for site, sums, outcomes in table[node.tree_id]:
+                target, prob = outcomes[bisect_right(sums, draw())]
+                probability *= prob
+                if target is None:
+                    children[site] = None
+                else:
+                    child = children[site] = DerivationNode(target, level)
+                    placed.append(child)
+        room -= len(placed)
+        frontier = placed
+        if level == max_depth:  # trees with sites at the depth cap stay unexpanded
+            frontier = [node for node in placed if not table[node.tree_id]]
+            complete = len(frontier) == len(placed)
     return Derivation(root, complete, probability)
 
 
@@ -247,7 +247,9 @@ def derived_tree(d, g):
     the adjoined tree at the node's position and reattaches the excised
     subtree at its foot; substitution replaces the substitution leaf with
     the initial tree's root.  The tree is built top down with a stack, each
-    node once and with its Gorn address, so nothing recurses per level.
+    node once and with its Gorn address, so nothing recurses per level; only
+    a node with children goes on the stack.  A foot to fill takes the
+    excised node, and only a node that takes a tree calls _placed.
     The grammar must pass ``validate`` (every auxiliary tree has exactly one
     foot); on a grammar with ``BAD_FOOT`` errors the result is undefined.
     """
@@ -255,16 +257,21 @@ def derived_tree(d, g):
         raise ValueError("cannot derive a tree from an incomplete derivation")
     node, chosen, foot = _placed(g.tree(d.root.tree_id).root, d.root.children, None, g)
     top = gr.TreeNode(node.kind, node.label, (), node.site_id, "")
-    stack = [(top, node, chosen, foot)]
+    stack = [(top, node, chosen, foot, "")]  # with the prefix of the kids' addresses
     while stack:
-        out, node, chosen, foot = stack.pop()
-        prefix = f"{out.address}." if out.address else ""
+        out, node, chosen, foot, prefix = stack.pop()
         kids = []
         for i, child in enumerate(node.children, 1):
-            child, child_chosen, child_foot = _placed(child, chosen, foot, g)
-            kid = gr.TreeNode(child.kind, child.label, (), child.site_id, f"{prefix}{i}")
+            child_chosen, child_foot = chosen, foot
+            if child.kind == gr.FOOT and foot is not None:
+                child, child_chosen, child_foot = foot
+            elif chosen and chosen.get(child.site_id) is not None:
+                child, child_chosen, child_foot = _placed(child, chosen, foot, g)
+            address = f"{prefix}{i}"
+            kid = gr.TreeNode(child.kind, child.label, (), child.site_id, address)
             kids.append(kid)
-            stack.append((kid, child, child_chosen, child_foot))
+            if child.children:
+                stack.append((kid, child, child_chosen, child_foot, f"{address}."))
         out.children = tuple(kids)
     return top
 
@@ -293,15 +300,20 @@ def _placed(node, chosen, foot, g):
 def yield_string(t):
     """Left-to-right terminal yield; epsilon leaves are dropped.
 
-    Rejects trees that still contain foot or substitution leaves.
+    One stack walks the tree in preorder.  Rejects trees that still contain
+    foot or substitution leaves, naming the first in preorder.
     """
-    out = []
-    for node in t.preorder():
-        if node.kind == gr.ANCHOR:
+    anchor, unresolved = gr.ANCHOR, (gr.FOOT, gr.SUBSTITUTION)
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node.kind == anchor:
             out.append(node.label)
-        elif node.kind in (gr.FOOT, gr.SUBSTITUTION):
+        elif node.kind in unresolved:
             raise ValueError(
                 f"unresolved {node.kind} leaf at address {node.address!r}")
+        if node.children:
+            stack += reversed(node.children)
     return out
 
 
@@ -411,7 +423,7 @@ def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
     combos, probs = [{} if draws else DerivationNode(tree_id, level, {})], _ONE
     for site, _, outcomes in draws:
         options, option_probs = [], []
-        for target, p, _ in outcomes:
+        for target, p in outcomes:
             if target in below:  # p * 1.0 is p: nil's probability is exact
                 subs, sub_probs = below[target]
                 options += subs

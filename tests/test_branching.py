@@ -318,7 +318,7 @@ def test_site_index_entry_layout_and_rewrite_graph_match_phi():
                 for t, p in g.phi[site]:
                     running += p
                     if p > 0.0:
-                        kept.append((t, p, t is not None and bool(g.tree(t).sites)))
+                        kept.append((t, p))
                         totals.append(running)
                 assert outcomes == tuple(kept) and sums == tuple(totals[:-1])
     # built once per grammar: the validators read the one graph
@@ -331,7 +331,7 @@ def test_site_index_entry_layout_and_rewrite_graph_match_phi():
     idx = zero_entry_grammar().index
     assert idx.phi_prob.tolist().count(0.0) == 3 and idx.nil.tolist() == [0.75, 0.0, 0.5, 1.0]
     assert idx.tree.tolist() == [2, 1, 2, 1] and idx.entry_start.tolist() == [0, 1, 3, 4, 4]
-    assert [[[t for t, _, _ in outcomes] for _, _, outcomes in idx.draw_table[tree]]
+    assert [[[t for t, _ in outcomes] for _, _, outcomes in idx.draw_table[tree]]
             for tree in ("t1", "a1", "a2")] == [[["a2", None], ["a1", "a2"], [None, "a1"]],
                                                 [], [[None]]]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -322,6 +323,22 @@ def test_extinction_combines_start_trees_by_weight(tmp_path):
     starts = doc["start_trees"]
     assert doc["combined"] == pytest.approx(0.25 * starts["t1"] + 0.75 * starts["t2"],
                                             abs=1e-15)
+
+
+def test_start_weights_copy_shares_the_index(tmp_path):
+    # neither the index nor the validation findings read the start law, so the
+    # weighted copy shares g's; its start draw follows the file's law, also
+    # when g had built its own before
+    g = random_proper_grammar(0)
+    uniform = g.start_draw
+    weights = tmp_path / "w.json"
+    weights.write_text('{"t1": 1, "t2": 3}')
+    weighted = cli._start_weights(str(weights), g)
+    assert weighted.index is g.index and weighted.diagnostics is g.diagnostics
+    assert weighted.start_weights == {"t1": 1, "t2": 3} and g.start_weights is None
+    assert g.start_draw is uniform
+    rebuilt = dataclasses.replace(g, start_weights={"t1": 1, "t2": 3})
+    assert weighted.start_draw == rebuilt.start_draw != uniform
 
 
 def test_gf_level_with_siteless_start_trees(tmp_path):

@@ -581,6 +581,21 @@ def test_derived_trees_pinned(name, seeds, max_depth, max_nodes, count, digest):
     assert hashlib.sha256("\n".join(trees).encode()).hexdigest() == digest
 
 
+def test_yields_pinned():
+    # the yields of every complete derivation behind DERIVED_TREE_DIGESTS, one
+    # JSON list a line: yield_string byte for byte, as the anchor counts are not
+    digest, count = hashlib.sha256(), 0
+    for name, seeds, max_depth, max_nodes, _, _ in DERIVED_TREE_DIGESTS:
+        g = pinned_grammar(name)
+        for seed in seeds:
+            d = sim.sample_derivation(g, seed=seed, max_depth=max_depth, max_nodes=max_nodes)
+            if d.complete:
+                digest.update(f"{json.dumps(sim.yield_string(sim.derived_tree(d, g)))}\n".encode())
+                count += 1
+    assert count == 3181
+    assert digest.hexdigest() == "565e737068e1b776624147dff925c4840151beb323f93020860a523f9488f69e"
+
+
 def test_anchor_multiset_reachable_by_enumeration(grammar4):
     target = {"a1": 1, "a2": 4, "a3": 2}
     found = False
