@@ -12,8 +12,9 @@ id-less nodes are inert structure.  Node object forms, one per object:
     substitution   {"subst": NONTERMINAL, "site": ID}
     epsilon        {"epsilon": true}
 
-Terminal and nonterminal alphabets are inferred: anchor labels are terminals,
-all other labels are nonterminals, and the two sets must be disjoint.
+Terminal and nonterminal alphabets are implicit: anchor labels are terminals,
+the start symbol and all other labels are nonterminals, and the parser
+rejects a symbol used as both.  A Grammar stores neither set.
 """
 
 from __future__ import annotations
@@ -130,12 +131,14 @@ class Grammar:
     is implicit: it contributes no site, no matrix row and no probability.
     ``start_weights``, tree ids to weights or None for the uniform law, is
     the start law that every method weighs its start trees by; only
-    expectation.start_law reads and checks it.  Set it with dataclasses.replace.
+    expectation.start_law reads and checks it.  Set it with
+    dataclasses.replace, which reruns the checks above (about 17 ms on
+    bench/synth.py's synth_document(1, 20000)) and, on first use, builds the
+    copy's own index and findings (about 26 and 35 ms); cli._start_weights'
+    copy shares them instead.
     """
 
     start: str
-    nonterminals: frozenset
-    terminals: frozenset
     trees: tuple[ElementaryTree, ...]
     phi: dict
     start_weights: dict | None = None
@@ -303,8 +306,7 @@ def from_document(doc):
             + ", ".join(sorted(overlap)))
 
     phi = _parse_phi(doc.get("phi", []), trees, seen_tree_ids)
-    return Grammar(start=start, nonterminals=frozenset(nonterminals),
-                   terminals=frozenset(terminals), trees=tuple(trees), phi=phi)
+    return Grammar(start=start, trees=tuple(trees), phi=phi)
 
 
 # every key set a node may have, mapped to its form

@@ -246,13 +246,18 @@ class SparsePolynomial:
         coefficient and multiplies in the other variables' powers in
         ascending variable order; a variable's power p is the cached power
         p - 1 times its replacement.  Raises TermCapExceeded as soon as any
-        intermediate product holds more than term_cap terms.
+        intermediate product holds more than term_cap terms, or a power above
+        term_cap is asked of a replacement: one with two or more positive
+        terms has at least p + 1 terms at power p, so only a power of one
+        term (or of none) is stopped by the power alone, before it is built.
         """
         if len(replacements) != self.nvars:
             raise ValueError("need one replacement polynomial per variable")
         powers = {}  # position -> [None, r, r^2, ...] as far as needed
 
         def powered(position, power):
+            if term_cap is not None and power > term_cap:
+                raise TermCapExceeded(f"power {power} of a replacement (cap {term_cap})")
             cached = powers.setdefault(position, [None, replacements[position]])
             while len(cached) <= power:
                 cached.append(_capped(cached[-1] * replacements[position], term_cap))

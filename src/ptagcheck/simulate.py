@@ -63,7 +63,8 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 @dataclass(slots=True)
 class DerivationNode:
-    """One instantiated elementary tree at a level of a derivation.
+    """One instantiated elementary tree of a derivation; its level is its
+    distance from the root.
 
     ``children`` maps each site id of the tree to a DerivationNode or to
     None for a "no adjunction" choice; it is None as a whole while the node
@@ -74,7 +75,6 @@ class DerivationNode:
     """
 
     tree_id: str
-    level: int
     children: dict | None = None
 
     def nodes(self):
@@ -92,17 +92,17 @@ class Derivation:
     probability: float
 
     def as_dict(self):
-        return _derivation_doc(self.root, None)
+        return _derivation_doc(self.root, {})
 
 
 @_collector_paused
 def derivation_docs(derivations):
     """[as_dict() plus "probability"] of each derivation, for emission.
 
-    Enumerated derivations share subtrees, so the doc of each children
-    dict is built once and shared too; json.dumps writes a shared object
-    out in full wherever it occurs, so the JSON equals that of the
-    as_dict() forms.  The docs form no reference cycles.
+    One memo serves them all: enumerated derivations share subtrees, so
+    the doc of each children dict is built once and shared too, and
+    json.dumps writes a shared object out in full wherever it occurs.  The
+    docs form no reference cycles.
     """
     shared = {}
     return [dict(_derivation_doc(d.root, shared), probability=d.probability)
@@ -110,8 +110,8 @@ def derivation_docs(derivations):
 
 
 def _derivation_doc(root, shared):
-    """Doc of the derivation under root; shared, unless None, maps
-    id(children dict) to its doc.  Built top down with a stack of the docs
+    """Doc of the derivation under root; shared maps id(children dict) to
+    its doc, so each is built once.  Built top down with a stack of the docs
     whose children are still derivation nodes, so nothing recurses per level."""
     top = {"tree": root.tree_id, "at": None, "children": root.children}
     stack = [top]
@@ -119,14 +119,13 @@ def _derivation_doc(root, shared):
         doc = stack.pop()
         if (children := doc["children"]) is None:
             continue
-        built = shared.get(id(children)) if shared is not None else None
+        built = shared.get(id(children))
         if built is None:
-            built = {site: "nil" if child is None else
-                     {"tree": child.tree_id, "at": site, "children": child.children}
-                     for site, child in children.items()}
+            built = shared[id(children)] = {
+                site: "nil" if child is None else
+                {"tree": child.tree_id, "at": site, "children": child.children}
+                for site, child in children.items()}
             stack += [sub for sub in built.values() if sub != "nil"]
-            if shared is not None:
-                shared[id(children)] = built
         doc["children"] = built
     return top
 
@@ -211,7 +210,7 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES):
         draw = _uniforms(np.random.default_rng(seed)).__next__
     sums, starts = g.start_draw  # start_law raises without start trees or on bad weights
     chosen, probability = starts[bisect_right(sums, draw())]
-    root = DerivationNode(g.index.tree_ids[chosen], 0)
+    root = DerivationNode(g.index.tree_ids[chosen])
     room = max_nodes - 1  # the nodes the cap leaves beside the root
     frontier, level, complete = [root], 0, True
     while frontier:  # the nodes of a level, expanded in order, place the next level's
@@ -227,7 +226,7 @@ def sample_derivation(g, seed=None, max_depth=64, max_nodes=DEFAULT_MAX_NODES):
                 if target is None:
                     children[site] = None
                 else:
-                    child = children[site] = DerivationNode(target, level)
+                    child = children[site] = DerivationNode(target)
                     placed.append(child)
         room -= len(placed)
         frontier = placed
@@ -360,8 +359,8 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     a float64 array of their probabilities: at each site the products of the
     pairs are formed in numpy, in chunks of at most _OUTER_CELLS, and
     counted against node_cap before any node of a chunk is built.  On
-    grammar4 at depth 5 the result holds 238,145 derivations (129 MB
-    traced); the call takes about 0.23 s and peaks at 137 MB, because the
+    grammar4 at depth 5 the result holds 238,145 derivations (126 MB
+    traced); the call takes about 0.23 s and peaks at 133 MB, because the
     expansions are freed before the result is wrapped (Python 3.11, 2-core
     shared machine).
 
@@ -392,7 +391,7 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
         here = {None: nil}
         for j in placed[level]:
             tree_id = index.tree_ids[j]
-            here[tree_id], spent = _expand(tree_id, table[tree_id], level, below,
+            here[tree_id], spent = _expand(tree_id, table[tree_id], below,
                                            prob_floor, node_cap, spent)
         below = here
     roots = [(*below[index.tree_ids[t]], w) for t, w in starts if finishes[t]]
@@ -407,11 +406,11 @@ def enumerate_derivations(g, max_depth, prob_floor=0.0, node_cap=1_000_000):
     return derivations
 
 
-def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
+def _expand(tree_id, draws, below, prob_floor, node_cap, spent):
     """((nodes, probabilities), spent plus the partial expansions made) of
-    tree_id at level, from its draw-table draws; below maps the trees placed
-    at level + 1, and nil, to theirs, the probabilities a float64 array.
-    Its own call frees its option lists.
+    tree_id at the level being built, from its draw-table draws; below maps
+    the trees placed at the next level, and nil, to theirs, the
+    probabilities a float64 array.  Its own call frees its option lists.
 
     A pair's probability is the one multiply prob * (p * sub_prob) in
     float64, as in plain floats.  Per chunk of rows, the kept pairs are
@@ -420,7 +419,7 @@ def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
     all of them pass the floor."""
     # the children chosen so far and their running products; the choices
     # at the last site complete a node, and a tree without sites is one
-    combos, probs = [{} if draws else DerivationNode(tree_id, level, {})], _ONE
+    combos, probs = [{} if draws else DerivationNode(tree_id, {})], _ONE
     for site, _, outcomes in draws:
         options, option_probs = [], []
         for target, p in outcomes:
@@ -452,7 +451,7 @@ def _expand(tree_id, draws, level, below, prob_floor, node_cap, spent):
                 for choice in chosen_options:
                     chosen = copy()
                     chosen[site] = choice
-                    append(DerivationNode(tree_id, level, chosen) if last else chosen)
+                    append(DerivationNode(tree_id, chosen) if last else chosen)
         spent += len(extended)
         combos = extended
         probs = np.concatenate(extended_probs) if extended_probs else _NONE

@@ -43,6 +43,23 @@ def parse(doc):
     return gr.parse_grammar(json.dumps(doc))
 
 
+def all_nil_grammar():
+    """minimal_document() with a site R on its root, which takes nil alone."""
+    doc = minimal_document()
+    doc["trees"][0]["root"]["site"] = "R"
+    return parse(doc)
+
+
+def deepest_level(root):
+    """The largest distance from root to a node of its derivation."""
+    deepest, level = 0, [root]
+    while level:
+        level = [child for node in level for child in (node.children or {}).values()
+                 if child is not None]
+        deepest += bool(level)
+    return deepest
+
+
 def two_siteless_start_grammar():
     """minimal_document() plus a second start tree; neither has a site."""
     doc = minimal_document()

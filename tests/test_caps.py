@@ -9,16 +9,20 @@ in memory, or dies of an uncaught error with exit 1 (the code for
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 
 import pytest
 
+from ptagcheck import branching as br
 from ptagcheck import cli
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import GRAMMAR4, REPO, branching_family, critical_chain, doubling_grammar
+from ptagcheck.polynomials import TermCapExceeded
+from conftest import (GRAMMAR4, REPO, branching_family, critical_chain, deepest_level,
+                      doubling_grammar)
 
 MEMORY_LIMIT = 1 << 30  # bytes of address space per child
 
@@ -38,6 +42,9 @@ CASES = {
     "simulate-8-class-chain": (lambda: critical_chain(8, 2), ["simulate"], cli.EX_OK),
     "simulate-supercritical": (lambda: branching_family(0.9), ["simulate"], cli.EX_OK),
     "simulate-doubling": (doubling_grammar, ["simulate"], cli.EX_OK),
+    # level n raises each site's one-term replacement to the power 2^(n - 1):
+    # refused at level 18, past the default term cap, not built for hours
+    "gf-level-30-doubling": (doubling_grammar, ["gf", "--level", "30"], cli.EX_INVALID),
 }
 
 
@@ -77,14 +84,25 @@ def test_cap_exit_code(tmp_path, grammar, argv, code):
         assert json.loads(done.stdout)["verdict"] == verdict[code]
 
 
+def test_level_gf_refuses_a_power_above_the_term_cap():
+    # G_n = s[B]^(2^n) * s[C]^(2^n): level n raises each site's one-term
+    # replacement to the power 2^(n - 1), one term at any power
+    g = doubling_grammar()
+    capped = br.level_gf(g, 10, term_cap=1000)
+    assert repr(capped) == repr(br.level_gf(g, 10, term_cap=None))
+    assert capped.terms == [({0: 1024, 1: 1024}, 1.0)]
+    with pytest.raises(TermCapExceeded, match=re.escape("power 1024 of a replacement (cap 1000)")):
+        br.level_gf(g, 11, term_cap=1000)
+
+
 def test_enumerate_writes_out_a_derivation_as_deep_as_the_cap():
     # the doc of a derivation and its JSON take two frames per level each:
     # the deepest one the cap admits is written out within the recursion
     # limit, here with the test runner's frames beneath it
     cap = cli.ENUMERATE_DEPTH_CAP
     ds = sim.enumerate_derivations(branching_family(0.5, sites=1), cap)
-    deepest = max(ds, key=lambda d: max(node.level for node in d.root.nodes()))
-    assert max(node.level for node in deepest.root.nodes()) == cap - 1
+    deepest = max(ds, key=lambda d: deepest_level(d.root))
+    assert deepest_level(deepest.root) == cap - 1
     out = io.StringIO()
     cli._emit(sim.derivation_docs([deepest]), out)
     assert json.loads(out.getvalue())[0]["probability"] == 0.5 ** cap

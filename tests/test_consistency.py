@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ from ptagcheck import branching as br
 from ptagcheck import consistency as cons
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from ptagcheck.expectation import build_M
+from ptagcheck.expectation import build_M, start_mixture
 from conftest import (GRAMMAR4, branching_family, critical_chain, finishing_sites,
                       minimal_document, parse, pinned_grammar, random_proper_grammar,
                       reference, spectral_radius)
@@ -306,6 +307,37 @@ def test_branching_family_rho_is_2p(p):
                    "Indeterminate at rho = 1")
 def test_critical_branching_family_is_consistent():
     assert cons.check_consistency(branching_family(0.5)).verdict == cons.CONSISTENT
+
+
+def weighted_away_loop_grammar():
+    """Start trees good (an anchor) and bad (one site B), and an auxiliary
+    loop whose site L, like B, takes loop with probability 1, under the start
+    law {good: 1, bad: 0}: clean, and no derivation from bad finishes, but
+    none starts there."""
+    doc = {"start": "S", "trees": [
+        {"id": "good", "type": "initial", "root": {"label": "S", "children": [{"anchor": "a"}]}},
+        {"id": "bad", "type": "initial", "root": {"label": "S", "children": [
+            {"label": "X", "site": "B", "children": [{"anchor": "b"}]}]}},
+        {"id": "loop", "type": "auxiliary", "root": {"label": "X", "children": [
+            {"label": "X", "site": "L", "children": [{"anchor": "c"}]}, {"foot": "X"}]}}],
+        "phi": [{"site": "B", "tree": "loop", "prob": 1.0},
+                {"site": "L", "tree": "loop", "prob": 1.0}]}
+    return dataclasses.replace(parse(doc), start_weights={"good": 1, "bad": 0})
+
+
+def test_weighted_away_loop_terminates_by_the_other_methods():
+    g = weighted_away_loop_grammar()
+    assert gr.validate(g) == []
+    assert start_mixture(g, br.extinction(g).q) == 1.0
+    assert sim.estimate_termination(g, 1000, 20).termination_rate == 1.0
+    assert sum(d.probability for d in sim.enumerate_derivations(g, 5)) == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 29: check roots reachability at every "
+                   "start tree, weight 0 included, so the loop that only bad reaches makes it "
+                   "say Inconsistent with stuck_tree 'loop'")
+def test_weighted_away_loop_is_consistent():
+    assert cons.check_consistency(weighted_away_loop_grammar()).verdict == cons.CONSISTENT
 
 
 def one_site_deficit_grammar():

@@ -23,8 +23,7 @@ def test_grammar4_structure(grammar4):
     assert [t.tree_id for t in grammar4.trees] == ["t1", "t2", "t3"]
     assert grammar4.site_ids == ("A1", "A2", "B1", "A3", "B2")
     assert grammar4.start == "S"
-    assert grammar4.nonterminals == frozenset({"S", "B"})
-    assert grammar4.terminals == frozenset({"a1", "a2", "a3"})
+    assert alphabets(grammar4) == (["B", "S"], ["a1", "a2", "a3"])
     assert grammar4.phi["A1"] == (("t2", 0.8), (None, 0.2))
 
 
@@ -89,14 +88,14 @@ def test_parse_rejects_duplicate_tree_id():
 def test_grammar_rejects_repeated_tree_id(grammar4):
     g = grammar4
     with pytest.raises(gr.GrammarError, match="duplicate tree id 't2'"):
-        gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees + (g.trees[1],), g.phi)
+        gr.Grammar(g.start, g.trees + (g.trees[1],), g.phi)
 
 
 def test_grammar_rejects_repeated_site_id(grammar4):
     g = grammar4
     copy = gr.ElementaryTree("t4", gr.AUXILIARY, g.trees[1].root)  # t2's sites again
     with pytest.raises(gr.GrammarError, match="duplicate site id 'A2'"):
-        gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees + (copy,), g.phi)
+        gr.Grammar(g.start, g.trees + (copy,), g.phi)
 
 
 # a hand-built Grammar is checked when it is built, since validate and the
@@ -120,7 +119,7 @@ def test_grammar_rejects_repeated_site_id(grammar4):
 def test_grammar_rejects_malformed_phi(grammar4, edit, message):
     g = grammar4
     with pytest.raises(gr.GrammarError, match=re.escape(message)):
-        gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees, edit(g.phi))
+        gr.Grammar(g.start, g.trees, edit(g.phi))
 
 
 def test_grammar_accepts_any_real_probability(grammar4):
@@ -128,8 +127,7 @@ def test_grammar_accepts_any_real_probability(grammar4):
     g = grammar4
     for entries in ((("t2", Fraction(2, 5)), (None, 0.6)), (("t2", 0), (None, 1)),
                     (("t2", np.float32(0.5)), (None, 0.5))):
-        edited = gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees,
-                            {**g.phi, "A3": entries})
+        edited = gr.Grammar(g.start, g.trees, {**g.phi, "A3": entries})
         assert gr.validate(edited) == []
         assert edited.index.mass[edited.index["A3"]] == 1.0
 
@@ -165,7 +163,7 @@ def nudged(g, seed):
     site = sites[rng.integers(len(sites))]
     factor = 1.0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5) * PROPERNESS_TOL
     phi = {**g.phi, site: tuple((t, p * factor) for t, p in g.phi[site])}
-    return gr.Grammar(g.start, g.nonterminals, g.terminals, g.trees, phi)
+    return gr.Grammar(g.start, g.trees, phi)
 
 
 def test_improper_site_names_exactly_the_sites_whose_index_mass_is_off():
@@ -604,8 +602,7 @@ def test_bad_foot_site_on_a_foot_node():
     foot = gr.TreeNode(gr.FOOT, "S", (), "F", "2")
     aux = gr.ElementaryTree("t2", gr.AUXILIARY, gr.TreeNode(gr.INTERIOR, "S", (leaf, foot)))
     start = parse(minimal_document()).trees[0]
-    g = gr.Grammar("S", frozenset({"S"}), frozenset({"a", "b"}), (start, aux),
-                   {"F": ((None, 1.0),)})
+    g = gr.Grammar("S", (start, aux), {"F": ((None, 1.0),)})
     assert [d.as_dict() for d in gr.validate(g) if d.code == gr.BAD_FOOT] == [
         {"severity": gr.ERROR, "code": gr.BAD_FOOT, "tree": "t2", "site": "F",
          "message": "adjunction site on a foot node"}]
@@ -748,6 +745,15 @@ def test_properness_sums(grammar4, grammar2):
 
 # -- the front end's output, pinned -----------------------------------------
 
+def alphabets(g):
+    """(sorted nonterminals, sorted terminals) of g, read off its trees as
+    the parser infers them: anchor labels are terminals, the start symbol
+    and every other label nonterminals."""
+    nodes = [n for t in g.trees for n in t.root.preorder() if n.kind != gr.EPSILON]
+    return (sorted({g.start, *(n.label for n in nodes if n.kind != gr.ANCHOR)}),
+            sorted({n.label for n in nodes if n.kind == gr.ANCHOR}))
+
+
 def front_end_digest(g):
     """sha256 of what parse, validate and index make of a grammar.
 
@@ -760,7 +766,7 @@ def front_end_digest(g):
     parts = [
         json.dumps(gr.to_document(g)),
         json.dumps([d.as_dict() for d in gr.validate(g)]),
-        repr((g.start, sorted(g.nonterminals), sorted(g.terminals), g.site_ids)),
+        repr((g.start, *alphabets(g), g.site_ids)),
         repr([(t.tree_id, t.kind,
                [(n.kind, n.label, n.site_id, n.address) for n in t.root.preorder()],
                [n.address for n in t.sites], t.anchors, [n.address for n in t.feet])

@@ -221,12 +221,12 @@ def every_output(g):
 
 
 def tree_shape(node, shapes):
-    """(tree, level, children's shapes) of a derivation node, or None for a
-    nil choice; shapes memoizes the nodes that derivations share."""
+    """(tree, children's shapes) of a derivation node, or None for a nil
+    choice; shapes memoizes the nodes that derivations share."""
     if node is None:
         return None
     if id(node) not in shapes:
-        shapes[id(node)] = (node.tree_id, node.level, None if node.children is None else
+        shapes[id(node)] = (node.tree_id, None if node.children is None else
                             tuple((site, tree_shape(child, shapes))
                                   for site, child in node.children.items()))
     return shapes[id(node)]

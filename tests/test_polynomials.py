@@ -8,7 +8,7 @@ import pytest
 from ptagcheck import branching as br
 from ptagcheck.expectation import start_law
 from ptagcheck.polynomials import SparsePolynomial, TermCapExceeded
-from conftest import minimal_document, parse, pinned_grammar
+from conftest import all_nil_grammar, parse, pinned_grammar
 
 
 def poly(nvars, coeffs):
@@ -129,6 +129,17 @@ def test_substitute_term_cap():
     p = poly(nvars, {tuple([3] + [0] * (nvars - 1)): 1.0})
     with pytest.raises(TermCapExceeded):
         p.substitute([big] * nvars, term_cap=10)
+
+
+def test_substitute_refuses_a_power_above_the_term_cap():
+    # x^p stays one term at every power p, so only the power stops it
+    x = SparsePolynomial.monomial(0.5, [0], 1)
+    for power in (3, 4):
+        assert dense_items(poly(1, {(power,): 1.0}).substitute([x], term_cap=4)) == \
+            [((power,), (0.5 ** power).hex())]
+    with pytest.raises(TermCapExceeded, match=r"power 5 of a replacement \(cap 4\)"):
+        poly(1, {(5,): 1.0}).substitute([x], term_cap=4)
+    assert dense_items(poly(1, {(5,): 1.0}).substitute([x])) == [((5,), (0.5 ** 5).hex())]
 
 
 def test_format_with_names():
@@ -310,6 +321,8 @@ def ref_substitute(a, replacements, nvars, term_cap=None):
     power_cache = {}
 
     def powered(position, power):
+        if term_cap is not None and power > term_cap:
+            raise TermCapExceeded(power)
         key = (position, power)
         if key not in power_cache:
             if power == 1:
@@ -461,12 +474,6 @@ def hand_gf_grammar(entries):
         "phi": [{"site": "A1", "tree": tree, "prob": prob} for tree, prob in entries]
                + [{"site": "A2", "tree": None, "prob": 1.0}],
     })
-
-
-def all_nil_grammar():
-    doc = minimal_document()
-    doc["trees"][0]["root"]["site"] = "R"
-    return parse(doc)
 
 
 ADJUNCTION_CASES = {name: lambda name=name: pinned_grammar(name)

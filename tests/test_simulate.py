@@ -23,8 +23,9 @@ from ptagcheck import cli
 from ptagcheck import expectation as ex
 from ptagcheck import grammar as gr
 from ptagcheck import simulate as sim
-from conftest import (GRAMMAR2, GRAMMAR4, REPO, branching_family, critical_chain,
-                      duplicate_target_grammar, finishing_sites, minimal_document, parse,
+from conftest import (GRAMMAR2, GRAMMAR4, REPO, all_nil_grammar, branching_family,
+                      critical_chain, deepest_level, duplicate_target_grammar,
+                      finishing_sites, minimal_document, parse,
                       pinned_grammar, random_proper_grammar, segment_edge_grammar,
                       synth_grammar, two_site_start_grammar, two_siteless_start_grammar)
 
@@ -42,19 +43,13 @@ class ScriptedRNG:
         return self.fallback.random()
 
 
-def all_nil_grammar():
-    doc = minimal_document()
-    doc["trees"][0]["root"]["site"] = "R"
-    return parse(doc)
-
-
 # -- sampling ----------------------------------------------------------------
 
 def test_sample_trivial_grammar():
     d = sim.sample_derivation(all_nil_grammar(), seed=123, max_depth=5)
     assert d.complete
     assert d.probability == 1.0
-    assert max(n.level for n in d.root.nodes()) == 0
+    assert deepest_level(d.root) == 0
     assert d.root.children == {"R": None}
 
 
@@ -66,7 +61,7 @@ def test_sample_grammar2_scripted_draws(grammar2):
     root = d.root
     assert root.tree_id == "t1"
     child = root.children["S1"]
-    assert child.tree_id == "t2" and child.level == 1
+    assert child.tree_id == "t2"
     assert d.as_dict()["children"]["S1"]["at"] == "S1"
     assert child.children == {"S2": None, "S3": None}
     assert d.probability == pytest.approx(1.0 * 0.01 * 0.02, rel=1e-12)
@@ -80,15 +75,7 @@ def test_sample_depth_cap_censors(grammar4):
     frontier = d.root.children["A1"]
     assert frontier.tree_id == "t2"
     assert frontier.children is None  # unexpanded
-    assert max(n.level for n in d.root.nodes()) == 1
-
-
-def test_sample_levels_increase(grammar4):
-    d = sim.sample_derivation(grammar4, seed=11, max_depth=50)
-    for node in d.root.nodes():
-        for child in (node.children or {}).values():
-            if child is not None:
-                assert child.level == node.level + 1
+    assert deepest_level(d.root) == 1
 
 
 def test_sample_reproducible(grammar4, grammar2):
@@ -410,7 +397,7 @@ def test_sample_tree_without_sites_at_depth_cap_is_complete():
     d = sim.sample_derivation(g, seed=ScriptedRNG([0.0, 0.9]), max_depth=1)
     assert d.complete
     leaf = d.root.children["A1"]
-    assert leaf.tree_id == "t2" and leaf.level == 1 and leaf.children == {}
+    assert leaf.tree_id == "t2" and leaf.children == {}
     assert d.probability == 0.2
 
 
@@ -421,19 +408,18 @@ def test_derived_tree_rejects_incomplete(grammar4):
         sim.derived_tree(d, grammar4)
 
 
-def node(tree_id, level, children):
-    return sim.DerivationNode(tree_id, level, children)
+node = sim.DerivationNode
 
 
 def test_derived_tree_reproduces_reference_string(grammar4):
     # four stacked t2 adjunctions with two t3 adjunctions on the innermost one
-    t3y = node("t3", 3, {"B2": None})
-    t3x = node("t3", 2, {"B2": t3y})
-    t2d = node("t2", 4, {"A2": None, "B1": None, "A3": None})
-    t2c = node("t2", 3, {"A2": t2d, "B1": None, "A3": None})
-    t2b = node("t2", 2, {"A2": t2c, "B1": None, "A3": None})
-    t2a = node("t2", 1, {"A2": t2b, "B1": t3x, "A3": None})
-    root = node("t1", 0, {"A1": t2a})
+    t3y = node("t3", {"B2": None})
+    t3x = node("t3", {"B2": t3y})
+    t2d = node("t2", {"A2": None, "B1": None, "A3": None})
+    t2c = node("t2", {"A2": t2d, "B1": None, "A3": None})
+    t2b = node("t2", {"A2": t2c, "B1": None, "A3": None})
+    t2a = node("t2", {"A2": t2b, "B1": t3x, "A3": None})
+    root = node("t1", {"A1": t2a})
     d = sim.Derivation(root, True, 1.0)
     t = sim.derived_tree(d, grammar4)
     assert sim.yield_string(t) == ["a2", "a2", "a2", "a2", "a3", "a3", "a1"]
@@ -491,10 +477,10 @@ def graft_grammar():
 def test_derived_tree_written_out():
     g = graft_grammar()
     assert not [d for d in gr.validate(g) if d.severity == gr.ERROR]
-    t4 = node("t4", 3, {"C1": node("t6", 4, {})})
-    t3 = node("t3", 2, {"N1": t4})
-    t2 = node("t2", 1, {"A2": t3, "B1": node("t5", 2, {})})
-    d = sim.Derivation(node("t1", 0, {"A1": t2}), True, 1.0)
+    t4 = node("t4", {"C1": node("t6", {})})
+    t3 = node("t3", {"N1": t4})
+    t2 = node("t2", {"A2": t3, "B1": node("t5", {})})
+    d = sim.Derivation(node("t1", {"A1": t2}), True, 1.0)
 
     tn = tree_node
     interior, anchor = gr.INTERIOR, gr.ANCHOR
@@ -525,7 +511,7 @@ def test_derived_tree_keeps_the_feet_of_initial_trees():
             {"subst": "NP", "site": "N1"}, {"foot": "S"}]}},
         {"id": "t2", "type": "initial", "root": {"label": "NP", "children": [
             {"anchor": "n"}, {"foot": "NP"}]}}]})
-    d = sim.Derivation(node("t1", 0, {"N1": node("t2", 1, {})}), True, 1.0)
+    d = sim.Derivation(node("t1", {"N1": node("t2", {})}), True, 1.0)
     assert sim.derived_tree(d, g) == tree_node(
         gr.INTERIOR, "S", "",
         tree_node(gr.INTERIOR, "NP", "1", tree_node(gr.ANCHOR, "n", "1.1"),
@@ -673,21 +659,23 @@ def test_enumerate_grammar2_shallow(grammar2):
 
 
 def test_as_dict_docs_share_nothing(grammar4):
-    # enumerated derivations share subtrees, their as_dict() docs do not
-    docs = [d.as_dict() for d in sim.enumerate_derivations(grammar4, 4)]
-    ids = []
-
-    def walk(doc):
-        ids.append(id(doc))
-        if doc["children"] is not None:
-            ids.append(id(doc["children"]))
-            for child in doc["children"].values():
-                if child != "nil":
-                    walk(child)
-
-    for doc in docs:
-        walk(doc)
-    assert len(set(ids)) == len(ids)
+    # enumerated derivations share subtrees; the docs of two as_dict() calls
+    # share no object, and one doc holds one children doc per children dict
+    # of its derivation, shared where the derivation shares it
+    ds = sim.enumerate_derivations(grammar4, 4)
+    docs = [d.as_dict() for d in ds]
+    owner = {}  # id of each object of the docs -> the derivation it serves
+    for n, (d, doc) in enumerate(zip(ds, docs)):
+        doc_of = {}  # id of a children dict of d -> id of its doc
+        stack = [(d.root, doc)]
+        while stack:
+            node, sub = stack.pop()
+            built = sub["children"]
+            assert doc_of.setdefault(id(node.children), id(built)) == id(built)
+            assert owner.setdefault(id(sub), n) == owner.setdefault(id(built), n) == n
+            stack += [(child, built[site]) for site, child in node.children.items()
+                      if child is not None]
+        assert len(set(doc_of.values())) == len(doc_of)
 
 
 def test_enumerate_prob_floor(grammar4):
@@ -715,8 +703,7 @@ def test_enumerate_depth_beyond_recursion_limit():
     chain = branching_family(0.5, sites=1)
     ds = sim.enumerate_derivations(chain, 1200, prob_floor=2**-60)
     assert [d.probability for d in ds] == [0.5 ** k for k in range(60, 0, -1)]
-    assert [max(node.level for node in d.root.nodes()) for d in ds] == \
-        [*range(59, 0, -1), 0]
+    assert [deepest_level(d.root) for d in ds] == [*range(59, 0, -1), 0]
 
 
 def test_enumerate_stops_where_no_placed_tree_finishes():
@@ -779,7 +766,7 @@ def test_deep_derivation_written_out_and_derived():
     # levels deep, is written out and derived past the recursion limit
     chain = branching_family(0.5, sites=1)
     deepest = sim.enumerate_derivations(chain, 1200, prob_floor=2**-600)[0]
-    assert max(node.level for node in deepest.root.nodes()) == 599
+    assert deepest_level(deepest.root) == 599
     for doc in (deepest.as_dict(), sim.derivation_docs([deepest])[0]):
         placed = []
         while isinstance(doc, dict):
@@ -858,10 +845,8 @@ def test_enumerate_levels_and_parents(grammar4):
 
     for d in sim.enumerate_derivations(grammar4, 3):
         check_at(d.as_dict(), None)
-        for n in d.root.nodes():
-            for child in n.children.values():
-                if child is not None:
-                    assert child.level == n.level + 1
+        # every tree of grammar4 has sites, so none is placed at level 3
+        assert deepest_level(d.root) < 3
 
 
 def enumeration_digest(ds):
